@@ -134,7 +134,7 @@ def section_resilience() -> str:
         f"{faults.count('harmless')} harmless, {faults.count('crash')} crashes, "
         f"{faults.count('silent')} silent-wrong",
         f"        detection rate (faults reaching an artifact): "
-        f"{faults.detection_rate:.0%}",
+        f"{faults.rate:.0%}",
         "```",
         "",
         "**Acceptance check:** zero soundness violations and zero crashes under",

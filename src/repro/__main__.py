@@ -260,31 +260,19 @@ def cmd_faults(args) -> int:
     def progress(message: str) -> None:
         print(f"// {message}", file=sys.stderr)
 
+    if getattr(args, "serve", False):
+        from repro.resilience.serve_faults import run_serve_faults as run
+    elif getattr(args, "lift", False):
+        from repro.resilience.lift_faults import run_lift_faults as run
+    else:
+        from repro.resilience.faults import run_faults as run
     with _maybe_trace(args, f"faults:{args.seed}"):
-        if getattr(args, "serve", False):
-            from repro.resilience.serve_faults import run_serve_faults
-
-            report = run_serve_faults(
-                seed=args.seed,
-                jobs=args.jobs,
-                progress=progress if args.verbose else None,
-            )
-        elif getattr(args, "lift", False):
-            from repro.resilience.lift_faults import run_lift_faults
-
-            report = run_lift_faults(
-                seed=args.seed,
-                progress=progress if args.verbose else None,
-            )
-        else:
-            from repro.resilience.faults import run_faults
-
-            report = run_faults(
-                seed=args.seed,
-                budget=args.budget,
-                progress=progress if args.verbose else None,
-                jobs=args.jobs,
-            )
+        report = run(
+            seed=args.seed,
+            budget=args.budget,
+            progress=progress if args.verbose else None,
+            jobs=args.jobs,
+        )
     if args.json:
         import json
 

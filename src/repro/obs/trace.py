@@ -198,6 +198,16 @@ def current_tracer():
     return _ACTIVE
 
 
+def reset_tracer() -> None:
+    """Install the null tracer for the rest of the process.
+
+    A forked pool worker inherits its parent's active tracer; recording
+    into that copy would only be thrown away when the worker exits.
+    """
+    global _ACTIVE
+    _ACTIVE = NULL
+
+
 @contextmanager
 def use_tracer(tracer):
     """Install ``tracer`` as the process-wide active tracer for a block."""

@@ -10,7 +10,8 @@ the pipeline's cleverness is untrusted, its checkers are trusted:
 - :mod:`repro.resilience.faults` -- a cross-layer fault-injection
   campaign corrupting lemmas, solvers, optimizer passes, and
   certificates, asserting the trusted checkers catch every lie
-  (``repro faults``);
+  (``repro faults``); every campaign shares the report and the
+  process fan-out of :mod:`repro.resilience.campaign`;
 - :mod:`repro.resilience.budget` -- fuel and wall-clock deadlines for
   proof search, surfaced as typed
   :class:`~repro.core.goals.ResourceExhausted`;
@@ -25,7 +26,8 @@ from repro.resilience.degrade import (
     DegradedResult,
     compile_or_degrade,
 )
-from repro.resilience.faults import FaultOutcome, FaultReport, run_faults
+from repro.resilience.campaign import CampaignReport, Outcome, ordered_map
+from repro.resilience.faults import run_faults
 from repro.resilience.fuzzer import FuzzFinding, FuzzReport, run_fuzz
 from repro.resilience.generator import FuzzCase, generate_case
 
@@ -35,8 +37,9 @@ __all__ = [
     "DegradedFunction",
     "DegradedResult",
     "compile_or_degrade",
-    "FaultOutcome",
-    "FaultReport",
+    "CampaignReport",
+    "Outcome",
+    "ordered_map",
     "run_faults",
     "FuzzFinding",
     "FuzzReport",

@@ -23,12 +23,23 @@ for every point, on every seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.bedrock2 import ast as b2
 from repro.core.goals import CompileError
 from repro.core.spec import CompiledFunction, FnSpec, Model
+from repro.resilience.campaign import (
+    CRASH,
+    DETECTED,
+    HARMLESS,
+    REJECTED,
+    SILENT,
+    CampaignReport,
+    Lost,
+    Outcome,
+    Vocabulary,
+    ordered_map,
+)
 from repro.resilience.generator import (
     FuzzCase,
     _gen_byte_fold,
@@ -36,11 +47,10 @@ from repro.resilience.generator import (
     _gen_scalar_chain,
 )
 
-DETECTED = "detected"
-REJECTED = "rejected"
-HARMLESS = "harmless"
-CRASH = "crash"
-SILENT = "silent"
+VOCABULARY = Vocabulary(
+    (DETECTED, REJECTED, HARMLESS, CRASH, SILENT), frozenset({DETECTED}),
+    frozenset({CRASH, SILENT}),
+)
 
 
 # -- Bedrock2 AST surgery (the corruption toolkit) ---------------------------------
@@ -167,19 +177,6 @@ def _wrapped_db(db, wrapper_cls, strike: int, counter: Dict[str, int]):
 # -- Outcome classification ---------------------------------------------------------
 
 
-@dataclass
-class FaultOutcome:
-    """What one injected fault did and which checker (if any) caught it."""
-
-    point: str
-    target: str
-    outcome: str  # DETECTED | REJECTED | HARMLESS | CRASH | SILENT
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"[{self.outcome}] {self.point} on {self.target}: {self.detail}"
-
-
 def _run_trusted_checkers(
     bad: CompiledFunction,
     case: FuzzCase,
@@ -236,13 +233,13 @@ def _classify_compiled_fault(
     clean: CompiledFunction,
     rng: random.Random,
     width: int = 64,
-) -> FaultOutcome:
+) -> Outcome:
     if b2.fingerprint(bad.bedrock_fn) == b2.fingerprint(clean.bedrock_fn):
-        return FaultOutcome(point, case.name, HARMLESS, "artifact unchanged")
+        return Outcome(point, case.name, HARMLESS, "artifact unchanged")
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return FaultOutcome(point, case.name, DETECTED, caught)
-    return FaultOutcome(point, case.name, SILENT, "corrupted artifact validated")
+        return Outcome(point, case.name, DETECTED, caught)
+    return Outcome(point, case.name, SILENT, "corrupted artifact validated")
 
 
 # -- Injection points ---------------------------------------------------------------
@@ -257,7 +254,7 @@ def _target_cases(rng: random.Random) -> List[FuzzCase]:
     ]
 
 
-def _inject_binding_lemma(case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_binding_lemma(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.core.engine import Engine
     from repro.stdlib import default_databases
 
@@ -271,17 +268,17 @@ def _inject_binding_lemma(case: FuzzCase, rng: random.Random, width: int) -> Fau
             case.model, case.spec
         )
     except CompileError as exc:
-        return FaultOutcome(
+        return Outcome(
             "binding-lemma-corrupt", case.name, REJECTED, type(exc).__name__
         )
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome("binding-lemma-corrupt", case.name, CRASH, repr(exc))
+        return Outcome("binding-lemma-corrupt", case.name, CRASH, repr(exc))
     return _classify_compiled_fault(
         "binding-lemma-corrupt", case, bad, clean, rng, width
     )
 
 
-def _inject_expr_lemma(case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_expr_lemma(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.core.engine import Engine
     from repro.stdlib import default_databases
 
@@ -295,11 +292,11 @@ def _inject_expr_lemma(case: FuzzCase, rng: random.Random, width: int) -> FaultO
             case.model, case.spec
         )
     except CompileError as exc:
-        return FaultOutcome(
+        return Outcome(
             "expr-lemma-corrupt", case.name, REJECTED, type(exc).__name__
         )
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome("expr-lemma-corrupt", case.name, CRASH, repr(exc))
+        return Outcome("expr-lemma-corrupt", case.name, CRASH, repr(exc))
     return _classify_compiled_fault("expr-lemma-corrupt", case, bad, clean, rng, width)
 
 
@@ -326,7 +323,7 @@ def _solver_lie_target(name: str) -> FuzzCase:
     return FuzzCase(name, "solver_lie", model, spec, input_gen, "inplace")
 
 
-def _inject_lying_solver(_case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_lying_solver(_case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.core.engine import Engine
     from repro.core.solver import SolverBank
     from repro.stdlib import default_databases
@@ -344,17 +341,17 @@ def _inject_lying_solver(_case: FuzzCase, rng: random.Random, width: int) -> Fau
             case.model, case.spec
         )
     except CompileError as exc:
-        return FaultOutcome(
+        return Outcome(
             "solver-false-positive", case.name, REJECTED, type(exc).__name__
         )
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome("solver-false-positive", case.name, CRASH, repr(exc))
+        return Outcome("solver-false-positive", case.name, CRASH, repr(exc))
     # There is no clean artifact to compare against (an honest compile
     # stalls), so classification rests entirely on the trusted checkers.
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return FaultOutcome("solver-false-positive", case.name, DETECTED, caught)
-    return FaultOutcome(
+        return Outcome("solver-false-positive", case.name, DETECTED, caught)
+    return Outcome(
         "solver-false-positive", case.name, SILENT, "unsound bound check validated"
     )
 
@@ -381,7 +378,7 @@ class _CrashingPass:
 
 def _inject_optimizer_pass(
     case: FuzzCase, rng: random.Random, width: int, pass_obj, point: str
-) -> FaultOutcome:
+) -> Outcome:
     from repro.opt.manager import PassManager
     from repro.validation.passcheck import pass_validator
 
@@ -393,16 +390,16 @@ def _inject_optimizer_pass(
     try:
         fn, certificates = manager.run(clean.bedrock_fn)
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome(point, case.name, CRASH, repr(exc))
+        return Outcome(point, case.name, CRASH, repr(exc))
     cert = certificates[0]
     if cert.status == "rejected":
         if b2.fingerprint(fn) == b2.fingerprint(clean.bedrock_fn):
-            return FaultOutcome(point, case.name, DETECTED, f"rejected: {cert.detail}")
-        return FaultOutcome(
+            return Outcome(point, case.name, DETECTED, f"rejected: {cert.detail}")
+        return Outcome(
             point, case.name, SILENT, "pass rejected but artifact changed"
         )
     if b2.fingerprint(fn) == b2.fingerprint(clean.bedrock_fn):
-        return FaultOutcome(point, case.name, HARMLESS, "pass had no effect")
+        return Outcome(point, case.name, HARMLESS, "pass had no effect")
     # The validator accepted a *changed* artifact.  Translation validation
     # legitimately accepts semantics-preserving rewrites (e.g. a mutated
     # literal in a dead binding), so ground-truth the acceptance with an
@@ -420,10 +417,10 @@ def _inject_optimizer_pass(
         width=width,
     )
     if recheck.ok:
-        return FaultOutcome(
+        return Outcome(
             point, case.name, HARMLESS, "mutation was semantics-preserving"
         )
-    return FaultOutcome(
+    return Outcome(
         point, case.name, SILENT, f"validator accepted: {recheck.failures[0].kind}"
     )
 
@@ -479,7 +476,7 @@ def _rangeguard_lie_target(name: str) -> FuzzCase:
     return FuzzCase(name, "rangeguard_lie", model, spec, input_gen, "inplace")
 
 
-def _inject_lying_ranges(_case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_lying_ranges(_case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.opt.passes import RangeGuardElimination
 
     case = _rangeguard_lie_target("ft_rangelie")
@@ -492,7 +489,7 @@ def _inject_lying_ranges(_case: FuzzCase, rng: random.Random, width: int) -> Fau
     )
 
 
-def _inject_cert_phantom(case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_cert_phantom(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.core.certificate import Certificate, CertNode
     from repro.validation.checker import CertificateError, check_certificate
 
@@ -526,15 +523,15 @@ def _inject_cert_phantom(case: FuzzCase, rng: random.Random, width: int) -> Faul
     try:
         check_certificate(tampered, statement_count=clean.statement_count())
     except CertificateError as exc:
-        return FaultOutcome("cert-phantom-lemma", case.name, DETECTED, str(exc))
+        return Outcome("cert-phantom-lemma", case.name, DETECTED, str(exc))
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome("cert-phantom-lemma", case.name, CRASH, repr(exc))
-    return FaultOutcome(
+        return Outcome("cert-phantom-lemma", case.name, CRASH, repr(exc))
+    return Outcome(
         "cert-phantom-lemma", case.name, SILENT, "phantom lemma accepted"
     )
 
 
-def _inject_cert_drop_done(case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_cert_drop_done(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     from repro.core.certificate import Certificate, CertNode
     from repro.validation.checker import CertificateError, check_certificate
 
@@ -557,22 +554,22 @@ def _inject_cert_drop_done(case: FuzzCase, rng: random.Random, width: int) -> Fa
     try:
         check_certificate(tampered, statement_count=clean.statement_count())
     except CertificateError as exc:
-        return FaultOutcome("cert-drop-compile-done", case.name, DETECTED, str(exc))
+        return Outcome("cert-drop-compile-done", case.name, DETECTED, str(exc))
     except Exception as exc:  # noqa: BLE001
-        return FaultOutcome("cert-drop-compile-done", case.name, CRASH, repr(exc))
-    return FaultOutcome(
+        return Outcome("cert-drop-compile-done", case.name, CRASH, repr(exc))
+    return Outcome(
         "cert-drop-compile-done", case.name, SILENT, "postcondition check not required"
     )
 
 
-def _inject_code_swap(case: FuzzCase, rng: random.Random, width: int) -> FaultOutcome:
+def _inject_code_swap(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
     """Mutate the code but keep the certificate: only replay can see this."""
     from dataclasses import replace
 
     clean = _compile_clean(case, width)
     mutated_body = corrupt_first_literal(clean.bedrock_fn.body)
     if mutated_body == clean.bedrock_fn.body:
-        return FaultOutcome("cert-code-swap", case.name, HARMLESS, "no literal to flip")
+        return Outcome("cert-code-swap", case.name, HARMLESS, "no literal to flip")
     bad = replace(
         clean,
         bedrock_fn=b2.Function(
@@ -584,69 +581,11 @@ def _inject_code_swap(case: FuzzCase, rng: random.Random, width: int) -> FaultOu
     )
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return FaultOutcome("cert-code-swap", case.name, DETECTED, caught)
-    return FaultOutcome("cert-code-swap", case.name, SILENT, "swapped code validated")
+        return Outcome("cert-code-swap", case.name, DETECTED, caught)
+    return Outcome("cert-code-swap", case.name, SILENT, "swapped code validated")
 
 
 # -- The campaign -------------------------------------------------------------------
-
-
-@dataclass
-class FaultReport:
-    """Aggregated outcomes of one fault-injection campaign."""
-
-    seed: int
-    outcomes: List[FaultOutcome] = field(default_factory=list)
-
-    def count(self, outcome: str) -> int:
-        return sum(1 for o in self.outcomes if o.outcome == outcome)
-
-    @property
-    def injected(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def detection_rate(self) -> float:
-        """Detected over faults that produced a (changed) artifact."""
-        effective = [o for o in self.outcomes if o.outcome in (DETECTED, SILENT)]
-        if not effective:
-            return 1.0
-        return sum(1 for o in effective if o.outcome == DETECTED) / len(effective)
-
-    @property
-    def ok(self) -> bool:
-        return self.count(CRASH) == 0 and self.count(SILENT) == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "injected": self.injected,
-            "detected": self.count(DETECTED),
-            "rejected": self.count(REJECTED),
-            "harmless": self.count(HARMLESS),
-            "crashes": self.count(CRASH),
-            "silent_wrong": self.count(SILENT),
-            "detection_rate": self.detection_rate,
-            "outcomes": [str(o) for o in self.outcomes],
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"fault campaign: seed={self.seed} injected={self.injected} "
-            f"detected={self.count(DETECTED)} rejected={self.count(REJECTED)} "
-            f"harmless={self.count(HARMLESS)} crashes={self.count(CRASH)} "
-            f"silent={self.count(SILENT)}"
-        ]
-        lines.append(f"  detection rate: {self.detection_rate:.0%}")
-        for outcome in self.outcomes:
-            lines.append(f"  {outcome}")
-        lines.append(
-            "  result: OK (every fault detected or contained)"
-            if self.ok
-            else "  result: FAILED"
-        )
-        return "\n".join(lines)
 
 
 INJECTION_POINTS = (
@@ -672,14 +611,12 @@ INJECTION_POINTS = (
 )
 
 
-def _fault_worker(seed: int, plan_index: int, rng_seed: int, width: int) -> dict:
-    """One injection in a worker process; returns a plain dict.
+def _plan(seed: int):
+    """The campaign plan for ``seed``: (point, inject, target) triples and
+    one pre-drawn RNG seed per triple.
 
-    Injection points hold lambdas and targets hold input-generator
-    closures, so neither can cross the process boundary; the worker
-    replays the campaign's deterministic setup (``_target_cases`` over
-    the same master stream prefix) and indexes into the same plan the
-    parent enumerated.
+    Targets hold input-generator closures and cannot cross a process
+    boundary, so each injection rebuilds the plan from ``seed``.
     """
     master = random.Random(seed)
     targets = _target_cases(master)
@@ -688,66 +625,25 @@ def _fault_worker(seed: int, plan_index: int, rng_seed: int, width: int) -> dict
         for point_name, inject in INJECTION_POINTS
         for target in targets
     ]
-    point_name, inject, target = plan[plan_index]
-    try:
-        outcome = inject(target, random.Random(rng_seed), width)
-    except Exception as exc:  # noqa: BLE001 - a leaky harness is a crash finding
-        outcome = FaultOutcome(point_name, target.name, CRASH, repr(exc))
-    return {
-        "point": outcome.point,
-        "target": outcome.target,
-        "outcome": outcome.outcome,
-        "detail": outcome.detail,
-    }
+    return plan, [master.getrandbits(64) for _ in plan]
 
 
-def _run_faults_parallel(
-    report: FaultReport,
-    seed: int,
-    plan,
-    rng_seeds,
-    jobs: int,
-    width: int,
-    progress,
-    tracer,
-) -> FaultReport:
-    """Fan the injection plan over a process pool; merge in plan order.
+def _inject_one(seed: int, index: int, width: int) -> Outcome:
+    from repro.obs.trace import NULL_SPAN, current_tracer
 
-    Per-injection RNG seeds were pre-drawn from the master stream, so
-    the merged report is identical to the single-process campaign's.
-    Workers run with the null tracer; the parent re-emits one
-    ``fault_outcome`` event per injection.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    trace = tracer.enabled
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_fault_worker, seed, index, rng_seed, width)
-            for index, rng_seed in enumerate(rng_seeds)
-        ]
-        for index, future in enumerate(futures):
-            result = future.result()
-            if progress is not None:
-                progress(
-                    f"injected {result['point']} into {result['target']} "
-                    f"({index + 1}/{len(plan)})"
-                )
-            outcome = FaultOutcome(
-                result["point"], result["target"],
-                result["outcome"], result["detail"],
-            )
-            if trace:
-                tracer.event(
-                    "fault_outcome",
-                    point=outcome.point,
-                    target=outcome.target,
-                    outcome=outcome.outcome,
-                )
-                tracer.inc("faults.injected")
-                tracer.inc(f"faults.outcome.{outcome.outcome}")
-            report.outcomes.append(outcome)
-    return report
+    plan, rng_seeds = _plan(seed)
+    point_name, inject, target = plan[index]
+    tracer = current_tracer()
+    span = (
+        tracer.span("fault_injection", name=point_name, program=target.name)
+        if tracer.enabled
+        else NULL_SPAN
+    )
+    with span:
+        try:
+            return inject(target, random.Random(rng_seeds[index]), width)
+        except Exception as exc:  # noqa: BLE001 - a leaky harness is a crash finding
+            return Outcome(point_name, target.name, CRASH, repr(exc))
 
 
 def run_faults(
@@ -756,56 +652,26 @@ def run_faults(
     width: int = 64,
     progress=None,
     jobs: int = 1,
-) -> FaultReport:
+) -> CampaignReport:
     """Run the fault-injection campaign; deterministic per seed.
 
     ``budget`` caps the number of injections (default: every point
     against every target once).  ``jobs > 1`` fans the plan over a
-    process pool with an identical resulting report; golden-trace runs
-    keep the single-process default, which also records
-    ``fault_injection`` spans around each injection.
+    process pool with an identical resulting report; only the
+    single-process default records the engine's spans inside each
+    ``fault_injection`` span.
     """
-    from repro.obs.trace import NULL_SPAN, current_tracer
-
-    tracer = current_tracer()
-    trace = tracer.enabled
-    master = random.Random(seed)
-    targets = _target_cases(master)
-    report = FaultReport(seed=seed)
-    plan = [
-        (point_name, inject, target)
-        for point_name, inject in INJECTION_POINTS
-        for target in targets
-    ]
-    if budget is not None:
-        plan = plan[:budget]
-    if jobs > 1:
-        rng_seeds = [master.getrandbits(64) for _ in plan]
-        return _run_faults_parallel(
-            report, seed, plan, rng_seeds, jobs, width, progress, tracer
-        )
-    for index, (point_name, inject, target) in enumerate(plan):
+    plan, _ = _plan(seed)
+    plan = plan[:budget]
+    report = CampaignReport("fault campaign", seed, [], VOCABULARY)
+    items = [(seed, index, width) for index in range(len(plan))]
+    for index, outcome in enumerate(ordered_map(_inject_one, items, jobs)):
+        point_name, _, target = plan[index]
+        if isinstance(outcome, Lost):
+            outcome = Outcome(point_name, target.name, CRASH, outcome.detail)
         if progress is not None:
-            progress(f"injecting {point_name} into {target.name} ({index + 1}/{len(plan)})")
-        rng = random.Random(master.getrandbits(64))
-        span = (
-            tracer.span("fault_injection", name=point_name, program=target.name)
-            if trace
-            else NULL_SPAN
-        )
-        with span:
-            try:
-                outcome = inject(target, rng, width)
-            except Exception as exc:  # noqa: BLE001 - a leaky harness is a crash finding
-                outcome = FaultOutcome(point_name, target.name, CRASH, repr(exc))
-        if trace:
-            tracer.event(
-                "fault_outcome",
-                point=outcome.point,
-                target=outcome.target,
-                outcome=outcome.outcome,
+            progress(
+                f"injected {point_name} into {target.name} ({index + 1}/{len(plan)})"
             )
-            tracer.inc("faults.injected")
-            tracer.inc(f"faults.outcome.{outcome.outcome}")
-        report.outcomes.append(outcome)
+        report.add(outcome)
     return report

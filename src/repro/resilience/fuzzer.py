@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.core.goals import CompileError, ResourceExhausted
 from repro.resilience.budget import Budget
+from repro.resilience.campaign import Lost, ordered_map
 from repro.resilience.generator import FuzzCase, generate_case
 
 DEFAULT_FUEL = 200_000
@@ -276,7 +277,7 @@ def _fuzz_one(
     return "ok"
 
 
-def _fuzz_worker(
+def _fuzz_case(
     index: int,
     case_seed: int,
     width: int,
@@ -284,88 +285,33 @@ def _fuzz_worker(
     fuel: int,
     deadline: float,
     riscv_trials: int,
-) -> dict:
-    """One case end-to-end in a worker process; returns a plain dict.
+):
+    """One case end to end: ``(name, family, outcome slug, local report)``.
 
-    The case is regenerated from ``(case_seed, index)`` -- the exact
-    draw the single-process campaign would have made -- because
+    The case is regenerated from ``(case_seed, index)`` -- the draw the
+    campaign plan made -- because a
     :class:`~repro.resilience.generator.FuzzCase` holds input-generator
-    closures and cannot cross the process boundary itself.
+    closures and cannot cross a process boundary itself; what comes
+    back carries only its name and family.
     """
+    from repro.obs.trace import NULL_SPAN, current_tracer
     from repro.stdlib import default_databases
 
+    tracer = current_tracer()
     binding_db, expr_db = default_databases()
     case = generate_case(random.Random(case_seed), index)
     local = FuzzReport(seed=case_seed, budget=1)
-    outcome = _fuzz_one(
-        case, case_seed, local, binding_db, expr_db,
-        width, trials, fuel, deadline, riscv_trials,
+    span = (
+        tracer.span("fuzz_case", name=case.name, family=case.family)
+        if tracer.enabled
+        else NULL_SPAN
     )
-    def _pack(findings):
-        return [(f.case, f.family, f.stage, f.kind, f.detail) for f in findings]
-    return {
-        "index": index,
-        "name": case.name,
-        "family": case.family,
-        "outcome": outcome,
-        "compiled": local.compiled,
-        "stalls": local.stalls,
-        "violations": _pack(local.violations),
-        "crashes": _pack(local.crashes),
-    }
-
-
-def _run_fuzz_parallel(
-    report: FuzzReport,
-    seeds,
-    jobs: int,
-    width: int,
-    trials: int,
-    fuel: int,
-    deadline: float,
-    riscv_trials: int,
-    progress,
-    tracer,
-) -> FuzzReport:
-    """Fan the campaign over a process pool; merge results in index order.
-
-    Per-case seeds were pre-drawn from the master stream, so the merged
-    report is identical to the single-process campaign's.  Workers run
-    with the null tracer; the parent re-emits one ``fuzz_outcome`` event
-    per case (engine-internal spans are a single-process feature).
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    trace = tracer.enabled
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _fuzz_worker, index, case_seed,
-                width, trials, fuel, deadline, riscv_trials,
-            )
-            for index, case_seed in enumerate(seeds)
-        ]
-        for index, future in enumerate(futures):
-            result = future.result()
-            report.cases_run += 1
-            family = result["family"]
-            report.by_family[family] = report.by_family.get(family, 0) + 1
-            report.compiled += result["compiled"]
-            for reason, count in result["stalls"].items():
-                report.stalls[reason] = report.stalls.get(reason, 0) + count
-            report.violations.extend(FuzzFinding(*f) for f in result["violations"])
-            report.crashes.extend(FuzzFinding(*f) for f in result["crashes"])
-            if progress is not None and index % 25 == 0:
-                progress(f"case {index}/{len(seeds)} ({family})")
-            if trace:
-                outcome = result["outcome"]
-                tracer.event(
-                    "fuzz_outcome",
-                    case=result["name"], family=family, outcome=outcome,
-                )
-                tracer.inc("fuzz.cases")
-                tracer.inc(f"fuzz.outcome.{outcome.split(':', 1)[0]}")
-    return report
+    with span:
+        outcome = _fuzz_one(
+            case, case_seed, local, binding_db, expr_db,
+            width, trials, fuel, deadline, riscv_trials,
+        )
+    return case.name, case.family, outcome, local
 
 
 def run_fuzz(
@@ -386,52 +332,42 @@ def run_fuzz(
     per case, with the engine's own spans nested inside -- the
     machine-readable telemetry ``python -m repro fuzz --trace`` writes.
 
-    ``jobs > 1`` fans the cases over a process pool
-    (:func:`_run_fuzz_parallel`); the report is bit-identical to the
-    single-process run because every per-case seed is pre-drawn from the
-    master stream, but engine-internal trace spans are only recorded in
-    the (default) single-process mode -- golden-trace tests keep
-    ``jobs=1``.
+    ``jobs > 1`` fans the cases over a process pool; the report is
+    bit-identical to the single-process run because every per-case seed
+    is pre-drawn from the master stream, but the engine's spans are only
+    recorded in the (default) single-process mode -- golden-trace tests
+    keep ``jobs=1``.
     """
-    from repro.obs.trace import NULL_SPAN, current_tracer
-    from repro.stdlib import default_databases
+    from repro.obs.trace import current_tracer
 
     tracer = current_tracer()
-    trace = tracer.enabled
     master = random.Random(seed)
     report = FuzzReport(seed=seed, budget=budget)
-
-    if jobs > 1:
-        seeds = [master.getrandbits(64) for _ in range(budget)]
-        return _run_fuzz_parallel(
-            report, seeds, jobs, width, trials, fuel, deadline,
-            riscv_trials, progress, tracer,
-        )
-
-    binding_db, expr_db = default_databases()
-
-    for index in range(budget):
-        case_seed = master.getrandbits(64)
-        rng = random.Random(case_seed)
-        case = generate_case(rng, index)
+    seeds = [master.getrandbits(64) for _ in range(budget)]
+    items = [
+        (index, case_seed, width, trials, fuel, deadline, riscv_trials)
+        for index, case_seed in enumerate(seeds)
+    ]
+    for index, result in enumerate(ordered_map(_fuzz_case, items, jobs)):
+        if isinstance(result, Lost):
+            case = generate_case(random.Random(seeds[index]), index)
+            name, family, outcome = case.name, case.family, "crash:worker"
+            report.crashes.append(
+                FuzzFinding(name, family, "worker", "crash", result.detail)
+            )
+        else:
+            name, family, outcome, local = result
+            report.compiled += local.compiled
+            for reason, count in local.stalls.items():
+                report.stalls[reason] = report.stalls.get(reason, 0) + count
+            report.violations.extend(local.violations)
+            report.crashes.extend(local.crashes)
         report.cases_run += 1
-        report.by_family[case.family] = report.by_family.get(case.family, 0) + 1
+        report.by_family[family] = report.by_family.get(family, 0) + 1
         if progress is not None and index % 25 == 0:
-            progress(f"case {index}/{budget} ({case.family})")
-        span = (
-            tracer.span("fuzz_case", name=case.name, family=case.family)
-            if trace
-            else NULL_SPAN
-        )
-        with span:
-            outcome = _fuzz_one(
-                case, case_seed, report, binding_db, expr_db,
-                width, trials, fuel, deadline, riscv_trials,
-            )
-        if trace:
-            tracer.event(
-                "fuzz_outcome", case=case.name, family=case.family, outcome=outcome
-            )
+            progress(f"case {index}/{budget} ({family})")
+        if tracer.enabled:
+            tracer.event("fuzz_outcome", case=name, family=family, outcome=outcome)
             tracer.inc("fuzz.cases")
             tracer.inc(f"fuzz.outcome.{outcome.split(':', 1)[0]}")
     return report

@@ -37,19 +37,33 @@ weaker guarantee -- not a silent lie.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bedrock2 import ast as b2
+from repro.resilience.campaign import (
+    CRASH,
+    HARMLESS,
+    SILENT,
+    CampaignReport,
+    Lost,
+    Outcome,
+    Vocabulary,
+    ordered_map,
+)
 from repro.resilience.faults import rebuild_stmt
 
-# Row outcomes.
+# Row outcomes beyond the shared ones.  HARMLESS: the target has no loop
+# to peel; SILENT: lift-validate *validated* drifted code (a false cert).
 GAP_SHOWN = "gap-shown"  # weak checks accept, lift-validate rejects
-HARMLESS = "harmless"  # target has no loop to peel (nothing to show)
 NOT_MISSED = "not-missed"  # a weak check caught it (no gap on this target)
 STALLED = "stalled"  # lift stalled on the drifted code: check visibly skipped
-NOT_CAUGHT = "not-caught"  # lift-validate VALIDATED drifted code (false cert)
-CRASH = "crash"
+
+POINT = "lift-loop-peel"
+VOCABULARY = Vocabulary(
+    (GAP_SHOWN, HARMLESS, NOT_MISSED, STALLED, SILENT, CRASH),
+    frozenset({GAP_SHOWN, NOT_MISSED}), frozenset({SILENT, CRASH}),
+    required=frozenset({GAP_SHOWN}),
+)
 
 
 class _PeelFirstIteration:
@@ -77,75 +91,8 @@ def _nonempty_input_gen(prog):
     return gen
 
 
-@dataclass
-class LiftFaultOutcome:
-    target: str
-    outcome: str
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.target:<12} {self.outcome:<12} {self.detail}"
-
-
-@dataclass
-class LiftFaultReport:
-    seed: int
-    outcomes: List[LiftFaultOutcome] = field(default_factory=list)
-
-    def count(self, outcome: str) -> int:
-        return sum(1 for o in self.outcomes if o.outcome == outcome)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.count(CRASH) == 0
-            and self.count(NOT_CAUGHT) == 0
-            and self.count(GAP_SHOWN) > 0
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "fault": _PeelFirstIteration.name,
-            "outcomes": [
-                {"target": o.target, "outcome": o.outcome, "detail": o.detail}
-                for o in self.outcomes
-            ],
-            "counts": {
-                outcome: self.count(outcome)
-                for outcome in (
-                    GAP_SHOWN,
-                    HARMLESS,
-                    NOT_MISSED,
-                    STALLED,
-                    NOT_CAUGHT,
-                    CRASH,
-                )
-            },
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"lift fault campaign (seed {self.seed}): "
-            f"fault = first-iteration loop peel",
-            "",
-        ]
-        lines.extend(f"  {o}" for o in self.outcomes)
-        lines.append("")
-        lines.append(
-            f"  gap shown on {self.count(GAP_SHOWN)}/{len(self.outcomes)} targets"
-            f" ({self.count(HARMLESS)} loop-free, "
-            f"{self.count(NOT_MISSED)} caught early, "
-            f"{self.count(STALLED)} stalled (visible skip), "
-            f"{self.count(NOT_CAUGHT)} FALSELY VALIDATED, "
-            f"{self.count(CRASH)} crashed)"
-        )
-        lines.append(f"  verdict: {'OK' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def _inject_peel(prog, rng: random.Random, width: int) -> LiftFaultOutcome:
+def _inject_peel(prog, rng: random.Random, width: int) -> Tuple[str, str]:
+    """Peel ``prog``'s loops under a weak validator: ``(outcome, detail)``."""
     from repro.analysis.dataflow import lint_function
     from repro.analysis.diagnostics import gating
     from repro.opt.manager import PassManager
@@ -168,38 +115,46 @@ def _inject_peel(prog, rng: random.Random, width: int) -> LiftFaultOutcome:
     cert = certificates[0]
     if b2.fingerprint(fn) == b2.fingerprint(clean.bedrock_fn):
         if cert.status == "rejected":
-            return LiftFaultOutcome(
-                prog.name, NOT_MISSED, f"per-pass check caught it: {cert.detail}"
-            )
-        return LiftFaultOutcome(prog.name, HARMLESS, "no loop to peel")
+            return NOT_MISSED, f"per-pass check caught it: {cert.detail}"
+        return HARMLESS, "no loop to peel"
 
     # The weak per-pass check adopted drifted code.  Does lint mind?
     lint_gating = gating(lint_function(fn, clean.spec))
     if lint_gating:
-        return LiftFaultOutcome(
-            prog.name, NOT_MISSED, f"lint caught it: {lint_gating[0].code}"
-        )
+        return NOT_MISSED, f"lint caught it: {lint_gating[0].code}"
 
     # Only the lift cross-check is left standing.
     lift_cert, reverted = _lift_validate_certificate(clean, fn, width=width)
     if lift_cert.status == "rejected":
         if b2.fingerprint(reverted) != b2.fingerprint(clean.bedrock_fn):
-            return LiftFaultOutcome(
-                prog.name, CRASH, "rejected but did not revert the AST"
-            )
-        return LiftFaultOutcome(
-            prog.name, GAP_SHOWN, f"lift-validate rejected: {lift_cert.detail[:90]}"
-        )
+            return CRASH, "rejected but did not revert the AST"
+        return GAP_SHOWN, f"lift-validate rejected: {lift_cert.detail[:90]}"
     if lift_cert.status == "no-change":
         # The lifter stalled on the drifted shape.  The drift would ship,
         # but with a visible "cross-check skipped" certificate -- unlike a
         # false "validated" certificate, the operator can see the gap.
-        return LiftFaultOutcome(prog.name, STALLED, lift_cert.detail[:90])
-    return LiftFaultOutcome(
-        prog.name,
-        NOT_CAUGHT,
-        f"lift-validate returned {lift_cert.status!r} on drifted code",
+        return STALLED, lift_cert.detail[:90]
+    return SILENT, f"lift-validate returned {lift_cert.status!r} on drifted code"
+
+
+def _peel_one(name: str, rng_seed: int, width: int) -> Outcome:
+    from repro.obs.trace import NULL_SPAN, current_tracer
+    from repro.programs.registry import get_program
+
+    tracer = current_tracer()
+    span = (
+        tracer.span("fault_injection", name=POINT, program=name)
+        if tracer.enabled
+        else NULL_SPAN
     )
+    with span:
+        try:
+            outcome, detail = _inject_peel(
+                get_program(name), random.Random(rng_seed), width
+            )
+        except Exception as exc:  # noqa: BLE001 - a leaky harness is a finding
+            outcome, detail = CRASH, repr(exc)
+    return Outcome(POINT, name, outcome, detail)
 
 
 def run_lift_faults(
@@ -207,50 +162,37 @@ def run_lift_faults(
     width: int = 64,
     progress=None,
     targets: Optional[List[str]] = None,
-) -> LiftFaultReport:
-    """Peel-inject every (pointer-taking) registry program; seeded."""
-    from repro.obs.trace import NULL_SPAN, current_tracer
+    budget: Optional[int] = None,
+    jobs: int = 1,
+) -> CampaignReport:
+    """Peel-inject every (pointer-taking) registry program; seeded.
+
+    ``budget`` caps the number of targets; ``jobs > 1`` fans them over a
+    process pool with an identical resulting report.
+    """
     from repro.programs.registry import all_programs
 
-    tracer = current_tracer()
     master = random.Random(seed)
-    report = LiftFaultReport(seed=seed)
+    report = CampaignReport("lift fault campaign", seed, [], VOCABULARY)
     eligible = [
-        prog
+        prog.name
         for prog in all_programs()
         if prog.calling_style in ("hash", "inplace")
     ]
     if targets is not None:
-        unknown = set(targets) - {prog.name for prog in eligible}
+        unknown = set(targets) - set(eligible)
         if unknown:
             raise KeyError(
                 f"unknown lift-fault targets: {sorted(unknown)} "
-                f"(eligible: {sorted(p.name for p in eligible)})"
+                f"(eligible: {sorted(eligible)})"
             )
-    programs = [
-        prog for prog in eligible if targets is None or prog.name in targets
-    ]
-    for index, prog in enumerate(programs):
+    names = [name for name in eligible if targets is None or name in targets]
+    names = names[:budget]
+    items = [(name, master.getrandbits(64), width) for name in names]
+    for index, outcome in enumerate(ordered_map(_peel_one, items, jobs)):
+        if isinstance(outcome, Lost):
+            outcome = Outcome(POINT, names[index], CRASH, outcome.detail)
         if progress is not None:
-            progress(f"peeling {prog.name} ({index + 1}/{len(programs)})")
-        rng = random.Random(master.getrandbits(64))
-        span = (
-            tracer.span("fault_injection", name="lift-loop-peel", program=prog.name)
-            if tracer.enabled
-            else NULL_SPAN
-        )
-        with span:
-            try:
-                outcome = _inject_peel(prog, rng, width)
-            except Exception as exc:  # noqa: BLE001 - a leaky harness is a finding
-                outcome = LiftFaultOutcome(prog.name, CRASH, repr(exc))
-        if tracer.enabled:
-            tracer.event(
-                "fault_outcome",
-                point="lift-loop-peel",
-                target=prog.name,
-                outcome=outcome.outcome,
-            )
-            tracer.inc("lift.faults.injected")
-        report.outcomes.append(outcome)
+            progress(f"peeled {names[index]} ({index + 1}/{len(names)})")
+        report.add(outcome)
     return report

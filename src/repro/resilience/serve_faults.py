@@ -29,91 +29,32 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.resilience.faults import CRASH, DETECTED, HARMLESS, SILENT
+from repro.resilience.campaign import (
+    CRASH,
+    DETECTED,
+    HARMLESS,
+    RECOVERED,
+    SILENT,
+    CampaignReport,
+    Lost,
+    Outcome,
+    Vocabulary,
+    ordered_map,
+)
 
-RECOVERED = "recovered"
-
-
-@dataclass
-class ServeFaultOutcome:
-    """What one serve-layer fault did and how the pool responded."""
-
-    point: str
-    outcome: str  # DETECTED | RECOVERED | HARMLESS | CRASH | SILENT
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"[{self.outcome}] {self.point}: {self.detail}"
-
-
-@dataclass
-class ServeFaultReport:
-    """Aggregated outcomes of one serve-layer campaign."""
-
-    seed: int
-    outcomes: List[ServeFaultOutcome] = field(default_factory=list)
-
-    def count(self, outcome: str) -> int:
-        return sum(1 for o in self.outcomes if o.outcome == outcome)
-
-    @property
-    def injected(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def detection_or_recovery(self) -> float:
-        effective = [o for o in self.outcomes if o.outcome != HARMLESS]
-        if not effective:
-            return 1.0
-        good = sum(1 for o in effective if o.outcome in (DETECTED, RECOVERED))
-        return good / len(effective)
-
-    @property
-    def ok(self) -> bool:
-        return self.count(CRASH) == 0 and self.count(SILENT) == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "injected": self.injected,
-            "detected": self.count(DETECTED),
-            "recovered": self.count(RECOVERED),
-            "harmless": self.count(HARMLESS),
-            "crashes": self.count(CRASH),
-            "silent_wrong": self.count(SILENT),
-            "detection_or_recovery": self.detection_or_recovery,
-            "outcomes": [str(o) for o in self.outcomes],
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"serve fault campaign: seed={self.seed} injected={self.injected} "
-            f"detected={self.count(DETECTED)} recovered={self.count(RECOVERED)} "
-            f"harmless={self.count(HARMLESS)} crashes={self.count(CRASH)} "
-            f"silent={self.count(SILENT)}"
-        ]
-        lines.append(
-            f"  detection-or-recovery: {self.detection_or_recovery:.0%}"
-        )
-        for outcome in self.outcomes:
-            lines.append(f"  {outcome}")
-        lines.append(
-            "  result: OK (every fault detected or recovered)"
-            if self.ok
-            else "  result: FAILED"
-        )
-        return "\n".join(lines)
+VOCABULARY = Vocabulary(
+    (DETECTED, RECOVERED, HARMLESS, CRASH, SILENT),
+    frozenset({DETECTED, RECOVERED}), frozenset({CRASH, SILENT}),
+)
 
 
 # -- Injection points ---------------------------------------------------------------
 #
 # Each point builds its own small pool (short timeouts, tiny backoff) so
 # the whole campaign stays in CI-smoke territory; each returns exactly
-# one outcome and always tears its pool down.
+# one ``(outcome, detail)`` pair and always tears its pool down.
 
 
 def _pool(tmp, **overrides):
@@ -138,35 +79,25 @@ def _pool(tmp, **overrides):
     )
 
 
-def _inject_worker_crash(tmp: str) -> ServeFaultOutcome:
+def _inject_worker_crash(tmp: str) -> Tuple[str, str]:
     """SIGKILL-grade death mid-request: the retry must recover it."""
-    point = "worker-crash-mid-compile"
     marker = os.path.join(tmp, "crashed-once")
     with _pool(tmp) as sup:
         response = sup.submit({"op": "test_exit", "marker": marker, "code": 9})
         follow_up = sup.submit({"op": "ping"})
     if not response.get("ok"):
-        return ServeFaultOutcome(
-            point, CRASH, f"retry did not recover: {response!r}"
-        )
+        return CRASH, f"retry did not recover: {response!r}"
     if not follow_up.get("ok"):
-        return ServeFaultOutcome(
-            point, CRASH, f"pool wedged after crash: {follow_up!r}"
-        )
+        return CRASH, f"pool wedged after crash: {follow_up!r}"
     attempts = response.get("attempts", 1)
     if attempts < 2:
-        return ServeFaultOutcome(
-            point, SILENT, "crash left no trace in the response"
-        )
-    return ServeFaultOutcome(
-        point, RECOVERED, f"retried once on a fresh worker (attempts={attempts})"
-    )
+        return SILENT, "crash left no trace in the response"
+    return RECOVERED, f"retried once on a fresh worker (attempts={attempts})"
 
 
-def _inject_slow_worker(tmp: str) -> ServeFaultOutcome:
+def _inject_slow_worker(tmp: str) -> Tuple[str, str]:
     """A wedged derivation: the deadline must fire and must not block
     the next request (the acceptance-criteria regression)."""
-    point = "slow-worker-timeout"
     with _pool(tmp) as sup:
         start = time.monotonic()
         response = sup.submit(
@@ -175,19 +106,12 @@ def _inject_slow_worker(tmp: str) -> ServeFaultOutcome:
         elapsed = time.monotonic() - start
         follow_up = sup.submit({"op": "ping"})
     if response.get("error") != "timeout":
-        return ServeFaultOutcome(
-            point, CRASH, f"no timeout response: {response!r}"
-        )
+        return CRASH, f"no timeout response: {response!r}"
     if elapsed > 10.0:
-        return ServeFaultOutcome(
-            point, CRASH, f"deadline did not bound the wait ({elapsed:.1f}s)"
-        )
+        return CRASH, f"deadline did not bound the wait ({elapsed:.1f}s)"
     if not follow_up.get("ok"):
-        return ServeFaultOutcome(
-            point, CRASH, f"timed-out request blocked the next one: {follow_up!r}"
-        )
-    return ServeFaultOutcome(
-        point,
+        return CRASH, f"timed-out request blocked the next one: {follow_up!r}"
+    return (
         DETECTED,
         f"timeout after {elapsed:.2f}s; next request served by a fresh worker",
     )
@@ -208,27 +132,22 @@ def _corrupt_one_entry(cache_dir: str) -> Optional[str]:
     return None
 
 
-def _inject_cache_corruption(tmp: str, program: str = "fnv1a") -> ServeFaultOutcome:
+def _inject_cache_corruption(tmp: str, program: str = "fnv1a") -> Tuple[str, str]:
     """Corrupt a published entry on disk between two warm requests: it
     must be quarantined and recompiled byte-identically, never served."""
-    point = "cache-corruption-under-load"
     cache_dir = os.path.join(tmp, "cache")
     with _pool(tmp) as sup:
         cold = sup.submit({"op": "compile", "program": program})
         if not cold.get("ok"):
-            return ServeFaultOutcome(point, CRASH, f"priming failed: {cold!r}")
+            return CRASH, f"priming failed: {cold!r}"
         corrupted = _corrupt_one_entry(cache_dir)
         if corrupted is None:
-            return ServeFaultOutcome(point, HARMLESS, "no entry was published")
+            return HARMLESS, "no entry was published"
         warm = sup.submit({"op": "compile", "program": program})
     if not warm.get("ok"):
-        return ServeFaultOutcome(
-            point, CRASH, f"recompile after corruption failed: {warm!r}"
-        )
+        return CRASH, f"recompile after corruption failed: {warm!r}"
     if warm.get("c") != cold.get("c"):
-        return ServeFaultOutcome(
-            point, SILENT, "corrupted cache changed the served artifact"
-        )
+        return SILENT, "corrupted cache changed the served artifact"
     quarantine = os.path.join(cache_dir, "quarantine")
     held = (
         [n for n in os.listdir(quarantine) if n.endswith(".json")]
@@ -236,20 +155,16 @@ def _inject_cache_corruption(tmp: str, program: str = "fnv1a") -> ServeFaultOutc
         else []
     )
     if not held:
-        return ServeFaultOutcome(
-            point, SILENT, "corrupt entry was not quarantined"
-        )
-    return ServeFaultOutcome(
-        point,
+        return SILENT, "corrupt entry was not quarantined"
+    return (
         RECOVERED,
         f"entry quarantined ({len(held)} held), recompiled byte-identical",
     )
 
 
-def _inject_queue_saturation(tmp: str) -> ServeFaultOutcome:
+def _inject_queue_saturation(tmp: str) -> Tuple[str, str]:
     """Flood a one-worker pool past its queue depth: the overflow must
     get explicit backpressure, not an unbounded wait."""
-    point = "queue-saturation"
     with _pool(tmp, workers=1, queue_depth=2, request_timeout=20.0) as sup:
         results: List[dict] = []
         lock = threading.Lock()
@@ -269,32 +184,26 @@ def _inject_queue_saturation(tmp: str) -> ServeFaultOutcome:
             thread.join(timeout=30.0)
         follow_up = sup.submit({"op": "ping"})
     if any(thread.is_alive() for thread in threads):
-        return ServeFaultOutcome(point, CRASH, "a flooded client never returned")
+        return CRASH, "a flooded client never returned"
     overloaded = [r for r in results if r.get("error") == "overloaded"]
     served = [r for r in results if r.get("ok")]
     if not overloaded:
-        return ServeFaultOutcome(
-            point, SILENT, f"no backpressure under flood: {len(served)} served"
-        )
+        return SILENT, f"no backpressure under flood: {len(served)} served"
     if any("retry_after_ms" not in r for r in overloaded):
-        return ServeFaultOutcome(
-            point, CRASH, "overloaded response missing retry_after_ms"
-        )
+        return CRASH, "overloaded response missing retry_after_ms"
     if not follow_up.get("ok"):
-        return ServeFaultOutcome(point, CRASH, "pool wedged after the flood")
-    return ServeFaultOutcome(
-        point,
+        return CRASH, "pool wedged after the flood"
+    return (
         DETECTED,
         f"{len(served)} served, {len(overloaded)} shed with retry_after_ms",
     )
 
 
-def _inject_crash_loop(tmp: str) -> ServeFaultOutcome:
+def _inject_crash_loop(tmp: str) -> Tuple[str, str]:
     """A worker binary that can never come up: the restart cap must turn
     it into 'unavailable' responses, not an infinite respawn loop."""
     import sys
 
-    point = "worker-crash-loop"
     from repro.serve.supervisor import Supervisor, SupervisorConfig
 
     config = SupervisorConfig(
@@ -312,16 +221,11 @@ def _inject_crash_loop(tmp: str) -> ServeFaultOutcome:
         responses = [sup.submit({"op": "ping"}) for _ in range(4)]
         stats = sup.stats()
     if any(r.get("ok") for r in responses):
-        return ServeFaultOutcome(
-            point, SILENT, "a request 'succeeded' against a dead binary"
-        )
+        return SILENT, "a request 'succeeded' against a dead binary"
     unavailable = [r for r in responses if r.get("error") == "unavailable"]
     if not unavailable:
-        return ServeFaultOutcome(
-            point, CRASH, f"no structured unavailability: {responses!r}"
-        )
-    return ServeFaultOutcome(
-        point,
+        return CRASH, f"no structured unavailability: {responses!r}"
+    return (
         DETECTED,
         f"{len(unavailable)}/4 answered 'unavailable'; "
         f"restarts capped at {stats['workers'][0]['restarts']}",
@@ -337,60 +241,39 @@ INJECTION_POINTS = (
 )
 
 
+def _run_point(index: int) -> Outcome:
+    """One injection point against a fresh pool in a fresh scratch dir."""
+    point, inject = INJECTION_POINTS[index]
+    tmp = tempfile.mkdtemp(prefix=f"serve-fault-{index}-")
+    try:
+        outcome, detail = inject(tmp)
+    except Exception as exc:  # noqa: BLE001 - a leaky pool is the finding
+        outcome, detail = CRASH, repr(exc)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return Outcome(point, "serve", outcome, detail)
+
+
 def run_serve_faults(
-    seed: int = 0, jobs: int = 1, progress=None
-) -> ServeFaultReport:
+    seed: int = 0, jobs: int = 1, progress=None, budget: Optional[int] = None
+) -> CampaignReport:
     """Run the serve-layer campaign; each point gets a fresh pool and a
     fresh scratch directory.
 
-    ``jobs > 1`` runs injection points on concurrent threads (each point
-    spends its time blocked on worker subprocess I/O, so threads are the
-    right concurrency here); the merged report is in plan order either
-    way.  The supervisor never being the thing that dies is itself part
-    of the assertion: any exception escaping a point is a ``crash``
-    outcome, not an abort.
+    ``budget`` caps the number of points; ``jobs > 1`` runs them in a
+    process pool, and the report is in plan order either way.  The
+    supervisor never being the thing that dies is itself part of the
+    assertion: any exception escaping a point is a ``crash`` outcome,
+    not an abort.
     """
-    from repro.obs.trace import current_tracer
-
-    tracer = current_tracer()
-    report = ServeFaultReport(seed=seed)
-
-    def run_point(index: int, point: str, inject) -> ServeFaultOutcome:
+    report = CampaignReport("serve fault campaign", seed, [], VOCABULARY)
+    indices = range(len(INJECTION_POINTS))[:budget]
+    items = [(index,) for index in indices]
+    for index, outcome in enumerate(ordered_map(_run_point, items, jobs)):
+        point = INJECTION_POINTS[index][0]
+        if isinstance(outcome, Lost):
+            outcome = Outcome(point, "serve", CRASH, outcome.detail)
         if progress is not None:
-            progress(f"injecting {point} ({index + 1}/{len(INJECTION_POINTS)})")
-        tmp = tempfile.mkdtemp(prefix=f"serve-fault-{index}-")
-        try:
-            return inject(tmp)
-        except Exception as exc:  # noqa: BLE001 - a leaky pool is the finding
-            return ServeFaultOutcome(point, CRASH, repr(exc))
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_point, index, point, inject)
-                for index, (point, inject) in enumerate(INJECTION_POINTS)
-            ]
-            outcomes = [future.result() for future in futures]
-    else:
-        outcomes = [
-            run_point(index, point, inject)
-            for index, (point, inject) in enumerate(INJECTION_POINTS)
-        ]
-
-    for outcome in outcomes:
-        if tracer.enabled:
-            tracer.event(
-                "fault_outcome",
-                point=outcome.point,
-                target="serve",
-                outcome=outcome.outcome,
-                detail=outcome.detail,
-            )
-            tracer.inc("faults.injected")
-            tracer.inc(f"faults.outcome.{outcome.outcome}")
-        report.outcomes.append(outcome)
+            progress(f"injected {point} ({index + 1}/{len(items)})")
+        report.add(outcome)
     return report

@@ -4,8 +4,8 @@ A batch is a manifest of :class:`BatchJob` descriptions -- registry
 programs and/or seeded fuzz-corpus cases -- each compiled (and, for
 ``opt_level > 0``, run through the translation-validated optimizer)
 under its own fuel/deadline :class:`~repro.resilience.budget.Budget`.
-With ``jobs_n > 1`` the batch fans out over a
-``concurrent.futures.ProcessPoolExecutor``; every worker gets only
+With ``jobs_n > 1`` the batch fans out over a process pool
+(:func:`~repro.resilience.campaign.ordered_map`); every worker gets only
 picklable inputs (a frozen :class:`BatchJob` plus a
 :class:`~repro.resilience.budget.BudgetSpec`) and rebuilds models,
 specs, and input generators deterministically on its side of the
@@ -25,12 +25,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.goals import CompileError, ResourceExhausted
 from repro.resilience.budget import BudgetSpec
+from repro.resilience.campaign import Lost, ordered_map
 from repro.serve.cache import CacheStats, CompilationCache
 
 DEFAULT_FUEL = 200_000
@@ -250,6 +250,20 @@ def _job_inputs(job: BatchJob):
     raise ValueError(f"unknown job kind {job.kind!r}")
 
 
+def _row(job: BatchJob, outcome: str = "ok", detail: str = "") -> dict:
+    return {
+        "job": job.name,
+        "kind": job.kind,
+        "opt_level": job.opt_level,
+        "outcome": outcome,
+        "detail": detail,
+        "cache": "off",
+        "elapsed_ms": 0.0,
+        "statements": 0,
+        "cache_stats": None,
+    }
+
+
 def _execute_job(
     job: BatchJob,
     cache_dir: Optional[str],
@@ -261,23 +275,27 @@ def _execute_job(
     Outcome slugs: ``ok``, ``stall:<taxonomy-reason>``,
     ``exhausted:<fuel|deadline>``, ``crash`` (the job raised), or --
     filled in by the *parent*, since the worker is not around to say so
-    -- ``worker-lost`` (the worker process died mid-job).  ``cache`` is
-    ``"hit"`` / ``"miss"`` / ``"invalidated"`` / ``"off"``.
+    -- ``worker-lost`` (the worker process died mid-job, twice).
+    ``cache`` is ``"hit"`` / ``"miss"`` / ``"invalidated"`` / ``"off"``.
     """
+    from repro.obs.trace import NULL_SPAN, current_tracer
+
+    tracer = current_tracer()
+    span = tracer.span("batch_job", name=job.name) if tracer.enabled else NULL_SPAN
+    with span:
+        return _run_job(job, cache_dir, budget, cache)
+
+
+def _run_job(
+    job: BatchJob,
+    cache_dir: Optional[str],
+    budget: BudgetSpec,
+    cache: Optional[CompilationCache],
+) -> dict:
     from repro.core.engine import Engine
     from repro.stdlib import default_databases
 
-    result = {
-        "job": job.name,
-        "kind": job.kind,
-        "opt_level": job.opt_level,
-        "outcome": "ok",
-        "detail": "",
-        "cache": "off",
-        "elapsed_ms": 0.0,
-        "statements": 0,
-        "cache_stats": None,
-    }
+    result = _row(job)
     if job.kind == "worker-exit":
         # Fault-campaign hook (env-gated so no manifest can reach it by
         # accident): hard-kill this worker once, succeed on the retry.
@@ -362,112 +380,51 @@ def run_batch(
 ) -> BatchReport:
     """Compile every job; returns the aggregate :class:`BatchReport`.
 
-    ``jobs_n <= 1`` runs in-process (deterministic result *order*, one
-    shared cache handle, jobs nested under the ambient tracer's
-    ``batch_job`` spans).  ``jobs_n > 1`` fans out over a process pool;
-    the parent re-emits one ``batch_job`` event per result (in manifest
-    order) and merges worker cache counters.
+    ``jobs_n <= 1`` runs in-process (one shared cache handle, jobs
+    nested under the ambient tracer's ``batch_job`` spans).
+    ``jobs_n > 1`` fans out over a process pool and merges the workers'
+    cache counters.  Either way the parent emits one ``batch_job`` event
+    per result, in manifest order.
 
-    A worker that *dies* (SIGKILL, ``os._exit``, OOM) breaks the whole
-    ``ProcessPoolExecutor``: its own job and every job still queued
-    behind it raise ``BrokenProcessPool`` instead of returning.  Those
-    jobs are retried exactly once in a fresh pool -- a one-off death
-    (the transient case) costs one pool respawn; a job that kills its
-    worker *deterministically* fails the retry too and is reported as a
-    structured ``worker-lost`` row, never silently dropped.
+    A worker that *dies* (SIGKILL, ``os._exit``, OOM) loses its job and
+    every job still queued behind it; each is retried exactly once in
+    its own single-worker pool (and marked ``retried``).  A job that
+    kills its worker *deterministically* fails the retry too and is
+    reported as a structured ``worker-lost`` row, never silently dropped.
     """
-    from repro.obs.trace import NULL_SPAN, current_tracer
+    from repro.obs.trace import current_tracer
 
     tracer = current_tracer()
     budget = BudgetSpec(fuel=fuel, deadline=deadline)
     report = BatchReport(jobs_n=max(1, jobs_n), cache_dir=cache_dir)
     start = time.perf_counter()
+    cache = (
+        CompilationCache(cache_dir) if cache_dir is not None and jobs_n <= 1 else None
+    )
+    stats = cache.stats if cache is not None else CacheStats()
+    retried = set()
 
-    if jobs_n <= 1:
-        cache = CompilationCache(cache_dir) if cache_dir is not None else None
-        for i, job in enumerate(jobs):
-            span = (
-                tracer.span("batch_job", name=job.name)
-                if tracer.enabled
-                else NULL_SPAN
-            )
-            with span:
-                result = _execute_job(job, cache_dir, budget, cache=cache)
-            _trace_job(tracer, result)
-            report.results.append(result)
-            if progress is not None:
-                progress(f"[{i + 1}/{len(jobs)}] {job.name}: {result['outcome']}")
-        if cache is not None:
-            report.cache_stats = cache.stats.to_dict()
-    else:
-        merged = CacheStats()
-        rows = {}
-        done = 0
+    def on_retry(i: int) -> None:
+        retried.add(i)
+        if progress is not None:
+            progress(f"retrying {jobs[i].name}: its worker died")
 
-        def record(i: int, result: dict, retried: bool) -> None:
-            nonlocal done
-            worker_stats = result.pop("cache_stats", None)
-            if worker_stats:
-                merged.merge(worker_stats)
-            result["cache_stats"] = None
-            if retried:
-                result["retried"] = 1
-            rows[i] = result
-            done += 1
-            if progress is not None:
-                progress(f"[{done}/{len(jobs)}] {result['job']}: {result['outcome']}")
-
-        lost = []
-        with ProcessPoolExecutor(max_workers=jobs_n) as pool:
-            submitted = [
-                (i, job, pool.submit(_execute_job, job, cache_dir, budget))
-                for i, job in enumerate(jobs)
-            ]
-            for i, job, future in submitted:
-                try:
-                    result = future.result()
-                except Exception as exc:  # noqa: BLE001 - BrokenProcessPool
-                    # The worker died; this job (and every job queued
-                    # behind the breakage) got no result.
-                    lost.append((i, job, repr(exc)))
-                    continue
-                record(i, result, retried=False)
-        if lost and progress is not None:
-            progress(f"retrying {len(lost)} job(s) lost to a dead worker")
-        for i, job, detail in lost:
-            # Retry each lost job once in its *own* single-worker pool:
-            # a job that deterministically kills its worker then cannot
-            # take the other retried (innocent-bystander) jobs with it.
-            try:
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    result = pool.submit(
-                        _execute_job, job, cache_dir, budget
-                    ).result()
-            except Exception as exc:  # noqa: BLE001
-                # The retry died too: deterministic.  A structured row,
-                # not silence -- the report shows exactly what was lost.
-                record(
-                    i,
-                    {
-                        "job": job.name,
-                        "kind": job.kind,
-                        "opt_level": job.opt_level,
-                        "outcome": "worker-lost",
-                        "detail": repr(exc),
-                        "cache": "off",
-                        "elapsed_ms": 0.0,
-                        "statements": 0,
-                        "cache_stats": None,
-                    },
-                    retried=True,
-                )
-                continue
-            record(i, result, retried=True)
-        report.results = [rows[i] for i in sorted(rows)]
-        for result in report.results:
-            _trace_job(tracer, result)
-        if cache_dir is not None:
-            report.cache_stats = merged.to_dict()
-
+    items = [(job, cache_dir, budget, cache) for job in jobs]
+    results = ordered_map(_execute_job, items, jobs_n, on_retry=on_retry)
+    for i, (job, result) in enumerate(zip(jobs, results)):
+        if isinstance(result, Lost):
+            result = _row(job, "worker-lost", result.detail)
+        worker_stats = result["cache_stats"]
+        if worker_stats:
+            stats.merge(worker_stats)
+        result["cache_stats"] = None
+        if i in retried:
+            result["retried"] = 1
+        _trace_job(tracer, result)
+        report.results.append(result)
+        if progress is not None:
+            progress(f"[{i + 1}/{len(jobs)}] {job.name}: {result['outcome']}")
+    if cache_dir is not None:
+        report.cache_stats = stats.to_dict()
     report.wall_s = time.perf_counter() - start
     return report

@@ -8,7 +8,7 @@ from repro.bedrock2 import ast
 from repro.programs.registry import all_programs, get_program
 from repro.resilience.lift_faults import (
     GAP_SHOWN,
-    NOT_CAUGHT,
+    SILENT,
     STALLED,
     _PeelFirstIteration,
     run_lift_faults,
@@ -68,7 +68,7 @@ class TestLiftFaultCampaign:
         report = run_lift_faults(seed=0)
         counts = {o.outcome for o in report.outcomes}
         assert GAP_SHOWN in counts
-        assert NOT_CAUGHT not in counts
+        assert SILENT not in counts
         assert report.ok, report.render()
         # Stalled drifts are visible skips, never silent passes: each one
         # corresponds to a "no-change" certificate the operator can see.

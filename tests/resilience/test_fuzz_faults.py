@@ -78,7 +78,7 @@ class TestFaultCampaign:
         report = run_faults(seed=0)
         assert report.count(CRASH) == 0, report.render()
         assert report.count(SILENT) == 0, report.render()
-        assert report.detection_rate == 1.0
+        assert report.rate == 1.0
         assert report.count(DETECTED) > 0
         assert report.ok
 

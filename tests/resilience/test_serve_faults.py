@@ -4,12 +4,12 @@
 
 import pytest
 
+from repro.resilience.campaign import CampaignReport, Outcome
 from repro.resilience.faults import CRASH, DETECTED, HARMLESS, SILENT
 from repro.resilience.serve_faults import (
     INJECTION_POINTS,
     RECOVERED,
-    ServeFaultOutcome,
-    ServeFaultReport,
+    VOCABULARY,
     run_serve_faults,
 )
 
@@ -39,7 +39,7 @@ def test_campaign_achieves_full_detection_or_recovery():
     assert report.injected == len(INJECTION_POINTS)
     assert report.count(CRASH) == 0, report.render()
     assert report.count(SILENT) == 0, report.render()
-    assert report.detection_or_recovery == 1.0
+    assert report.rate == 1.0
     assert report.ok
     by_point = {o.point: o for o in report.outcomes}
     assert by_point["worker-crash-mid-compile"].outcome == RECOVERED
@@ -55,23 +55,23 @@ def test_campaign_achieves_full_detection_or_recovery():
 
 
 def test_report_arithmetic_and_rendering():
-    report = ServeFaultReport(seed=7)
+    report = CampaignReport("serve fault campaign", 7, [], VOCABULARY)
     report.outcomes = [
-        ServeFaultOutcome("a", DETECTED, "typed response"),
-        ServeFaultOutcome("b", RECOVERED, "retried"),
-        ServeFaultOutcome("c", HARMLESS, "no effect"),
+        Outcome("a", "serve", DETECTED, "typed response"),
+        Outcome("b", "serve", RECOVERED, "retried"),
+        Outcome("c", "serve", HARMLESS, "no effect"),
     ]
-    assert report.ok and report.detection_or_recovery == 1.0
+    assert report.ok and report.rate == 1.0
     payload = report.to_dict()
-    assert payload["detected"] == 1 and payload["recovered"] == 1
+    assert payload["counts"]["detected"] == 1 and payload["counts"]["recovered"] == 1
     assert payload["ok"] is True
     assert "100%" in report.render()
 
-    report.outcomes.append(ServeFaultOutcome("d", SILENT, "changed answer"))
+    report.outcomes.append(Outcome("d", "serve", SILENT, "changed answer"))
     assert not report.ok
-    assert report.detection_or_recovery == pytest.approx(2 / 3)
+    assert report.rate == pytest.approx(2 / 3)
     assert "FAILED" in report.render()
 
-    report.outcomes[-1] = ServeFaultOutcome("d", CRASH, "supervisor died")
+    report.outcomes[-1] = Outcome("d", "serve", CRASH, "supervisor died")
     assert not report.ok
-    assert report.to_dict()["crashes"] == 1
+    assert report.to_dict()["counts"]["crash"] == 1
