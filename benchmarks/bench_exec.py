@@ -1,0 +1,177 @@
+"""E18 -- the closure executor against the reference tree-walker.
+
+``Interpreter.call_function`` runs Bedrock2 function bodies on the
+closure executor (:mod:`repro.bedrock2.closures`); a subclass that
+overrides ``exec_stmt`` runs on the tree-walker alone.  This benchmark
+runs the ``-O1`` code of the 9 Table 2 programs on a seeded 16 KiB input
+under both, driven per calling style as ``benchmarks/figure2.py`` does,
+and reports the min-of-3 wall time of each.
+
+The gate (``--check``) is a ratio, not raw milliseconds, as
+``dispatch_baseline.json`` is: both executors run on the same host, so
+only their relative speed is compared.  It fails when the geometric mean
+of tree-walker ÷ closure time over the 9 programs is below
+``SPEEDUP_FLOOR`` (2×), or when the two disagree on any result or op
+count.
+
+Run from the repository root::
+
+    PYTHONPATH=src python -m benchmarks.bench_exec --check
+    PYTHONPATH=src python -m benchmarks.bench_exec --json --size 4096
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+import sys
+import time
+from typing import Callable, Dict, List, Tuple
+
+from repro.bedrock2 import ast as b2
+from repro.bedrock2.memory import Memory
+from repro.bedrock2.semantics import Interpreter
+from repro.bedrock2.word import Word
+from repro.programs import all_programs
+from repro.validation.runners import run_function
+
+SPEEDUP_FLOOR = 2.0
+DEFAULT_SIZE = 16 * 1024
+REPEATS = 3
+
+
+class TreeWalker(Interpreter):
+    """Overrides ``exec_stmt``, so every body runs on the tree-walker."""
+
+    def exec_stmt(self, stmt, state, fuel):
+        return super().exec_stmt(stmt, state, fuel)
+
+
+def _driver(program, fn: b2.Function, spec, data: bytes) -> Callable[[type], Tuple]:
+    """``run(cls) -> (result, op counts)`` for one program and input."""
+    style = program.calling_style
+    if style in ("hash", "inplace"):
+
+        def run_buffer(cls):
+            result = run_function(fn, spec, {"s": list(data)}, interpreter_cls=cls)
+            value = result.out_memory["s"] if style == "inplace" else result.rets
+            return value, result.counts.as_dict()
+
+        return run_buffer
+
+    def run_windows(cls):
+        interp = cls(b2.Program((fn,)))
+        memory = None
+        if style == "window":
+            memory = Memory()
+            base = memory.place_bytes(data)
+        acc = 0
+        for offset in range(0, len(data) - 3, 4):
+            if style == "scalar":
+                args = [Word(64, int.from_bytes(data[offset : offset + 4], "little"))]
+            else:
+                args = [Word(64, base), Word(64, len(data)), Word(64, offset)]
+            rets, _ = interp.run(fn.name, args, memory=memory)
+            acc ^= rets[0].unsigned
+        return acc, interp.counts.as_dict()
+
+    return run_windows
+
+
+def _timed(run: Callable[[type], Tuple], cls: type) -> Tuple[float, Tuple]:
+    start = time.perf_counter()
+    outcome = run(cls)
+    return (time.perf_counter() - start) * 1000.0, outcome
+
+
+def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> Dict:
+    rows: List[Dict] = []
+    for program in all_programs():
+        compiled = program.compile(opt_level=1)
+        data = program.gen_input(random.Random(f"{seed}-{program.name}"), size)
+        run = _driver(program, compiled.bedrock_fn, compiled.spec, data)
+        # Alternate the executors so a slow spell of the host hits both.
+        tree_ms = fast_ms = math.inf
+        for _ in range(repeats):
+            ms, tree_out = _timed(run, TreeWalker)
+            tree_ms = min(tree_ms, ms)
+            ms, fast_out = _timed(run, Interpreter)
+            fast_ms = min(fast_ms, ms)
+        rows.append({
+            "program": program.name,
+            "style": program.calling_style,
+            "ops": sum(fast_out[1].values()),
+            "tree_ms": round(tree_ms, 2),
+            "closure_ms": round(fast_ms, 2),
+            "speedup": round(tree_ms / fast_ms, 2),
+            "identical": tree_out == fast_out,
+        })
+    geomean = math.exp(sum(math.log(r["tree_ms"] / r["closure_ms"]) for r in rows) / len(rows))
+    return {
+        "experiment": "E18",
+        "size": size,
+        "repeats": repeats,
+        "rows": rows,
+        "geomean_speedup": round(geomean, 2),
+        "identical": all(r["identical"] for r in rows),
+    }
+
+
+def render(report: Dict) -> str:
+    lines = [
+        f"E18: closure executor vs tree-walker, -O1, {report['size']} B inputs, "
+        f"min of {report['repeats']}",
+        f"{'program':<8} {'style':<8} {'ops':>9} {'tree ms':>9} {'closure ms':>11} "
+        f"{'speedup':>8}  same",
+    ]
+    for r in report["rows"]:
+        lines.append(
+            f"{r['program']:<8} {r['style']:<8} {r['ops']:>9} {r['tree_ms']:>9.1f} "
+            f"{r['closure_ms']:>11.1f} {r['speedup']:>7.2f}x  {'yes' if r['identical'] else 'NO'}"
+        )
+    lines.append(
+        f"geomean speedup {report['geomean_speedup']:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)"
+    )
+    return "\n".join(lines)
+
+
+def test_executors_agree_on_small_inputs():
+    report = measure(size=256, repeats=1)
+    assert report["identical"], report["rows"]
+
+
+def main(argv=None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=DEFAULT_SIZE, help="input bytes")
+    parser.add_argument("--repeats", type=int, default=REPEATS)
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"fail below a {SPEEDUP_FLOOR:.0f}x geomean speedup or on any mismatch",
+    )
+    args = parser.parse_args(argv)
+    report = measure(size=args.size, repeats=args.repeats)
+    print(json.dumps(report, indent=2) if args.json else render(report))
+    if not args.check:
+        return 0
+    failures = []
+    if not report["identical"]:
+        bad = [r["program"] for r in report["rows"] if not r["identical"]]
+        failures.append(f"executors disagree on {', '.join(bad)}")
+    if report["geomean_speedup"] < SPEEDUP_FLOOR:
+        failures.append(
+            f"geomean speedup {report['geomean_speedup']:.2f}x below {SPEEDUP_FLOOR:.1f}x"
+        )
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    if failures:
+        return 1
+    print("E18 gate: ok")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ I/O.  This package provides:
 - :mod:`repro.bedrock2.memory` -- the flat memory model;
 - :mod:`repro.bedrock2.semantics` -- a fuel-based big-step interpreter
   (Bedrock2 semantics only give meaning to terminating programs, so
-  executions are total-correctness witnesses);
+  executions are total-correctness witnesses), the reference tree-walker;
+- :mod:`repro.bedrock2.closures` -- the same semantics with each function
+  compiled once into closures over raw words, the interpreter's fast path;
 - :mod:`repro.bedrock2.c_printer` -- the small pretty-printer to C.
 """
 

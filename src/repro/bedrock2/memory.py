@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
+#: Bytes left unmapped below each stack frame.
+_STACK_GAP = 0x20
+
+
 class MemoryError_(Exception):
     """An undefined-behaviour memory access (out of bounds or unaligned region)."""
 
@@ -78,17 +82,25 @@ class Memory:
 
     def allocate_stack(self, size: int) -> int:
         """Allocate a stack block (grows downward); used by ``SStackalloc``."""
-        self._stack_top -= size + 0x20
-        base = self._stack_top
-        return self.allocate(size, label="stack", base=base)
+        base = self._stack_top - (size + _STACK_GAP)
+        self.allocate(size, label="stack", base=base)
+        self._stack_top = base
+        return base
 
     def free(self, base: int) -> None:
-        """Free the region starting exactly at ``base``."""
+        """Free the region starting exactly at ``base``.
+
+        Freeing the top-most stack frame gives its space back, so a loop
+        around an ``SStackalloc`` reuses one frame instead of walking the
+        stack down into the heap.
+        """
         for index, region in enumerate(self._regions):
             if region.base == base:
                 del self._regions[index]
                 for offset in range(region.size):
                     self._bytes.pop(base + offset, None)
+                if region.label == "stack" and base == self._stack_top:
+                    self._stack_top = base + region.size + _STACK_GAP
                 return
         raise MemoryError_(f"free of unallocated address {base:#x}")
 

@@ -11,62 +11,86 @@ The interpreter doubles as the cost model for the Figure 2 reproduction:
 it counts each primitive operation it executes (arithmetic, loads, stores,
 assignments, branches), and the benchmark harness turns those counters
 into "cycles per byte"-shaped numbers under several weightings.
+
+``exec_stmt``/``eval_expr`` below are the tree-walker, the reference
+semantics.  ``Interpreter.call_function`` runs whole function bodies on
+the closure executor of :mod:`repro.bedrock2.closures`, which compiles
+each function once and matches the tree-walker observably.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bedrock2 import ast
 from repro.bedrock2.memory import Memory, MemoryError_
-from repro.bedrock2.word import Word, truthy
+from repro.bedrock2.word import Word
 
 
 class ExecutionError(Exception):
     """The program's behaviour is undefined (bad variable, bad access, ...)."""
 
 
+def _raw_ops(width: int) -> Dict[str, Callable[[int, int], int]]:
+    """Every binary operator on raw ``width``-bit unsigned ints.
+
+    Operands are masked (``0 <= a, b < 2**width``) and so is each result.
+    Shift amounts are taken mod the width and division by zero follows
+    RISC-V, exactly as the :class:`Word` methods do.
+    """
+    mask = (1 << width) - 1
+    sign = 1 << (width - 1)
+
+    def srs(a: int, b: int) -> int:
+        signed = a - (1 << width) if a & sign else a
+        return (signed >> (b % width)) & mask
+
+    return {
+        "add": lambda a, b: (a + b) & mask,
+        "sub": lambda a, b: (a - b) & mask,
+        "mul": lambda a, b: (a * b) & mask,
+        "mulhuu": lambda a, b: (a * b) >> width,
+        "divu": lambda a, b: a // b if b else mask,
+        "remu": lambda a, b: a % b if b else a,
+        "and": operator.and_,
+        "or": operator.or_,
+        "xor": operator.xor,
+        "sru": lambda a, b: a >> (b % width),
+        "slu": lambda a, b: (a << (b % width)) & mask,
+        "srs": srs,
+        # flipping the sign bit maps signed order onto unsigned order
+        "lts": lambda a, b: 1 if a ^ sign < b ^ sign else 0,
+        "ltu": lambda a, b: 1 if a < b else 0,
+        "eq": lambda a, b: 1 if a == b else 0,
+    }
+
+
+#: The single source of truth for operator semantics, per word width:
+#: ``RAW_OPS[width][op](a, b)`` on masked ints.  :func:`apply_op` (and so
+#: the tree-walker and the optimizer's constant folder) and the closure
+#: executor (:mod:`repro.bedrock2.closures`) all dispatch through it.
+RAW_OPS: Dict[int, Dict[str, Callable[[int, int], int]]] = {
+    width: _raw_ops(width) for width in (8, 16, 32, 64)
+}
+
+
 def apply_op(op: str, lhs: Word, rhs: Word) -> Word:
     """Evaluate one Bedrock2 binary operator on machine words.
 
-    This is the single source of truth for operator semantics: the
-    interpreter calls it per ``EOp``, and the optimizer's constant folder
-    (:mod:`repro.opt.passes`) calls it at compile time, so folded
+    The tree-walker calls it per ``EOp`` and the optimizer's constant
+    folder (:mod:`repro.opt.passes`) calls it at compile time; both go
+    through :data:`RAW_OPS`, as the closure executor does, so folded
     literals are bit-exact by construction.
     """
     width = lhs.width
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "mulhuu":
-        return Word(width, (lhs.unsigned * rhs.unsigned) >> width)
-    if op == "divu":
-        return lhs.udiv(rhs)
-    if op == "remu":
-        return lhs.umod(rhs)
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "sru":
-        return lhs.shr(rhs)
-    if op == "slu":
-        return lhs.shl(rhs)
-    if op == "srs":
-        return lhs.sar(rhs)
-    if op == "lts":
-        return truthy(width, lhs.lts(rhs))
-    if op == "ltu":
-        return truthy(width, lhs.ltu(rhs))
-    if op == "eq":
-        return truthy(width, lhs == rhs)
-    raise ExecutionError(f"unknown operator {op!r}")
+    raw = RAW_OPS[width].get(op)
+    if raw is None:
+        raise ExecutionError(f"unknown operator {op!r}")
+    if rhs.width != width:
+        raise ValueError(f"width mismatch: {width} vs {rhs.width}")
+    return Word(width, raw(lhs.unsigned, rhs.unsigned))
 
 
 class OutOfFuel(ExecutionError):
@@ -147,8 +171,23 @@ def zero_stack_init(nbytes: int) -> bytes:
     return bytes(nbytes)
 
 
+#: The methods whose override makes an :class:`Interpreter` subclass run
+#: on the tree-walker alone (the absint soundness audit overrides
+#: ``exec_stmt`` to see every statement).
+REFERENCE_HOOKS = ("exec_stmt", "eval_expr", "_apply_op", "call_function")
+
+
 class Interpreter:
     """Executes Bedrock2 statements against a :class:`MachineState`.
+
+    :meth:`exec_stmt` and :meth:`eval_expr` are the tree-walker, the
+    reference semantics.  :meth:`call_function` (and so :meth:`run`)
+    executes a function body on the closure executor of
+    :mod:`repro.bedrock2.closures` instead, which matches the tree-walker
+    on results, memory, trace, op counts, fuel and errors.  It falls back
+    to the tree-walker for subclasses that override any of
+    :data:`REFERENCE_HOOKS` and for argument words whose width is not the
+    interpreter's.
 
     Parameters
     ----------
@@ -180,6 +219,10 @@ class Interpreter:
         self.external = external
         self.stack_init = stack_init
         self.counts = OpCounts()
+        cls = type(self)
+        self._tree_walk = any(
+            getattr(cls, hook) is not getattr(Interpreter, hook) for hook in REFERENCE_HOOKS
+        )
 
     # -- Expressions ----------------------------------------------------------
 
@@ -247,7 +290,10 @@ class Interpreter:
             return fuel - 1
         if isinstance(stmt, ast.SStackalloc):
             self.counts.stackalloc += 1
-            base = state.memory.allocate_stack(stmt.nbytes)
+            try:
+                base = state.memory.allocate_stack(stmt.nbytes)
+            except MemoryError_ as exc:
+                raise ExecutionError(str(exc)) from None
             state.memory.store_bytes(base, self.stack_init(stmt.nbytes))
             state.locals[stmt.lhs] = Word(self.width, base)
             fuel = self.exec_stmt(stmt.body, state, fuel - 1)
@@ -320,6 +366,11 @@ class Interpreter:
             raise ExecutionError(
                 f"{name} takes {len(fn.args)} arguments, got {len(args)}"
             )
+        width = self.width
+        if not self._tree_walk and all(
+            isinstance(arg, Word) and arg.width == width for arg in args
+        ):
+            return closures.call(self, fn, args, state, fuel)
         frame = MachineState(
             memory=state.memory,
             locals=dict(zip(fn.args, args)),
@@ -344,3 +395,7 @@ class Interpreter:
         state = MachineState(memory=memory if memory is not None else Memory(self.width))
         rets = self.call_function(fn_name, args, state, fuel)
         return rets, state
+
+
+# Imported last: the closure executor builds on the names defined above.
+from repro.bedrock2 import closures  # noqa: E402

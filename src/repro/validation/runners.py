@@ -74,7 +74,11 @@ def run_function(
 
     ``interpreter_cls`` substitutes an :class:`Interpreter` subclass --
     the absint soundness suite passes one whose ``exec_stmt`` asserts
-    every live local against the analyzer's per-statement ranges.
+    every live local against the analyzer's per-statement ranges.  It
+    also selects the executor: :class:`Interpreter` itself runs the body
+    on the closure executor, while a subclass overriding ``exec_stmt``,
+    ``eval_expr``, ``_apply_op`` or ``call_function`` runs on the
+    reference tree-walker, so it sees every statement.
     """
     memory = Memory(width)
     arg_words: List[Word] = []

@@ -33,11 +33,17 @@ FUZZ_COUNT = 110
 TRIALS_PER_PROGRAM = 3
 
 
-def _checking_interpreter(envs, failures):
-    """An Interpreter that audits locals against per-statement ranges."""
+def _checking_interpreter(envs, failures, tally=None):
+    """An Interpreter that audits locals against per-statement ranges.
+
+    Overriding ``exec_stmt`` keeps it on the tree-walker, so it sees every
+    statement executed; ``tally[0]`` counts them when given.
+    """
 
     class CheckingInterpreter(Interpreter):
         def exec_stmt(self, stmt, state, fuel):
+            if tally is not None:
+                tally[0] += 1
             env = envs.get(id(stmt))
             if env is not None:
                 for var, rng in env.items():
@@ -52,12 +58,14 @@ def _checking_interpreter(envs, failures):
     return CheckingInterpreter
 
 
-def _audit_executions(compiled, spec, input_gen, rng, trials=TRIALS_PER_PROGRAM):
+def _audit_executions(
+    compiled, spec, input_gen, rng, trials=TRIALS_PER_PROGRAM, tally=None
+):
     """Run the compiled function ``trials`` times under the auditor."""
     result = analyze_function(compiled.bedrock_fn)
     envs = result.stmt_envs()
     failures: list = []
-    interpreter_cls = _checking_interpreter(envs, failures)
+    interpreter_cls = _checking_interpreter(envs, failures, tally)
     for _ in range(trials):
         params = input_gen(rng)
         run_function(
@@ -109,6 +117,20 @@ def test_registry_executions_stay_within_ranges(program):
     input_gen = _program_input_gen(program)
     failures = _audit_executions(compiled, program.build_spec(), input_gen, rng)
     assert not failures, failures[:5]
+
+
+def test_audit_sees_every_executed_statement():
+    """The auditor runs on the tree-walker, not the closure executor: over
+    the registry at -O0 it visits as many statements as the tree-walker
+    executes (2885, counted before the closure executor existed)."""
+    rng = random.Random(0xAB5)
+    tally = [0]
+    for program in all_programs():
+        compiled = program.compile(opt_level=0)
+        _audit_executions(
+            compiled, program.build_spec(), _program_input_gen(program), rng, tally=tally
+        )
+    assert tally[0] == 2885
 
 
 @pytest.mark.parametrize("opt_level", [1])

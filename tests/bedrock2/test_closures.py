@@ -1,0 +1,216 @@
+"""The closure executor's cache lifetime, its fallback rules, and stack reuse."""
+
+from __future__ import annotations
+
+import gc
+import types
+
+import pytest
+
+from repro.bedrock2 import ast, closures
+from repro.bedrock2.ast import (
+    Function,
+    Program,
+    SSet,
+    SStackalloc,
+    SWhile,
+    add,
+    lit,
+    ltu,
+    seq_of,
+    store,
+    var,
+)
+from repro.bedrock2.memory import Memory
+from repro.bedrock2.semantics import RAW_OPS, ExecutionError, Interpreter, apply_op
+from repro.bedrock2.word import Word
+
+
+def _counter(bound: int) -> Function:
+    body = seq_of(
+        SSet("i", lit(0)),
+        SWhile(ltu(var("i"), lit(bound)), SSet("i", add(var("i"), lit(1)))),
+    )
+    return Function(f"count{bound}", (), ("i",), body)
+
+
+def _run(fn: Function, width: int = 64):
+    rets, _ = Interpreter(Program((fn,)), width=width).run(fn.name, [])
+    return [r.unsigned for r in rets]
+
+
+# -- Cache lifetime ----------------------------------------------------------------
+
+
+def test_entry_dies_with_its_function():
+    fn = _counter(3)
+    assert _run(fn) == [3]
+    key = id(fn)
+    assert key in closures._CACHE
+    del fn
+    gc.collect()
+    assert key not in closures._CACHE
+
+
+def test_one_compile_serves_every_interpreter():
+    fn = _counter(4)
+    _run(fn)
+    code = closures.compiled(fn, 64)
+    for _ in range(3):
+        _run(fn)
+        assert closures.compiled(fn, 64) is code
+    assert closures.compiled(fn, 32) is not code
+
+
+def _reachable(obj, seen=None):
+    """Every object reachable through closure cells, tuples and slots."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            yield from _reachable(cell.cell_contents, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable(item, seen)
+    elif isinstance(obj, closures.CompiledFunction):
+        for name in obj.__slots__:
+            yield from _reachable(getattr(obj, name), seen)
+
+
+def test_no_closure_references_the_ast():
+    body = seq_of(
+        SStackalloc("b", 8, store(8, var("b"), ast.EInlineTable(1, b"\x07", lit(0)))),
+        SSet("r", add(var("x"), lit(1))),
+    )
+    fn = Function("f", ("x",), ("r",), body)
+    reached = list(_reachable(closures.compiled(fn, 64)))
+    assert len(reached) > 10
+    assert not [o for o in reached if isinstance(o, (ast.Function, ast.Stmt, ast.Expr))]
+
+
+def test_cache_stays_bounded_over_fresh_functions():
+    gc.collect()
+    before = len(closures._CACHE)
+    for bound in range(1000):
+        assert _run(_counter(bound % 7)) == [bound % 7]
+    gc.collect()
+    assert len(closures._CACHE) <= before + 1
+
+
+# -- Fallback to the tree-walker -----------------------------------------------------
+
+
+class StatementCounter(Interpreter):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = 0
+
+    def exec_stmt(self, stmt, state, fuel):
+        self.seen += 1
+        return super().exec_stmt(stmt, state, fuel)
+
+
+def test_exec_stmt_override_sees_every_statement():
+    # seq(i := 0; while) + 5 loop bodies: 1 seq + 1 set + 1 while + 5 sets
+    fn = _counter(5)
+    interp = StatementCounter(Program((fn,)))
+    rets, _ = interp.run(fn.name, [])
+    assert rets == [Word(64, 5)]
+    assert interp.seen == 8
+
+
+@pytest.mark.parametrize("hook", ["exec_stmt", "eval_expr", "_apply_op", "call_function"])
+def test_overriding_any_hook_selects_the_tree_walker(hook):
+    def passthrough(self, *args):
+        return getattr(super(cls, self), hook)(*args)
+
+    cls = type("Hooked", (Interpreter,), {hook: passthrough})
+    assert cls()._tree_walk
+    assert not Interpreter()._tree_walk
+    fn = _counter(2)
+    rets, _ = cls(Program((fn,))).run(fn.name, [])
+    assert [r.unsigned for r in rets] == [2]
+
+
+def test_foreign_width_arguments_take_the_tree_walker():
+    # The tree-walker keeps the caller's Word objects; a pass-through
+    # function returns the 32-bit word it was given, width and all.
+    fn = Function("id", ("x",), ("x",), ast.SSkip())
+    rets, _ = Interpreter(Program((fn,))).run("id", [Word(32, 7)])
+    assert rets == [Word(32, 7)] and rets[0].width == 32
+
+
+# -- The shared operator table -------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_apply_op_is_the_raw_table(width):
+    mask = (1 << width) - 1
+    edges = [0, 1, 2, 3, width - 1, width, mask >> 1, (mask >> 1) + 1, mask - 1, mask]
+    for op, raw in RAW_OPS[width].items():
+        for a in edges:
+            for b in edges:
+                got = apply_op(op, Word(width, a), Word(width, b))
+                assert got == Word(width, raw(a & mask, b & mask))
+                assert 0 <= raw(a & mask, b & mask) <= mask
+    assert set(RAW_OPS[width]) == ast.EOp.OPS
+
+
+def test_apply_op_matches_the_word_methods():
+    w = 64
+    for a in (0, 5, 1 << 63, (1 << 64) - 1):
+        for b in (0, 3, 64, 65, (1 << 64) - 1):
+            x, y = Word(w, a), Word(w, b)
+            assert apply_op("add", x, y) == x + y
+            assert apply_op("sub", x, y) == x - y
+            assert apply_op("mul", x, y) == x * y
+            assert apply_op("divu", x, y) == x.udiv(y)
+            assert apply_op("remu", x, y) == x.umod(y)
+            assert apply_op("sru", x, y) == x.shr(y)
+            assert apply_op("slu", x, y) == x.shl(y)
+            assert apply_op("srs", x, y) == x.sar(y)
+            assert apply_op("lts", x, y).unsigned == int(x.lts(y))
+            assert apply_op("ltu", x, y).unsigned == int(x.ltu(y))
+    with pytest.raises(ExecutionError):
+        apply_op("rotl", Word(w, 1), Word(w, 1))
+
+
+# -- Stack reuse -----------------------------------------------------------------------
+
+
+def _frame_loop(iterations: int, nbytes: int) -> Function:
+    body = seq_of(
+        SSet("i", lit(0)),
+        SWhile(
+            ltu(var("i"), lit(iterations)),
+            SStackalloc("buf", nbytes, seq_of(
+                store(1, var("buf"), var("i")),
+                SSet("i", add(var("i"), lit(1))),
+            )),
+        ),
+    )
+    return Function("frames", (), ("i",), body)
+
+
+@pytest.mark.parametrize("cls", [Interpreter, StatementCounter], ids=["closures", "tree"])
+def test_stack_frames_in_a_loop_reuse_their_space(cls):
+    memory = Memory(32)
+    top = memory._stack_top
+    assert top == 0xFFFFF000
+    fn = _frame_loop(1000, 64)
+    rets, _ = cls(Program((fn,)), width=32).run(fn.name, [], memory=memory)
+    assert rets == [Word(32, 1000)]
+    assert memory._stack_top == top
+    assert not [r for r in memory.regions if r.label == "stack"]
+
+
+def test_stack_exhaustion_is_an_execution_error():
+    memory = Memory(32)
+    memory.allocate(16, label="heap", base=0xFFFFE000)
+    fn = Function("big", (), (), SStackalloc("b", 4096, ast.SSkip()))
+    for cls in (Interpreter, StatementCounter):
+        with pytest.raises(ExecutionError, match="overlaps"):
+            cls(Program((fn,)), width=32).run(fn.name, [], memory=memory)

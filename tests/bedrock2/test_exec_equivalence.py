@@ -1,0 +1,343 @@
+"""The closure executor agrees with the reference tree-walker.
+
+``Interpreter.call_function`` runs function bodies on the closure
+executor (:mod:`repro.bedrock2.closures`).  A subclass that overrides
+``exec_stmt`` runs on the tree-walker alone -- the mechanism the absint
+soundness audit relies on -- so :class:`TreeWalker` below is the
+reference.  Over the Table 2, query and fuzz corpora, at widths 32 and
+64, both must produce the same rets, out-memory, trace, op counts and
+memory read/write counts; on hand-built failing programs, the same
+exception type and message; and under every fuel bound up to the exact
+requirement plus 2, the same ``OutOfFuel`` or the same result.
+"""
+
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+import pytest
+
+from repro.bedrock2 import ast
+from repro.bedrock2.ast import (
+    EInlineTable,
+    Function,
+    Program,
+    SCall,
+    SCond,
+    SInteract,
+    SSet,
+    SSkip,
+    SStackalloc,
+    SUnset,
+    SWhile,
+    add,
+    band,
+    lit,
+    load,
+    ltu,
+    seq_of,
+    store,
+    var,
+)
+from repro.bedrock2.memory import Memory
+from repro.bedrock2.semantics import Interpreter, OutOfFuel
+from repro.bedrock2.word import Word
+from repro.core.goals import CompileError
+from repro.programs import all_programs
+from repro.query.programs import all_query_programs
+from repro.resilience.generator import generate_case
+from repro.source.evaluator import CellV
+from repro.stdlib import default_engine
+from repro.validation import runners
+from repro.validation.runners import make_inputs, run_function
+
+WIDTHS = (32, 64)
+TRIALS = 4
+FUZZ_COUNT = 110
+
+
+class TreeWalker(Interpreter):
+    """Overrides ``exec_stmt``, so it never takes the closure executor."""
+
+    def exec_stmt(self, stmt, state, fuel):
+        return super().exec_stmt(stmt, state, fuel)
+
+
+class RecordingMemory(Memory):
+    """Remembers every instance, so a run's memory can be inspected after."""
+
+    made: list = []
+
+    def __init__(self, width: int = 64):
+        super().__init__(width)
+        RecordingMemory.made.append(self)
+
+
+def _narrow(params, width):
+    """Fit random parameter values into ``width``-bit words."""
+    mask = (1 << width) - 1
+    out = {}
+    for name, value in params.items():
+        if isinstance(value, list):
+            value = [v & mask for v in value]
+        elif isinstance(value, int) and not isinstance(value, bool):
+            value = value & mask
+        elif isinstance(value, CellV):
+            value = CellV(value.value & mask)
+        out[name] = value
+    return out
+
+
+def observe(fn, spec, params, width, interpreter_cls, seed, fuel=Interpreter.DEFAULT_FUEL):
+    """Everything one run shows: its result or its error, counts, memory."""
+    rng = random.Random(seed)
+    io_input = [rng.getrandbits(32) for _ in range(8)]
+
+    def stack_init(nbytes):
+        return bytes(rng.randrange(256) for _ in range(nbytes))
+
+    RecordingMemory.made.clear()
+    with mock.patch.object(runners, "Memory", RecordingMemory):
+        try:
+            result = run_function(
+                fn, spec, params, width=width, io_input=iter(io_input),
+                stack_init=stack_init, fuel=fuel, interpreter_cls=interpreter_cls,
+            )
+        except Exception as error:  # noqa: BLE001 - compared, not swallowed
+            outcome = ("error", type(error).__name__, str(error))
+        else:
+            outcome = (
+                "ok", result.rets, result.out_memory,
+                [(e.action, e.args, e.rets) for e in result.trace],
+                result.counts.as_dict(),
+            )
+    (memory,) = RecordingMemory.made
+    return outcome + (
+        memory.read_count, memory.write_count, memory.snapshot(),
+        memory.regions, memory._stack_top,
+    )
+
+
+def assert_same(fn, spec, params, width, seed):
+    params = _narrow(params, width)
+    reference = observe(fn, spec, params, width, TreeWalker, seed)
+    fast = observe(fn, spec, params, width, Interpreter, seed)
+    assert fast == reference
+
+
+def _generic_gen(model):
+    return lambda rng: make_inputs(model, rng, array_len=rng.randrange(24))
+
+
+# -- Corpora ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.name)
+def test_table2_programs(program, opt_level, width):
+    compiled = program.compile(opt_level=opt_level)
+    gen = program.validation_input_gen() or _generic_gen(compiled.model)
+    rng = random.Random(f"{program.name}-{opt_level}-{width}")
+    for trial in range(TRIALS):
+        assert_same(compiled.bedrock_fn, compiled.spec, gen(rng), width, trial)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("query", all_query_programs(), ids=lambda q: q.name)
+def test_query_programs(query, opt_level, width):
+    compiled = query.compile(opt_level=opt_level)
+    gen = query.validation_input_gen()
+    rng = random.Random(f"{query.name}-{opt_level}-{width}")
+    for trial in range(TRIALS):
+        assert_same(compiled.bedrock_fn, compiled.spec, gen(rng), width, trial)
+
+
+def test_query_corpus_is_complete():
+    assert len(all_query_programs()) == 8
+
+
+def _fuzz_corpus():
+    engine = default_engine()
+    corpus = []
+    for index in range(FUZZ_COUNT):
+        case = generate_case(random.Random(7000 + index), index)
+        try:
+            compiled = engine.compile_function(case.model, case.spec)
+        except CompileError:
+            continue
+        corpus.append((case, compiled))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus():
+    return _fuzz_corpus()
+
+
+def test_fuzz_programs(fuzz_corpus):
+    assert len(fuzz_corpus) >= 100
+    rng = random.Random(0xC10)
+    for case, compiled in fuzz_corpus:
+        for width in WIDTHS:
+            for trial in range(2):
+                assert_same(compiled.bedrock_fn, case.spec, case.input_gen(rng), width, trial)
+
+
+# -- Hand-built programs ----------------------------------------------------------
+
+
+def run_both(program, name, args, width=64, external=None, fuel=Interpreter.DEFAULT_FUEL):
+    """Run ``name`` on both executors via ``Interpreter.run``."""
+
+    def one(cls):
+        interp = cls(program, width=width, external=external)
+        memory = _memory(width)
+        try:
+            rets, state = interp.run(name, [Word(width, a) for a in args], memory, fuel)
+        except Exception as error:  # noqa: BLE001 - compared, not swallowed
+            outcome = ("error", type(error).__name__, str(error))
+        else:
+            outcome = ("ok", [r.unsigned for r in rets],
+                       [(e.action, e.args, e.rets) for e in state.trace])
+        return outcome + (interp.counts.as_dict(), memory.snapshot(),
+                          memory.read_count, memory.write_count, memory._stack_top)
+
+    reference, fast = one(TreeWalker), one(Interpreter)
+    assert fast == reference
+    return fast
+
+
+def _memory(width):
+    """A memory holding one 16-byte buffer at 0x1000."""
+    memory = Memory(width)
+    memory.allocate(16, label="buf")
+    return memory
+
+
+def single(body, args=(), rets=("r",)):
+    return Program((Function("f", tuple(args), tuple(rets), body),))
+
+
+FAILING = {
+    "oob-load": (single(SSet("r", load(8, lit(0x10)))), "out of bounds"),
+    "oob-store": (single(seq_of(store(4, lit(0x100e), lit(1)), SSet("r", lit(0)))),
+                  "out of bounds"),
+    "unbound-local": (single(SSet("r", add(lit(1), var("nope")))), "unbound local"),
+    "unbound-in-store": (single(store(1, lit(0x1000), var("nope"))), "unbound local"),
+    "table-overrun": (single(SSet("r", EInlineTable(2, b"\x01\x02\x03", lit(2)))),
+                      "exceeds table length"),
+    "missing-return": (single(SSet("x", lit(1))), "did not set return variable"),
+    "no-external-handler": (single(SInteract(("r",), "read", ())),
+                            "no external handler"),
+    "call-arity": (
+        Program((
+            Function("f", (), ("r",), SCall(("r",), "g", (lit(1), lit(2)))),
+            Function("g", ("x",), ("y",), SSet("y", var("x"))),
+        )),
+        "takes 1 arguments, got 2",
+    ),
+    "call-returns": (
+        Program((
+            Function("f", (), ("r",), SCall(("r", "s"), "g", (lit(1),))),
+            Function("g", ("x",), ("y",), SSet("y", var("x"))),
+        )),
+        "returned 1 values, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failing_programs_raise_alike(case, width):
+    program, fragment = FAILING[case]
+    outcome = run_both(program, "f", [], width=width)
+    assert outcome[0] == "error"
+    assert fragment in outcome[2]
+
+
+def test_interact_handler_sees_and_edits_the_frame():
+    def external(action, args, state):
+        assert state.locals["x"].unsigned == 5
+        state.locals["z"] = Word(64, 9)
+        return [Word(64, args[0].unsigned + 1)]
+
+    body = seq_of(SSet("x", lit(5)), SInteract(("y",), "bump", (var("x"),)),
+                  SSet("r", add(var("y"), var("z"))))
+    outcome = run_both(single(body), "f", [], external=external)
+    assert outcome[:3] == ("ok", [15], [("bump", (5,), (6,))])
+
+
+# A program that uses every statement form: nested sequences with skips,
+# a loop, a branch, a stack frame, a call and an unset.
+DOUBLE = Function("double", ("x",), ("y",), seq_of(SSet("y", add(var("x"), var("x"))),
+                                                   SSkip()))
+KITCHEN = Function(
+    "main", ("n",), ("r",),
+    ast.SSeq(
+        seq_of(SSet("r", lit(0)), SSet("i", lit(0)), SSkip()),
+        ast.SSeq(
+            SWhile(
+                ltu(var("i"), var("n")),
+                seq_of(
+                    SStackalloc("buf", 8, seq_of(
+                        store(8, var("buf"), var("i")),
+                        SCall(("t",), "double", (load(8, var("buf")),)),
+                        SSet("r", add(var("r"), var("t"))),
+                    )),
+                    SCond(band(var("t"), lit(2)), SSkip(), SUnset("t")),
+                    SSet("i", add(var("i"), lit(1))),
+                    SSkip(),
+                ),
+            ),
+            SSkip(),
+        ),
+    ),
+)
+KITCHEN_PROGRAM = Program((KITCHEN, DOUBLE))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_every_statement_form(width):
+    outcome = run_both(KITCHEN_PROGRAM, "main", [5], width=width)
+    assert outcome[:2] == ("ok", [20])
+
+
+# -- Fuel ------------------------------------------------------------------------
+
+
+def _exact_fuel(program, name, args, width=64):
+    fuel = 0
+    while True:
+        try:
+            TreeWalker(program, width=width).run(name, [Word(width, a) for a in args],
+                                                 _memory(width), fuel)
+        except OutOfFuel:
+            fuel += 1
+            continue
+        return fuel
+
+
+def _fnv1a_program():
+    (program,) = [p for p in all_programs() if p.name == "fnv1a"]
+    fn = program.compile(opt_level=1).bedrock_fn
+    return Program((fn,)), fn.name
+
+
+@pytest.mark.parametrize("subject", ["kitchen", "fnv1a"])
+def test_fuel_sweep(subject):
+    if subject == "kitchen":
+        program, name, args = KITCHEN_PROGRAM, "main", [3]
+    else:
+        program, name = _fnv1a_program()
+        args = [0x1000, 3]  # three bytes of the pre-allocated 16-byte buffer
+    exact = _exact_fuel(program, name, args)
+    assert exact > 0
+    kinds = set()
+    for fuel in range(exact + 3):
+        outcome = run_both(program, name, args, fuel=fuel)
+        kinds.add(outcome[1] if outcome[0] == "error" else "ok")
+        assert (outcome[0] == "ok") == (fuel >= exact)
+    assert kinds == {"OutOfFuel", "ok"}
