@@ -10,9 +10,9 @@ Two claims, both gated:
    ``FM_REDUCTION_FLOOR`` (30%).  The counts are deterministic -- no
    committed baseline file is needed; the ratio *is* the gate.
 
-2. **The kill switch changes nothing.**  ``--no-absint``
-   (:func:`repro.analysis.absint.set_absint_enabled`) disables only the
-   per-state caching of range maps; every verdict is recomputed
+2. **The range cache changes nothing.**
+   ``engine_config(range_cache=False)`` (:mod:`repro.config`) disables
+   only the per-state caching of range maps; every verdict is recomputed
    identically, so compiled artifacts (AST fingerprint, certificate
    serialization, C output) must be byte-identical with the cache on or
    off, on the full corpus.
@@ -105,18 +105,14 @@ def _corpus_fingerprints() -> dict:
     return out
 
 
-def measure_kill_switch() -> dict:
+def measure_range_cache_identity() -> dict:
     """Recompile the corpus with the absint cache off; diff every artifact."""
-    from repro.analysis.absint import absint_enabled, set_absint_enabled
+    from repro.config import engine_config
 
-    previous = absint_enabled()
-    set_absint_enabled(True)
-    try:
+    with engine_config(range_cache=True):
         cached = _corpus_fingerprints()
-        set_absint_enabled(False)
+    with engine_config(range_cache=False):
         uncached = _corpus_fingerprints()
-    finally:
-        set_absint_enabled(previous)
     mismatches = sorted(
         name for name in cached if cached[name] != uncached.get(name)
     )
@@ -136,8 +132,8 @@ def test_range_solver_reduces_fm_invocations():
     assert measured["fm_reduction"] >= FM_REDUCTION_FLOOR, measured
 
 
-def test_kill_switch_is_byte_identical():
-    report = measure_kill_switch()
+def test_range_cache_is_byte_identical():
+    report = measure_range_cache_identity()
     assert report["byte_identical"], report["mismatches"]
 
 
@@ -145,20 +141,20 @@ def main() -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="E17: absint range solver vs Fourier-Motzkin, kill-switch identity"
+        description="E17: absint range solver vs Fourier-Motzkin, range-cache identity"
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--check",
         action="store_true",
         help="gate: fail below the 30%% FM-reduction floor or on any "
-        "kill-switch artifact mismatch",
+        "range-cache artifact mismatch",
     )
     args = parser.parse_args()
     measured = measure_fm_reduction()
-    identity = measure_kill_switch()
+    identity = measure_range_cache_identity()
     if args.json:
-        print(json.dumps({"e17": measured, "kill_switch": identity}, indent=2))
+        print(json.dumps({"e17": measured, "range_cache": identity}, indent=2))
     else:
         print(
             f"E17: {measured['programs']} programs  "
@@ -174,9 +170,9 @@ def main() -> int:
             f"{measured['absint_cache_misses']} miss(es)"
         )
         print(
-            "     kill switch: artifacts byte-identical"
+            "     range cache: artifacts byte-identical"
             if identity["byte_identical"]
-            else f"     kill switch: MISMATCH on {identity['mismatches']}"
+            else f"     range cache: MISMATCH on {identity['mismatches']}"
         )
     if args.check:
         failures = []
@@ -187,7 +183,7 @@ def main() -> int:
             )
         if not identity["byte_identical"]:
             failures.append(
-                "kill switch changed artifacts: " + ", ".join(identity["mismatches"])
+                "range cache changed artifacts: " + ", ".join(identity["mismatches"])
             )
         for failure in failures:
             print(f"REGRESSION: {failure}")

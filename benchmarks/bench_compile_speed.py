@@ -11,8 +11,8 @@ programs.
 ``python -m benchmarks.bench_compile_speed`` adds the E15 measurement:
 indexed-vs-scan throughput across the Table 2 registry, the query
 registry, and a seeded fuzz-corpus slice, with the head index, term
-interning, and subterm memoization toggled together (the same switches
-as the CLI's ``--no-index``/``--no-intern``/``--no-memo``).  The
+interning, and subterm memoization toggled together
+(``engine_config(fast_search=False)``, :mod:`repro.config`).  The
 committed ``benchmarks/dispatch_baseline.json`` stores the *speedup
 ratios* -- machine-independent, unlike raw latencies -- pinned at the
 per-suite minimum over several measurement runs (a conservative draw,
@@ -111,29 +111,6 @@ DISPATCH_BASELINE_PATH = "benchmarks/dispatch_baseline.json"
 REGRESSION_TOLERANCE = 0.8
 
 
-def _fast_path(enabled: bool):
-    """Toggle all three fast-path layers; returns the previous flags."""
-    from repro.core import engine as engine_mod
-    from repro.core import lemma as lemma_mod
-    from repro.source import terms as t
-
-    return (
-        lemma_mod.set_index_enabled(enabled),
-        engine_mod.set_memo_enabled(enabled),
-        t.set_interning(enabled),
-    )
-
-
-def _restore_fast_path(previous) -> None:
-    from repro.core import engine as engine_mod
-    from repro.core import lemma as lemma_mod
-    from repro.source import terms as t
-
-    lemma_mod.set_index_enabled(previous[0])
-    engine_mod.set_memo_enabled(previous[1])
-    t.set_interning(previous[2])
-
-
 def dispatch_cases(fuzz_count: int = 20):
     """(suite, name, model, spec) rows: registry + query + seeded fuzz.
 
@@ -181,14 +158,13 @@ def _suite_throughputs(cases, repeats: int = 5):
 
 def measure_dispatch_speedups(fuzz_count: int = 20, repeats: int = 5) -> dict:
     """E15 payload: per-suite indexed and scan throughput + speedup ratio."""
+    from repro.config import engine_config
+
     cases = dispatch_cases(fuzz_count)
-    previous = _fast_path(True)
-    try:
+    with engine_config(fast_search=True):
         indexed, statements = _suite_throughputs(cases, repeats)
-        _fast_path(False)
+    with engine_config(fast_search=False):
         scan, _ = _suite_throughputs(cases, repeats)
-    finally:
-        _restore_fast_path(previous)
     suites = {}
     for suite in sorted(indexed):
         suites[suite] = {

@@ -625,26 +625,6 @@ def main(argv=None) -> int:
         "--seed", type=int, default=0,
         help="seed for Python's random module (reproducible runs)",
     )
-    # Proof-search fast-path kill switches (before the subcommand, e.g.
-    # ``python -m repro --no-index compile crc32``).  Each disables one
-    # layer; outputs, certificates, and cache keys are identical either
-    # way (see docs/dispatch.md), only the speed changes.
-    parser.add_argument(
-        "--no-index", action="store_true",
-        help="disable head-indexed lemma dispatch (linear hint-DB scans)",
-    )
-    parser.add_argument(
-        "--no-intern", action="store_true",
-        help="disable hash-consing of source terms",
-    )
-    parser.add_argument(
-        "--no-memo", action="store_true",
-        help="disable per-derivation memoization of repeated pure subterms",
-    )
-    parser.add_argument(
-        "--no-absint", action="store_true",
-        help="disable per-state caching of abstract-interpretation range maps",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the benchmark suite")
     trace_help = "record flight-recorder events to FILE (JSON Lines)"
@@ -872,22 +852,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     random.seed(args.seed)
-    if args.no_index:
-        from repro.core.lemma import set_index_enabled
-
-        set_index_enabled(False)
-    if args.no_intern:
-        from repro.source.terms import set_interning
-
-        set_interning(False)
-    if args.no_memo:
-        from repro.core.engine import set_memo_enabled
-
-        set_memo_enabled(False)
-    if args.no_absint:
-        from repro.analysis.absint import set_absint_enabled
-
-        set_absint_enabled(False)
     handlers = {
         "list": cmd_list,
         "compile": cmd_compile,

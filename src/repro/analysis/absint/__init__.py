@@ -19,12 +19,14 @@ range can only ever make the proof search or the optimizer attempt
 something the trusted checkers (certificate validation, differential
 testing) then reject.
 
-Like the side-condition memo in :mod:`repro.core.engine`, the analysis
-has a kill switch.  ``set_absint_enabled(False)`` (CLI ``--no-absint``)
-disables the per-state caching of fact-range maps; verdicts are
-recomputed from the same facts for every obligation, so all compiled
-outputs are byte-identical either way -- the switch only trades speed
-for a simpler-to-audit execution.
+The per-state cache of fact-range maps is a pure speed layer:
+``EngineConfig.range_cache`` off (:mod:`repro.config`) recomputes every
+verdict from the same facts for every obligation, so all compiled
+outputs are byte-identical either way.  The dispatch-equivalence
+harness proves it on every registry, query and fuzz program, so like
+the other proof-search speed layers it has no user-facing switch
+(DESIGN §7); tests and benchmarks reach the uncached path through
+:func:`repro.config.engine_config`.
 """
 
 from repro.analysis.absint import bedrock, domain, terms
@@ -45,24 +47,10 @@ from repro.analysis.absint.terms import (
     state_ranges,
 )
 
-_ABSINT_ENABLED = True
-
-
-def absint_enabled() -> bool:
-    return _ABSINT_ENABLED
-
-
-def set_absint_enabled(enabled: bool) -> None:
-    """Toggle fact-range caching (the ``--no-absint`` kill switch)."""
-    global _ABSINT_ENABLED
-    _ABSINT_ENABLED = bool(enabled)
-
-
 __all__ = [
     "AbsintResult",
     "ModelRanges",
     "Range",
-    "absint_enabled",
     "analyze_function",
     "analyze_model",
     "bedrock",
@@ -73,7 +61,6 @@ __all__ = [
     "function_ranges",
     "range_lint",
     "refine_env",
-    "set_absint_enabled",
     "state_ranges",
     "terms",
 ]

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.absint import domain
 from repro.analysis.absint.domain import Range
+from repro.config import current_config
 from repro.core import solver as core_solver
 from repro.source import terms as t
 from repro.source.types import BOOL, BYTE, NAT, WORD, SourceType, TypeKind
@@ -126,14 +127,14 @@ def fact_ranges(
 def state_ranges(state, width: int) -> Tuple[Dict[t.Term, Range], List[LinearForm]]:
     """The fact-range map for one symbolic state, cached per version.
 
-    The cache is the layer ``--no-absint`` turns off: with it disabled
-    every obligation recomputes the map from the same facts, so verdicts
-    (and therefore compiled outputs) are bit-identical either way.
+    The cache is ``EngineConfig.range_cache`` (:mod:`repro.config`):
+    with it off every obligation recomputes the map from the same facts,
+    so verdicts (and therefore compiled outputs) are bit-identical either
+    way.
     """
-    from repro.analysis import absint as _pkg
     from repro.obs.trace import current_tracer
 
-    caching = _pkg.absint_enabled()
+    caching = current_config().range_cache
     if caching:
         cached = getattr(state, "_absint_ranges", None)
         if cached is not None and cached[0] == state.version:

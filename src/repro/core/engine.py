@@ -32,7 +32,8 @@ from repro.core.goals import (
     SideConditionFailed,
     StallReport,
 )
-from repro.core.lemma import HintDb, WrapStmt, index_enabled, lemma_family
+from repro.config import current_config
+from repro.core.lemma import HintDb, WrapStmt, lemma_family
 from repro.core.render import render_expr, render_stmt_head, term_head
 from repro.core.sepstate import PointerBinding, SymState
 from repro.core.solver import SolverBank
@@ -41,30 +42,6 @@ from repro.core.typecheck import TypeInferenceError, infer_type
 from repro.obs.trace import NULL_SPAN, current_tracer
 from repro.source import terms as t
 from repro.source.types import BOOL, WORD, SourceType
-
-
-# Process-wide default for the per-derivation subterm-compilation memo
-# (tentpole layer 3).  Like the dispatch index, engines snapshot the flag
-# at construction; the CLI's ``--no-memo`` flips it before engines are
-# built.  The memo only ever short-circuits *repeat* expression goals
-# against an identical symbolic state (same object, same version), so the
-# compiled output is the one the un-memoized path would produce -- only
-# the work (and the trace counters) shrink.
-_MEMO_ENABLED = True
-
-
-def memo_enabled() -> bool:
-    return _MEMO_ENABLED
-
-
-def set_memo_enabled(enabled: bool) -> bool:
-    """Toggle the process-wide subterm-memo default; returns the previous
-    value.  Engines snapshot this flag at construction
-    (``Engine(memo_subterms=...)`` overrides it per engine)."""
-    global _MEMO_ENABLED
-    previous = _MEMO_ENABLED
-    _MEMO_ENABLED = bool(enabled)
-    return previous
 
 
 def resolve(state: SymState, term: t.Term, shadowed: frozenset = frozenset()) -> t.Term:
@@ -239,24 +216,19 @@ class Engine:
         solvers: Optional[SolverBank] = None,
         width: int = 64,
         budget=None,
-        tracer=None,
-        use_index: Optional[bool] = None,
-        memo_subterms: Optional[bool] = None,
     ):
         self.binding_db = binding_db
         self.expr_db = expr_db
         self.solvers = solvers or SolverBank()
         self.width = width
         self.budget = budget  # Optional[repro.resilience.budget.Budget]
-        # Fast-path switches, snapshotted at construction so one engine's
-        # behavior cannot flip mid-derivation.  Both are pure
+        # Head-indexed dispatch and the subterm memos (``fast_search``,
+        # :mod:`repro.config`), snapshotted at construction so one
+        # engine's behavior cannot flip mid-derivation.  Both are pure
         # optimizations: the lemma that commits, the emitted code, and the
         # certificate are identical either way (the differential harness
         # in tests/core/test_dispatch_equivalence.py enforces this).
-        self.use_index = index_enabled() if use_index is None else bool(use_index)
-        self.memo_subterms = (
-            memo_enabled() if memo_subterms is None else bool(memo_subterms)
-        )
+        self.fast_search = current_config().fast_search
         # Per-derivation memo for repeated pure subterm compilations,
         # keyed (state object, state.version, term, ty) and cleared at
         # every compile_function entry.  The state object keeps a strong
@@ -268,11 +240,7 @@ class Engine:
         # repeat discharge replays the certificate record without
         # re-running the solver bank.
         self._side_memo: dict = {}
-        # An explicit tracer pins the engine to it; otherwise the engine
-        # re-reads the process-wide active tracer at every entry point,
-        # so CLI commands can install one around cached builders.
-        self._explicit_tracer = tracer
-        self.tracer = tracer if tracer is not None else current_tracer()
+        self.tracer = current_tracer()
         self._condition_stack: List[List[SideCondition]] = []
         # Memoized (family, counter-key, counter-key) tuples per lemma /
         # solver: building the dotted counter names with f-strings on
@@ -362,7 +330,7 @@ class Engine:
         # counters (which identify the winning solver) and nothing per-goal.
         debug = trace and tracer.debug
         memo_key = None
-        if self.memo_subterms:
+        if self.fast_search:
             try:
                 hit = self._side_memo.get((state, state.version, obligation))
             except TypeError:
@@ -436,7 +404,7 @@ class Engine:
         trace = tracer.enabled
         debug = trace and tracer.debug
         memo_key = None
-        if self.memo_subterms:
+        if self.fast_search:
             try:
                 cached = self._expr_memo.get((state, state.version, term, ty))
             except TypeError:
@@ -448,14 +416,14 @@ class Engine:
                     tracer.inc("goals.expr")
                     tracer.inc("memo.expr.hits")
                 return cached
-        head = term_head(term) if (trace or self.use_index) else ""
+        head = term_head(term) if (trace or self.fast_search) else ""
         outer = tracer.span("compile_expr", head=head) if debug else NULL_SPAN
         with outer:
             emit = tracer.event
             db_name = self.expr_db.name
             if trace:
                 tracer.inc("goals.expr")
-            if self.use_index:
+            if self.fast_search:
                 lemma_seq = self.expr_db.candidates(head)
                 if trace:
                     tracer.inc("dispatch.index.lookups")
@@ -559,7 +527,7 @@ class Engine:
         tracer = self.tracer
         trace = tracer.enabled
         debug = trace and tracer.debug
-        head = term_head(value) if (trace or self.use_index) else ""
+        head = term_head(value) if (trace or self.fast_search) else ""
         outer = (
             tracer.span("compile_binding", name=name, head=head, monadic=monadic)
             if debug
@@ -570,7 +538,7 @@ class Engine:
             db_name = self.binding_db.name
             if trace:
                 tracer.inc("goals.binding")
-            if self.use_index:
+            if self.fast_search:
                 lemma_seq = self.binding_db.candidates(head)
                 if trace:
                     tracer.inc("dispatch.index.lookups")
@@ -847,8 +815,7 @@ class Engine:
         self._side_memo.clear()
         # Late-bind the flight recorder: engines are often built before a
         # CLI command installs its tracer.
-        if self._explicit_tracer is None:
-            self.tracer = current_tracer()
+        self.tracer = current_tracer()
         tracer = self.tracer
         trace = tracer.enabled
         span = (

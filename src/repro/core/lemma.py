@@ -45,26 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover
 # accepts some other head is a soundness bug in the declaration -- the
 # auditor's RA104 check and the differential equivalence harness
 # (``tests/core/test_dispatch_equivalence.py``) exist to catch it.
-
-_INDEX_ENABLED = True
-
-
-def index_enabled() -> bool:
-    return _INDEX_ENABLED
-
-
-def set_index_enabled(enabled: bool) -> bool:
-    """Toggle head-indexed dispatch globally; returns the previous setting.
-
-    Engines snapshot this flag at construction (``Engine(use_index=...)``
-    overrides it per engine), so flipping it affects engines built
-    afterwards -- the CLI's ``--no-index`` flips it before any engine
-    exists.
-    """
-    global _INDEX_ENABLED
-    previous = _INDEX_ENABLED
-    _INDEX_ENABLED = bool(enabled)
-    return previous
+# Engines consult the index only under ``EngineConfig.fast_search``
+# (:mod:`repro.config`), snapshotted when the engine is built.
 
 
 def lemma_index_heads(lemma: object) -> Optional[Tuple[str, ...]]:

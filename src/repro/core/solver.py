@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.config import current_config
 from repro.source import terms as t
 from repro.source.types import NAT
 
@@ -43,10 +44,10 @@ LinearForm = Tuple[Dict[t.Term, int], int]
 # ``id()`` is a stable key, and each entry stores ``(node, result)`` so a
 # hit is re-validated by identity.  The memos are registered with
 # :func:`repro.source.terms.register_node_memo` (cleared with the table)
-# and gated on :func:`~repro.source.terms.interning_enabled` so that
-# ``--no-intern`` disables the whole layer, not just the table.  Results
-# are shared, never mutated: every consumer builds fresh dicts/lists
-# (``_add``, ``_scale``, ``_fourier_motzkin_infeasible``).
+# and gated on ``EngineConfig.fast_search`` (:mod:`repro.config`) so that
+# turning interning off disables the whole layer, not just the table.
+# Results are shared, never mutated: every consumer builds fresh
+# dicts/lists (``_add``, ``_scale``, ``_fourier_motzkin_infeasible``).
 
 _CANON_MEMO: Dict[int, tuple] = t.register_node_memo({})
 _LINEARIZE_MEMO: Dict[int, tuple] = t.register_node_memo({})
@@ -58,7 +59,7 @@ def _node_memo(memo: Dict[int, tuple]):
 
     def wrap(walk):
         def wrapped(term):
-            if not t.interning_enabled():
+            if not current_config().fast_search:
                 return walk(term)
             entry = memo.get(id(term))
             if entry is not None and entry[0] is term:

@@ -210,13 +210,12 @@ class _FunctionLifter:
         *,
         width: int = 64,
         budget=None,
-        tracer=None,
     ):
         self.fn = fn
         self.spec = spec
         self.width = width
         self.budget = budget
-        self.tracer = tracer if tracer is not None else current_tracer()
+        self.tracer = current_tracer()
         self.steps: List[dict] = []
         self._fresh = 0
 
@@ -1262,7 +1261,6 @@ def lift_function(
     *,
     width: int = 64,
     budget=None,
-    tracer=None,
     use_cache: bool = True,
 ) -> LiftResult:
     """Lift one Bedrock2 function to a functional model.
@@ -1277,7 +1275,7 @@ def lift_function(
 
     load_extensions()  # registers the inverse patterns
 
-    tracer = tracer if tracer is not None else current_tracer()
+    tracer = current_tracer()
     key = lift_key(fn, spec, width)
     if use_cache and budget is None:
         cached = _LIFT_MEMO.get(key)
@@ -1285,7 +1283,7 @@ def lift_function(
             if tracer.enabled:
                 tracer.inc("lift.cache.hits")
             return cached
-    lifter = _FunctionLifter(fn, spec, width=width, budget=budget, tracer=tracer)
+    lifter = _FunctionLifter(fn, spec, width=width, budget=budget)
     if tracer.enabled:
         tracer.inc("lift.functions")
     span = (

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.bedrock2.serial import AST_SCHEMA_VERSION
+from repro.config import current_config
 from repro.core.certificate import CERT_SCHEMA_VERSION
 from repro.core.spec import FnSpec, Model
 
@@ -57,9 +58,7 @@ _TERM_REPR_MEMO: dict = {}
 
 
 def _term_repr(term) -> str:
-    from repro.source import terms as t
-
-    if not t.interning_enabled():
+    if not current_config().fast_search:
         return repr(term)
     key = id(term)
     cached = _TERM_REPR_MEMO.get(key)

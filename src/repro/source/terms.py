@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.config import current_config
 from repro.source.types import SourceType
 
 # -- Hash-consing -------------------------------------------------------------------
@@ -34,11 +35,10 @@ from repro.source.types import SourceType
 # ``==``, ``hash``, ``repr``, and pickling behave exactly as before -- so
 # derivations, certificates, and cache keys are byte-identical either way.
 #
-# The kill switch (`repro --no-intern`, :func:`set_interning`) disables
-# the interning table; hash caching and the identity fast path stay (they
-# are pure memoization of unchanged functions).
+# ``EngineConfig.fast_search`` off (:mod:`repro.config`) bypasses the
+# interning table and the node memos; hash caching and the identity fast
+# path stay (they are pure memoization of unchanged functions).
 
-_INTERN_ENABLED = True
 _INTERN_TABLE: Dict[tuple, "Term"] = {}
 _INTERN_HITS = 0
 _INTERN_MISSES = 0
@@ -83,18 +83,6 @@ def _intern_key(node: "Term") -> tuple:
             continue
         parts.append(_field_key(value))
     return tuple(parts)
-
-
-def interning_enabled() -> bool:
-    return _INTERN_ENABLED
-
-
-def set_interning(enabled: bool) -> bool:
-    """Toggle the interning constructor; returns the previous setting."""
-    global _INTERN_ENABLED
-    previous = _INTERN_ENABLED
-    _INTERN_ENABLED = bool(enabled)
-    return previous
 
 
 # Identity-keyed caches over canonical nodes, registered by other modules
@@ -174,7 +162,7 @@ class _TermMeta(type):
             if "__eq__" in cls.__dict__:
                 cls.__eq__ = _identity_fast_eq(cls.__dict__["__eq__"])
             cls._hc_ready = True
-        if not _INTERN_ENABLED:
+        if not current_config().fast_search:
             return super().__call__(*args, **kwargs)
         global _INTERN_HITS, _INTERN_MISSES
         if not kwargs:
@@ -834,7 +822,7 @@ _PRETTY_MEMO: Dict[int, tuple] = register_node_memo({})
 
 def pretty(term: Term, indent: int = 0) -> str:
     """A compact, Gallina-flavoured rendering used in stall messages."""
-    if indent == 0 and _INTERN_ENABLED:
+    if indent == 0 and current_config().fast_search:
         entry = _PRETTY_MEMO.get(id(term))
         if entry is not None and entry[0] is term:
             return entry[1]

@@ -1,65 +1,49 @@
-"""Differential equivalence harness for the proof-search fast path.
+"""Differential equivalence harness for the proof-search speed layers.
 
-The tentpole claim of the head-indexed dispatch, hash-consed terms, and
-subterm memoization is that they change *nothing* observable: the lemma
-that commits, the emitted Bedrock2 code, the certificate, and the stall
-taxonomy are identical whether the fast path is on or off.  This module
-is that claim as a test: every registry program, every query program,
-and a seeded fuzz-corpus slice are compiled under both modes and the
-results compared byte-for-byte -- including stall reports from a
-deliberately stripped database, at -O0 and -O1.
+The tentpole claim of the head-indexed dispatch, hash-consed terms,
+subterm memoization and the absint range cache is that they change
+*nothing* observable: the lemma that commits, the emitted Bedrock2 code,
+the certificate, and the stall taxonomy are identical under every
+:class:`~repro.config.EngineConfig`.  This module is that claim as a
+test: every registry program is compiled under all four configurations,
+every query program and a seeded fuzz-corpus slice under the default and
+the all-off one, and the results compared byte-for-byte -- including
+stall reports from a deliberately stripped database, at -O0 and -O1.
 """
 
 import json
 import random
-from contextlib import contextmanager
 
 import pytest
 
-from repro.analysis import absint
 from repro.bedrock2.c_printer import print_c_function
-from repro.core import engine as engine_mod
-from repro.core import lemma as lemma_mod
+from repro.config import engine_config
 from repro.core.engine import Engine
 from repro.core.goals import CompileError
 from repro.core.solver import SolverBank
 from repro.programs import all_programs
 from repro.query.programs import all_query_programs
 from repro.resilience.generator import generate_case
-from repro.source import terms as t
 from repro.stdlib import default_databases, default_engine
 
 # The acceptance bar: >= 100 seeded fuzz cases through both paths.
 FUZZ_CASES = 120
 OPTIMIZED_FUZZ_CASES = 12
 
-
-@contextmanager
-def fast_path(enabled: bool):
-    """Force all four fast-path layers on or off, restoring on exit.
-
-    The absint fact-range cache rides along: like the other three, it is
-    a pure speed layer whose kill switch (``--no-absint``) must leave
-    every compiled artifact byte-identical.
-    """
-    prev_index = lemma_mod.set_index_enabled(enabled)
-    prev_memo = engine_mod.set_memo_enabled(enabled)
-    prev_intern = t.set_interning(enabled)
-    prev_absint = absint.absint_enabled()
-    absint.set_absint_enabled(enabled)
-    try:
-        yield
-    finally:
-        lemma_mod.set_index_enabled(prev_index)
-        engine_mod.set_memo_enabled(prev_memo)
-        t.set_interning(prev_intern)
-        absint.set_absint_enabled(prev_absint)
+# The reference configurations compared against the default (both
+# layers on); with it, these cover every EngineConfig.
+ALL_OFF = {"fast_search": False, "range_cache": False}
+REFERENCE_CONFIGS = (
+    ALL_OFF,
+    {"fast_search": False},
+    {"range_cache": False},
+)
 
 
 def snapshot(model, spec, opt_level=0, input_gen=None):
-    """Compile under the *current* mode; return the observable bytes."""
-    # Engines snapshot the mode flags at construction, so a fresh engine
-    # per snapshot is what makes the fast_path() context effective.
+    """Compile under the *current* config; return the observable bytes."""
+    # Engines snapshot the config at construction, so a fresh engine per
+    # snapshot is what makes the engine_config() block effective.
     random.seed(0)  # optimizer validation draws from the global rng
     compiled = default_engine().compile_function(model, spec)
     if opt_level:
@@ -71,9 +55,8 @@ def snapshot(model, spec, opt_level=0, input_gen=None):
 
 
 def both_paths(model, spec, opt_level=0, input_gen=None):
-    with fast_path(True):
-        fast = snapshot(model, spec, opt_level, input_gen)
-    with fast_path(False):
+    fast = snapshot(model, spec, opt_level, input_gen)
+    with engine_config(**ALL_OFF):
         slow = snapshot(model, spec, opt_level, input_gen)
     return fast, slow
 
@@ -81,13 +64,17 @@ def both_paths(model, spec, opt_level=0, input_gen=None):
 @pytest.mark.parametrize("opt_level", [0, 1])
 @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.name)
 def test_registry_program_byte_identical(program, opt_level):
-    fast, slow = both_paths(
+    """Default vs every reference config: all off, and each layer alone."""
+    args = (
         program.build_model(),
         program.build_spec(),
         opt_level,
         program.validation_input_gen(),
     )
-    assert fast == slow
+    fast = snapshot(*args)
+    for changes in REFERENCE_CONFIGS:
+        with engine_config(**changes):
+            assert snapshot(*args) == fast, changes
 
 
 @pytest.mark.parametrize("opt_level", [0, 1])
@@ -116,9 +103,8 @@ def test_fuzz_corpus_byte_identical():
     compared = 0
     for index in range(FUZZ_CASES):
         case = generate_case(random.Random(1000 + index), index)
-        with fast_path(True):
-            fast = _outcome(case.model, case.spec)
-        with fast_path(False):
+        fast = _outcome(case.model, case.spec)
+        with engine_config(**ALL_OFF):
             slow = _outcome(case.model, case.spec)
         compared += 1
         if fast != slow:
@@ -132,9 +118,8 @@ def test_fuzz_slice_optimized_byte_identical():
     compared = 0
     for index in range(OPTIMIZED_FUZZ_CASES):
         case = generate_case(random.Random(2000 + index), index)
-        with fast_path(True):
-            fast = _outcome(case.model, case.spec, 1, case.input_gen)
-        with fast_path(False):
+        fast = _outcome(case.model, case.spec, 1, case.input_gen)
+        with engine_config(**ALL_OFF):
             slow = _outcome(case.model, case.spec, 1, case.input_gen)
         compared += 1
         assert fast == slow, case.name
@@ -164,7 +149,7 @@ def test_stripped_db_stall_reports_byte_identical():
             continue
         reports = {}
         for enabled in (True, False):
-            with fast_path(enabled):
+            with engine_config(fast_search=enabled, range_cache=enabled):
                 with pytest.raises(CompileError) as exc:
                     _stripped_engine().compile_function(case.model, case.spec)
                 reports[enabled] = json.dumps(

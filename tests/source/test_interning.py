@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import engine_config
 from repro.source import terms as t
 from repro.source.types import BOOL, NAT, WORD
 
@@ -79,57 +80,40 @@ def strict_eq(a, b) -> bool:
 
 @pytest.fixture
 def interning_on():
-    previous = t.set_interning(True)
-    yield
-    t.set_interning(previous)
-
-
-@pytest.fixture
-def interning_off():
-    previous = t.set_interning(False)
-    yield
-    t.set_interning(previous)
+    with engine_config(fast_search=True):
+        yield
 
 
 @settings(max_examples=80, deadline=None)
 @given(_blueprint)
 def test_same_blueprint_interns_to_one_object(bp):
-    previous = t.set_interning(True)
-    try:
+    with engine_config(fast_search=True):
         assert build(bp) is build(bp)
-    finally:
-        t.set_interning(previous)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_blueprint, _blueprint)
 def test_interned_identity_iff_strictly_structurally_equal(bp1, bp2):
-    previous = t.set_interning(True)
-    try:
+    with engine_config(fast_search=True):
         a, b = build(bp1), build(bp2)
         assert (a is b) == strict_eq(bp1, bp2)
         # Python-level == stays exactly the dataclass structural equality
         # (which conflates True/1 -- pre-existing semantics, unchanged).
         if a is b:
             assert a == b and hash(a) == hash(b)
-    finally:
-        t.set_interning(previous)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_blueprint)
 def test_interned_and_plain_twins_agree(bp):
     """repr, ==, and hash are identical with interning on and off."""
-    previous = t.set_interning(True)
-    try:
+    with engine_config(fast_search=True):
         interned = build(bp)
-        t.set_interning(False)
+    with engine_config(fast_search=False):
         plain = build(bp)
-        assert interned == plain and plain == interned
-        assert hash(interned) == hash(plain)
-        assert repr(interned) == repr(plain)
-    finally:
-        t.set_interning(previous)
+    assert interned == plain and plain == interned
+    assert hash(interned) == hash(plain)
+    assert repr(interned) == repr(plain)
 
 
 def test_bool_and_int_literals_stay_distinct(interning_on):
@@ -183,11 +167,8 @@ def _all_compile_keys():
 
 def test_compile_keys_identical_with_interning_off():
     with_intern = _all_compile_keys()
-    previous = t.set_interning(False)
-    try:
+    with engine_config(fast_search=False):
         without_intern = _all_compile_keys()
-    finally:
-        t.set_interning(previous)
     assert with_intern == without_intern
 
 
@@ -208,11 +189,8 @@ def test_source_fingerprint_identical_both_modes():
 
     models = [p.build_model() for p in all_programs()]
     fast = [source_fingerprint(m) for m in models]
-    previous = t.set_interning(False)
-    try:
+    with engine_config(fast_search=False):
         slow = [source_fingerprint(m) for m in models]
-    finally:
-        t.set_interning(previous)
     assert fast == slow
 
 
