@@ -1,12 +1,14 @@
 """Repo-level pytest configuration.
 
-Adds the ``--update-goldens`` flag used by ``tests/obs``: when a trace
-schema change is intentional, rerun the golden-trace suite with
+Adds the ``--update-goldens`` flag used by the golden suites in
+``tests/obs`` (traces), ``tests/analysis`` (lint output) and
+``tests/resilience`` (campaign reports): when a change is intentional,
+rerun the suite with, e.g.
 
     PYTHONPATH=src python -m pytest tests/obs --update-goldens
 
-to regenerate ``tests/obs/goldens/*.trace.jsonl`` in place, then commit
-the diff alongside the change that caused it.
+to regenerate its ``goldens/`` files in place, then commit the diff
+alongside the change that caused it.
 """
 
 
@@ -15,5 +17,5 @@ def pytest_addoption(parser):
         "--update-goldens",
         action="store_true",
         default=False,
-        help="rewrite tests/obs/goldens/*.trace.jsonl instead of comparing",
+        help="rewrite the golden files under tests/*/goldens instead of comparing",
     )

@@ -387,7 +387,7 @@ def cmd_serve(args) -> int:
                 supervisor.start()
             if args.socket:
                 print(f"// serving on {args.socket}", file=sys.stderr)
-                service.serve_socket(args.socket, concurrency=args.concurrency)
+                service.serve_socket(args.socket)
             else:
                 service.serve_stdio()
         finally:
@@ -762,10 +762,6 @@ def main(argv=None) -> int:
         "--degrade-after", type=int, default=3,
         help="consecutive compile failures before the unverified "
         "interpreter fallback",
-    )
-    p.add_argument(
-        "--concurrency", type=int, default=1,
-        help="socket connections served concurrently (supervised mode)",
     )
     p.add_argument("--trace", metavar="FILE", help=trace_help)
     p = sub.add_parser(

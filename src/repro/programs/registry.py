@@ -16,36 +16,17 @@ from repro.bedrock2 import ast
 from repro.core.spec import CompiledFunction, FnSpec, Model
 
 
-@dataclass
-class BenchProgram:
-    """One row of Table 2."""
+class MemoizedCompile:
+    """``compile`` for registry entries, shared by both registries.
 
-    name: str
-    description: str
-    build_model: Callable[[], Model]
-    build_spec: Callable[[], FnSpec]
-    reference: Callable  # plain-Python spec-level implementation
-    build_handwritten: Callable[[], ast.Function]  # the "handwritten C" baseline
-    # How the function consumes/produces data, for the runner harnesses:
-    #   "inplace"  -- (ptr, len) in, transformed buffer out
-    #   "hash"     -- (ptr, len) in, scalar out
-    #   "scalar"   -- scalar args in, scalar out
-    calling_style: str = "hash"
-    # Table 2 feature checkmarks.
-    features: Tuple[str, ...] = ()
-    end_to_end: bool = False
-    # Input generator for differential testing / benchmarking.
-    gen_input: Callable[[random.Random, int], bytes] = lambda rng, n: bytes(
-        rng.randrange(256) for _ in range(n)
-    )
-    # Extra scalar arguments (for "scalar" style programs).
-    scalar_args: Tuple[str, ...] = ()
-    # Maximum input length the model's side conditions assume (documented
-    # incidental facts, e.g. ip's carry-fold bound).
-    max_len: Optional[int] = None
+    The host is a dataclass with ``_compiled``/``_optimized`` fields and
+    ``build_model``/``build_spec``/``validation_input_gen``; the builders
+    are looked up on the instance at every call, so a wrapper installed
+    on the instance or its class sees the derivation.
+    """
 
-    _compiled: Optional[CompiledFunction] = field(default=None, repr=False)
-    _optimized: Dict[int, CompiledFunction] = field(default_factory=dict, repr=False)
+    _compiled: Optional[CompiledFunction]
+    _optimized: Dict[int, CompiledFunction]
 
     def compile(self, fresh: bool = False, opt_level: int = 0) -> CompiledFunction:
         """Derive the Bedrock2 implementation (cached).
@@ -75,6 +56,38 @@ class BenchProgram:
                 opt_level, input_gen=self.validation_input_gen()
             )
         return self._optimized[opt_level]
+
+
+@dataclass
+class BenchProgram(MemoizedCompile):
+    """One row of Table 2."""
+
+    name: str
+    description: str
+    build_model: Callable[[], Model]
+    build_spec: Callable[[], FnSpec]
+    reference: Callable  # plain-Python spec-level implementation
+    build_handwritten: Callable[[], ast.Function]  # the "handwritten C" baseline
+    # How the function consumes/produces data, for the runner harnesses:
+    #   "inplace"  -- (ptr, len) in, transformed buffer out
+    #   "hash"     -- (ptr, len) in, scalar out
+    #   "scalar"   -- scalar args in, scalar out
+    calling_style: str = "hash"
+    # Table 2 feature checkmarks.
+    features: Tuple[str, ...] = ()
+    end_to_end: bool = False
+    # Input generator for differential testing / benchmarking.
+    gen_input: Callable[[random.Random, int], bytes] = lambda rng, n: bytes(
+        rng.randrange(256) for _ in range(n)
+    )
+    # Extra scalar arguments (for "scalar" style programs).
+    scalar_args: Tuple[str, ...] = ()
+    # Maximum input length the model's side conditions assume (documented
+    # incidental facts, e.g. ip's carry-fold bound).
+    max_len: Optional[int] = None
+
+    _compiled: Optional[CompiledFunction] = field(default=None, repr=False)
+    _optimized: Dict[int, CompiledFunction] = field(default_factory=dict, repr=False)
 
     def validation_input_gen(self):
         """The input generator differential testing should use, or None.

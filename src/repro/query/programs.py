@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.spec import CompiledFunction, FnSpec, Model
+from repro.programs.registry import MemoizedCompile
 from repro.query import evaluator as qe
 from repro.query import ir
 from repro.query.reify import ReifiedQuery, reify
@@ -27,7 +28,7 @@ TableGen = Callable[[random.Random], Tuple[qe.Tables, int]]
 
 
 @dataclass
-class QueryProgram:
+class QueryProgram(MemoizedCompile):
     """One registered query: a plan plus its test-data distribution."""
 
     name: str
@@ -55,26 +56,6 @@ class QueryProgram:
     def explain(self) -> str:
         lines = [ir.explain(self.plan), f"-- lowering: {self.reified().via}"]
         return "\n".join(lines)
-
-    def compile(self, fresh: bool = False, opt_level: int = 0) -> CompiledFunction:
-        """Derive the Bedrock2 implementation (cached per level)."""
-        from repro.obs.trace import current_tracer
-
-        if self._compiled is None or fresh or current_tracer().enabled:
-            from repro.stdlib import default_engine
-
-            engine = default_engine()
-            self._compiled = engine.compile_function(
-                self.build_model(), self.build_spec()
-            )
-            self._optimized.clear()
-        if opt_level <= 0:
-            return self._compiled
-        if opt_level not in self._optimized:
-            self._optimized[opt_level] = self._compiled.optimize(
-                opt_level, input_gen=self.validation_input_gen()
-            )
-        return self._optimized[opt_level]
 
     def inputs_from_tables(self, tables: qe.Tables, out_len: int) -> Dict[str, list]:
         """Flatten a tables dict into the compiled function's parameters."""

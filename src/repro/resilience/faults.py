@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional
 from repro.bedrock2 import ast as b2
 from repro.core.goals import CompileError
 from repro.core.spec import CompiledFunction, FnSpec, Model
+from repro.opt.rewrite import map_expr
 from repro.resilience.campaign import (
     CRASH,
     DETECTED,
@@ -75,18 +76,6 @@ def rebuild_stmt(stmt: b2.Stmt, transform: Callable[[b2.Stmt], b2.Stmt]) -> b2.S
     return transform(stmt)
 
 
-def rebuild_expr(expr: b2.Expr, transform: Callable[[b2.Expr], b2.Expr]) -> b2.Expr:
-    if isinstance(expr, b2.EOp):
-        expr = b2.EOp(
-            expr.op, rebuild_expr(expr.lhs, transform), rebuild_expr(expr.rhs, transform)
-        )
-    elif isinstance(expr, b2.ELoad):
-        expr = b2.ELoad(expr.size, rebuild_expr(expr.addr, transform))
-    elif isinstance(expr, b2.EInlineTable):
-        expr = b2.EInlineTable(expr.size, expr.data, rebuild_expr(expr.index, transform))
-    return transform(expr)
-
-
 def corrupt_first_literal(stmt: b2.Stmt) -> b2.Stmt:
     """Flip the first integer literal found in the statement tree."""
     state = {"done": False}
@@ -99,12 +88,12 @@ def corrupt_first_literal(stmt: b2.Stmt) -> b2.Stmt:
 
     def on_stmt(node: b2.Stmt) -> b2.Stmt:
         if isinstance(node, b2.SSet):
-            return b2.SSet(node.lhs, rebuild_expr(node.rhs, on_expr))
+            return b2.SSet(node.lhs, map_expr(node.rhs, on_expr))
         if isinstance(node, b2.SStore):
             return b2.SStore(
                 node.size,
-                rebuild_expr(node.addr, on_expr),
-                rebuild_expr(node.value, on_expr),
+                map_expr(node.addr, on_expr),
+                map_expr(node.value, on_expr),
             )
         return node
 
@@ -188,26 +177,14 @@ def _run_trusted_checkers(
     Returns the name of the first checker that rejects, or None if the
     corruption survived all of them (a silent soundness violation).
     """
-    from repro.bedrock2.wellformed import IllFormed, check_function
-    from repro.validation.checker import (
-        CertificateError,
-        check_certificate,
-        replay_derivation,
-    )
+    from repro.validation.checker import first_rejection
     from repro.validation.differential import differential_check
 
-    try:
-        check_function(bad.bedrock_fn)
-    except IllFormed as exc:
-        return f"wellformed: {exc}"
-    try:
-        check_certificate(bad.certificate, statement_count=bad.statement_count())
-    except CertificateError as exc:
-        return f"certificate: {exc}"
-    try:
-        replay_derivation(bad, width=width)
-    except (CertificateError, CompileError) as exc:
-        return f"replay: {type(exc).__name__}"
+    rejection = first_rejection(
+        bad.bedrock_fn, bad.certificate, replay=bad, width=width
+    )
+    if rejection is not None:
+        return rejection.reason
     report = differential_check(
         bad,
         trials=10,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.goals import CompileError, ResourceExhausted
 from repro.resilience.budget import Budget
@@ -103,36 +103,6 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _concrete_inputs(case: FuzzCase, rng: random.Random, count: int):
-    return [case.input_gen(rng) for _ in range(count)]
-
-
-def _riscv_agrees(case: FuzzCase, compiled, params, width: int) -> Optional[str]:
-    """Run one input through RISC-V and the model; return a mismatch or None."""
-    from repro.core.spec import OutKind
-    from repro.validation.runners import eval_model, run_function_riscv
-
-    run = run_function_riscv(compiled.bedrock_fn, case.spec, params, width=width)
-    model_result = eval_model(case.model, case.spec, params, width=width)
-    mask = (1 << width) - 1
-    ret_index = 0
-    for output, want in zip(case.spec.outputs, model_result.outputs):
-        if output.kind is OutKind.SCALAR:
-            got = run.rets[ret_index]
-            ret_index += 1
-            want_int = int(want) & mask
-            if got != want_int:
-                return f"riscv returned {got}, model says {want_int}"
-        elif output.kind is OutKind.ARRAY:
-            got_mem = run.out_memory.get(output.param)
-            if got_mem != want:
-                return (
-                    f"riscv memory of {output.param!r} is {got_mem!r}, "
-                    f"model says {want!r}"
-                )
-    return None
-
-
 def _fuzz_one(
     case: FuzzCase,
     case_seed: int,
@@ -151,11 +121,15 @@ def _fuzz_one(
     ``violation:<stage>`` -- also recorded as ``fuzz_outcome`` trace
     events by the caller.
     """
-    from repro.bedrock2.wellformed import IllFormed, check_function
     from repro.core.engine import Engine
-    from repro.validation.checker import CertificateError, check_certificate
-    from repro.validation.differential import differential_check
+    from repro.validation.checker import first_rejection
+    from repro.validation.differential import (
+        ValidationReport,
+        compare_observables,
+        differential_check,
+    )
     from repro.validation.passcheck import optimize_compiled
+    from repro.validation.runners import eval_model, run_function_riscv
 
     # Stage 1: compile under a budget -- never a hang.
     engine = Engine(
@@ -182,22 +156,14 @@ def _fuzz_one(
     report.compiled += 1
 
     # Stage 2 + 3: trusted structural checks.
-    try:
-        check_function(compiled.bedrock_fn)
-    except IllFormed as exc:
+    rejection = first_rejection(compiled.bedrock_fn, compiled.certificate)
+    if rejection is not None:
         report.violations.append(
-            FuzzFinding(case.name, case.family, "wellformed", "soundness", str(exc))
+            FuzzFinding(
+                case.name, case.family, rejection.stage, "soundness", rejection.detail
+            )
         )
-        return "violation:wellformed"
-    try:
-        check_certificate(
-            compiled.certificate, statement_count=compiled.statement_count()
-        )
-    except CertificateError as exc:
-        report.violations.append(
-            FuzzFinding(case.name, case.family, "certificate", "soundness", str(exc))
-        )
-        return "violation:certificate"
+        return f"violation:{rejection.stage}"
 
     # Stage 4: differential validation of the raw derivation.
     try:
@@ -259,19 +225,29 @@ def _fuzz_one(
         )
         return "violation:optimize"
 
-    # Stage 6: the RISC-V backend on concrete inputs.
+    # Stage 6: the RISC-V backend on concrete inputs, held to every
+    # observable the spec declares, exactly as the differential stages.
     rv_rng = random.Random(case_seed ^ 0x815C)
-    for params in _concrete_inputs(case, rv_rng, riscv_trials):
+    for _ in range(riscv_trials):
+        params = case.input_gen(rv_rng)
         try:
-            mismatch = _riscv_agrees(case, optimized, params, width)
+            run = run_function_riscv(
+                optimized.bedrock_fn, case.spec, params, width=width
+            )
+            model_result = eval_model(case.model, case.spec, params, width=width)
         except Exception as exc:  # noqa: BLE001
             report.crashes.append(
                 FuzzFinding(case.name, case.family, "riscv", "crash", repr(exc))
             )
             return "crash:riscv"
-        if mismatch is not None:
+        check = ValidationReport(function_name=case.name)
+        compare_observables(check, params, case.spec, run, model_result, width)
+        if not check.ok:
             report.violations.append(
-                FuzzFinding(case.name, case.family, "riscv", "soundness", mismatch)
+                FuzzFinding(
+                    case.name, case.family, "riscv", "soundness",
+                    str(check.failures[0]),
+                )
             )
             return "violation:riscv"
     return "ok"

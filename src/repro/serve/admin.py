@@ -121,19 +121,10 @@ def _check_entry(cache: CompilationCache, key: str, path: str) -> Optional[str]:
         fn, certificate, _opt_report = cache._decode_entry(key, raw)
     except CacheRejected as rejection:
         return rejection.reason
-    from repro.bedrock2 import ast
-    from repro.bedrock2.wellformed import IllFormed, check_function
-    from repro.validation.checker import CertificateError, check_certificate
+    from repro.validation.checker import first_rejection
 
-    try:
-        check_function(fn)
-    except IllFormed as exc:
-        return f"wellformed: {exc}"
-    try:
-        check_certificate(certificate, statement_count=ast.statement_count(fn.body))
-    except CertificateError as exc:
-        return f"certificate: {exc}"
-    return None
+    rejection = first_rejection(fn, certificate)
+    return None if rejection is None else rejection.reason
 
 
 def verify_cache(root: str, quarantine: bool = False) -> SweepReport:

@@ -299,33 +299,18 @@ class CompilationCache:
         callers via ``repro.validation.checker.validate``, exactly as
         for freshly compiled bundles.)
         """
-        from repro.bedrock2 import ast
-        from repro.bedrock2.wellformed import IllFormed, check_function
-        from repro.validation.checker import CertificateError, check_certificate
+        from repro.validation.checker import first_rejection
 
         if fn.name != spec.fname:
             raise CacheRejected(
                 f"entry is for function {fn.name!r}, request is {spec.fname!r}"
             )
-        try:
-            check_function(fn)
-        except IllFormed as exc:
-            raise CacheRejected(f"wellformed: {exc}") from None
-        try:
-            check_certificate(
-                certificate, statement_count=ast.statement_count(fn.body)
-            )
-        except CertificateError as exc:
-            raise CacheRejected(f"certificate: {exc}") from None
-        # Dataflow lint (repro.analysis): a tampered or stale entry whose
-        # code is well-formed can still deref dead stack memory or write
-        # outside the spec's footprint; error-severity findings reject.
-        from repro.analysis.dataflow import lint_function
-        from repro.analysis.diagnostics import errors
-
-        found = errors(lint_function(fn, spec=spec))
-        if found:
-            raise CacheRejected("lint: " + "; ".join(d.render() for d in found))
+        # Dataflow lint (repro.analysis) closes the chain: a tampered or
+        # stale entry whose code is well-formed can still deref dead stack
+        # memory or write outside the spec's footprint.
+        rejection = first_rejection(fn, certificate, spec=spec, lint=True)
+        if rejection is not None:
+            raise CacheRejected(rejection.reason)
 
     def lookup(
         self, key: str, model: Model, spec: FnSpec

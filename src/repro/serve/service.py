@@ -67,6 +67,8 @@ class CompileService:
     ``test_fail`` (a canned deterministic failure).
     """
 
+    concurrent_connections = False  # see serve_socket
+
     def __init__(self, cache_dir: Optional[str] = None, allow_test_ops: bool = False):
         self.cache = CompilationCache(cache_dir) if cache_dir is not None else None
         self.requests = 0
@@ -318,16 +320,16 @@ class CompileService:
     def serve_stdio(self) -> None:
         self.serve_stream(sys.stdin, sys.stdout)
 
-    def serve_socket(self, path: str, concurrency: int = 1) -> None:
+    def serve_socket(self, path: str) -> None:
         """Listen on a Unix domain socket.
 
-        ``concurrency=1`` (the default) accepts one connection at a
-        time, which keeps the plain cache-backed service trivially
-        race-free.  ``concurrency > 1`` serves each connection on its
-        own thread -- meant for the supervised front end
-        (:class:`repro.serve.supervisor.SupervisedService`), whose
-        dispatch is thread-safe and whose admission queue is the actual
-        concurrency limiter.
+        The plain service serves one connection at a time: each request
+        opens a span on the process tracer's single span stack, which
+        concurrent handlers would interleave.  The supervised front end
+        (:class:`repro.serve.supervisor.SupervisedService`) sets
+        :attr:`concurrent_connections` and serves each connection on its
+        own thread; its dispatch is thread-safe and its admission queue
+        is the concurrency limiter.
         """
         import os
         import socket
@@ -338,11 +340,10 @@ class CompileService:
         threads = []
         try:
             server.bind(path)
-            server.listen(max(1, concurrency))
-            if concurrency > 1:
-                # Shutdown arrives on a *connection* thread while this
-                # loop blocks in accept(); wake periodically to notice.
-                server.settimeout(0.2)
+            server.listen()
+            # Shutdown may arrive on a *connection* thread while this loop
+            # blocks in accept(); wake periodically to notice.
+            server.settimeout(0.2)
             while self.running:
                 try:
                     conn, _ = server.accept()
@@ -353,18 +354,14 @@ class CompileService:
                 except OSError:
                     break
                 conn.settimeout(None)
-                if concurrency <= 1:
-                    with conn:
-                        reader = conn.makefile("r", encoding="utf-8")
-                        writer = conn.makefile("w", encoding="utf-8")
-                        self.serve_stream(reader, writer)
-                else:
-                    thread = threading.Thread(
-                        target=self._serve_connection, args=(conn,), daemon=True
-                    )
-                    thread.start()
-                    threads.append(thread)
-                    threads = [t for t in threads if t.is_alive()]
+                if not self.concurrent_connections:
+                    self._serve_connection(conn)
+                    continue
+                thread = threading.Thread(
+                    target=self._serve_connection, args=(conn,), daemon=True
+                )
+                thread.start()
+                threads = [t for t in threads if t.is_alive()] + [thread]
         except _DrainRequested:
             pass
         finally:

@@ -658,8 +658,12 @@ class SupervisedService(CompileService):
     drain) but dispatches every tenant op through the pool.  ``stats``
     and ``shutdown`` are front-end ops: stats reports the supervisor's
     counters and worker states, shutdown stops the accept loop (the
-    pool itself is stopped by whoever owns the supervisor).
+    pool itself is stopped by whoever owns the supervisor).  Each
+    socket connection is served on its own thread, so every worker can
+    be busy; the supervisor's admission queue bounds the load.
     """
+
+    concurrent_connections = True
 
     def __init__(self, supervisor: Supervisor):
         super().__init__(cache_dir=None)

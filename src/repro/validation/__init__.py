@@ -8,8 +8,8 @@ that architecture with three layers of checking, all driven by the same
 
 1. **Certificate checking** (:mod:`repro.validation.checker`): the
    derivation tree is replayed structurally -- every node names a
-   registered lemma, the tree is well formed, and recorded ground side
-   conditions re-evaluate to true.
+   registered lemma and the tree is well formed; ``first_rejection``
+   is the one chain (wellformed, certificate, replay, lint) callers run.
 2. **Spec-driven execution** (:mod:`repro.validation.runners`): compiled
    Bedrock2 code is run under the memory layout the spec declares;
    out-of-footprint accesses are hard errors (the memory model rejects

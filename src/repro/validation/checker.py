@@ -13,18 +13,22 @@ validated without a proof kernel:
 - together with :func:`repro.validation.differential.differential_check`,
   which supplies the semantic half.
 
-``validate`` bundles both halves; it is what the test suite and the
-benchmark harness call before trusting any compiled function.
+``first_rejection`` is the one trusted chain (wellformed -> certificate
+-> replay -> lint) every consumer of a derivation runs; ``validate``
+adds the differential half and is what the test suite and the benchmark
+harness call before trusting any compiled function.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Set
 
+from repro.bedrock2 import ast
 from repro.core.certificate import Certificate, CertNode
 from repro.core.lemma import HintDb
-from repro.core.spec import CompiledFunction
+from repro.core.spec import CompiledFunction, FnSpec
 
 
 class CertificateError(Exception):
@@ -115,6 +119,76 @@ def replay_derivation(
         )
 
 
+@dataclass(frozen=True)
+class Rejection:
+    """The first trusted check an artifact failed, and why."""
+
+    stage: str  # "wellformed" | "certificate" | "replay" | "lint"
+    detail: str
+    error: Optional[Exception] = None  # what the check raised (None for lint)
+
+    @property
+    def reason(self) -> str:
+        return f"{self.stage}: {self.detail}"
+
+
+def first_rejection(
+    fn: ast.Function,
+    certificate: Certificate,
+    *,
+    spec: Optional[FnSpec] = None,
+    replay: Optional[CompiledFunction] = None,
+    lint: bool = False,
+    databases: Optional[Iterable[HintDb]] = None,
+    width: int = 64,
+    on_pass: Optional[Callable[[str], None]] = None,
+) -> Optional[Rejection]:
+    """Run the trusted chain over an artifact; the first failure or ``None``.
+
+    The chain is wellformed -> certificate -> replay (when ``replay``
+    names the bundle to re-derive) -> lint (when ``lint``; error-severity
+    dataflow findings against ``spec``).  Every caller that trusts a
+    derivation -- :func:`validate`, the cache's load path, ``repro cache
+    verify``, the fuzzer and the fault campaign -- goes through here, so
+    they agree on which checks run and how a failure is named.
+    ``on_pass(stage)`` is called as each stage passes.  The checkers are
+    looked up on their modules at call time.
+    """
+    from repro.bedrock2 import wellformed
+    from repro.core.goals import CompileError
+
+    passed = on_pass or (lambda stage: None)
+    try:
+        wellformed.check_function(fn)
+    except wellformed.IllFormed as exc:
+        return Rejection("wellformed", str(exc), exc)
+    passed("wellformed")
+    try:
+        check_certificate(
+            certificate,
+            databases=databases,
+            statement_count=ast.statement_count(fn.body),
+        )
+    except CertificateError as exc:
+        return Rejection("certificate", str(exc), exc)
+    passed("certificate")
+    if replay is not None:
+        try:
+            replay_derivation(replay, databases=databases, width=width)
+        except (CertificateError, CompileError) as exc:
+            return Rejection("replay", type(exc).__name__, exc)
+        passed("replay")
+    if lint:
+        from repro.analysis import dataflow
+        from repro.analysis.diagnostics import errors
+
+        found = errors(dataflow.lint_function(fn, spec=spec))
+        if found:
+            return Rejection("lint", "; ".join(d.render() for d in found))
+        passed("lint")
+    return None
+
+
 def validate(
     compiled: CompiledFunction,
     trials: int = 30,
@@ -127,36 +201,30 @@ def validate(
     """Full validation: certificate structure + differential semantics.
 
     With ``replay=True``, additionally re-derives the function and
-    requires bit-identical output (determinism replay).
+    requires bit-identical output (determinism replay).  A failed check
+    raises the exception that check raised.
     """
-    from repro.bedrock2.wellformed import check_function
     from repro.obs.trace import NULL_SPAN, current_tracer
     from repro.validation.differential import differential_check
 
     tracer = current_tracer()
     trace = tracer.enabled
     span = tracer.span("validate", name=compiled.name) if trace else NULL_SPAN
+
+    def verdict(stage: str) -> None:
+        tracer.event("verdict", check=stage, ok=True, function=compiled.name)
+
     with span:
-        check_function(compiled.bedrock_fn)
-        if trace:
-            tracer.event(
-                "verdict", check="wellformed", ok=True, function=compiled.name
-            )
-        check_certificate(
+        rejection = first_rejection(
+            compiled.bedrock_fn,
             compiled.certificate,
+            replay=compiled if replay else None,
             databases=databases,
-            statement_count=compiled.statement_count(),
+            width=width,
+            on_pass=verdict if trace else None,
         )
-        if trace:
-            tracer.event(
-                "verdict", check="certificate", ok=True, function=compiled.name
-            )
-        if replay:
-            replay_derivation(compiled, databases=databases, width=width)
-            if trace:
-                tracer.event(
-                    "verdict", check="replay", ok=True, function=compiled.name
-                )
+        if rejection is not None:
+            raise rejection.error
         return differential_check(
             compiled, trials=trials, rng=rng, width=width, **kwargs
         ).raise_on_failure()

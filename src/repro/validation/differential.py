@@ -119,7 +119,7 @@ def differential_check(
             )
             continue
 
-        _compare(report, params, spec, run, model_result, width)
+        compare_observables(report, params, spec, run, model_result, width)
     tracer = current_tracer()
     if tracer.enabled:
         tracer.event(
@@ -137,7 +137,11 @@ def differential_check(
     return report
 
 
-def _compare(report, params, spec, run, model_result, width: int) -> None:
+def compare_observables(report, params, spec, run, model_result, width: int) -> None:
+    """Record in ``report`` every declared observable where ``run`` (a
+    :class:`~repro.validation.runners.RunResult` from either backend)
+    disagrees with ``model_result``: returns and error flags, output
+    buffers and cells, untouched read-only inputs, and the I/O trace."""
     mask = (1 << width) - 1
     ret_index = 0
     for output, model_value in zip(spec.outputs, model_result.outputs):

@@ -59,6 +59,44 @@ def _decode_composite(data: bytes, ty: SourceType, width: int):
     return values
 
 
+_Pointers = Dict[str, Tuple[int, int, SourceType]]
+
+
+def _place_args(
+    spec: FnSpec, param_values: Dict[str, object], memory: Memory, width: int
+) -> Tuple[List[int], _Pointers]:
+    """Lay the spec's arguments out in ``memory``: the argument values in
+    order (masked to ``width``) and each pointer's (base, bytes, type)."""
+    mask = (1 << width) - 1
+    args: List[int] = []
+    pointers: _Pointers = {}
+    for arg in spec.args:
+        value = param_values[arg.param]
+        if arg.kind is ArgKind.POINTER:
+            encoded = _encode_composite(value, arg.ty, width)
+            base = (
+                memory.place_bytes(encoded, label=arg.name)
+                if encoded
+                else memory.allocate(0, label=arg.name)
+            )
+            pointers[arg.param] = (base, len(encoded), arg.ty)
+            args.append(base)
+        elif arg.kind is ArgKind.LENGTH:
+            args.append(len(value))  # type: ignore[arg-type]
+        else:
+            scalar = value.value if isinstance(value, CellV) else value
+            args.append(int(scalar) & mask)  # type: ignore[call-overload]
+    return args, pointers
+
+
+def _read_back(memory: Memory, pointers: _Pointers, width: int) -> Dict[str, List[int]]:
+    """The final contents of every pointer argument, decoded by type."""
+    return {
+        param: _decode_composite(memory.load_bytes(base, nbytes), ty, width)
+        for param, (base, nbytes, ty) in pointers.items()
+    }
+
+
 def run_function(
     fn: ast.Function,
     spec: FnSpec,
@@ -81,27 +119,8 @@ def run_function(
     reference tree-walker, so it sees every statement.
     """
     memory = Memory(width)
-    arg_words: List[Word] = []
-    pointer_bases: Dict[str, Tuple[int, int, SourceType]] = {}
-
-    for arg in spec.args:
-        value = param_values[arg.param]
-        if arg.kind is ArgKind.POINTER:
-            encoded = _encode_composite(value, arg.ty, width)
-            base = (
-                memory.place_bytes(encoded, label=arg.name)
-                if encoded
-                else memory.allocate(0, label=arg.name)
-            )
-            pointer_bases[arg.param] = (base, len(encoded), arg.ty)
-            arg_words.append(Word(width, base))
-        elif arg.kind is ArgKind.LENGTH:
-            arg_words.append(Word(width, len(value)))  # type: ignore[arg-type]
-        else:
-            scalar = value.value if isinstance(value, CellV) else value
-            if isinstance(scalar, bool):
-                scalar = int(scalar)
-            arg_words.append(Word(width, int(scalar)))  # type: ignore[arg-type]
+    args, pointers = _place_args(spec, param_values, memory, width)
+    arg_words = [Word(width, value) for value in args]
 
     reads = io_input if io_input is not None else iter(())
 
@@ -125,14 +144,9 @@ def run_function(
     )
     state = MachineState(memory=memory)
     rets = interp.call_function(fn.name, arg_words, state, fuel)
-
-    out_memory: Dict[str, List[int]] = {}
-    for param, (base, nbytes, ty) in pointer_bases.items():
-        decoded = _decode_composite(memory.load_bytes(base, nbytes), ty, width)
-        out_memory[param] = decoded
     return RunResult(
         rets=[r.unsigned for r in rets],
-        out_memory=out_memory,
+        out_memory=_read_back(memory, pointers, width),
         trace=list(state.trace),
         counts=interp.counts,
     )
@@ -148,10 +162,10 @@ def run_function_riscv(
 ) -> RunResult:
     """Run ``fn`` through the RISC-V backend under the same ABI layout.
 
-    Mirrors :func:`run_function` exactly -- same little-endian composite
-    encoding, same argument order -- but executes the compiled RV64IM
-    code on the simulator instead of interpreting the Bedrock2 AST, so
-    the fuzzer can close the loop at the machine-code level.  The RISC-V
+    Shares :func:`run_function`'s argument placement and read-back, but
+    executes the compiled RV64IM code on the simulator instead of
+    interpreting the Bedrock2 AST, so the fuzzer can close the loop at
+    the machine-code level.  The RISC-V
     ABI returns at most two scalar values (``a0``/``a1``); functions with
     more return values are not supported here.
     """
@@ -161,37 +175,13 @@ def run_function_riscv(
     if len(fn.rets) > 2:
         raise ValueError("RISC-V runner supports at most two return values")
     memory = Memory(width)
-    args: List[int] = []
-    pointer_bases: Dict[str, Tuple[int, int, SourceType]] = {}
-    for arg in spec.args:
-        value = param_values[arg.param]
-        if arg.kind is ArgKind.POINTER:
-            encoded = _encode_composite(value, arg.ty, width)
-            base = (
-                memory.place_bytes(encoded, label=arg.name)
-                if encoded
-                else memory.allocate(0, label=arg.name)
-            )
-            pointer_bases[arg.param] = (base, len(encoded), arg.ty)
-            args.append(base)
-        elif arg.kind is ArgKind.LENGTH:
-            args.append(len(value))  # type: ignore[arg-type]
-        else:
-            scalar = value.value if isinstance(value, CellV) else value
-            if isinstance(scalar, bool):
-                scalar = int(scalar)
-            args.append(int(scalar) & ((1 << width) - 1))
-
+    args, pointers = _place_args(spec, param_values, memory, width)
     compiled = program or rv_compile(fn)
     machine = Machine(compiled, memory)
     rets = machine.run_function(fn.name, args, max_instructions=max_instructions)
-
-    out_memory: Dict[str, List[int]] = {}
-    for param, (base, nbytes, ty) in pointer_bases.items():
-        out_memory[param] = _decode_composite(memory.load_bytes(base, nbytes), ty, width)
     return RunResult(
         rets=list(rets[: len(fn.rets)]),
-        out_memory=out_memory,
+        out_memory=_read_back(memory, pointers, width),
         trace=[],
         counts=OpCounts(),
     )

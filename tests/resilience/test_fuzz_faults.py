@@ -70,6 +70,34 @@ class TestFuzzCampaign:
         assert report.stalls.get("resource-exhausted", 0) == 6
 
 
+    def test_riscv_stage_compares_every_observable(self, monkeypatch):
+        """A RISC-V run that clobbers a read-only input is a violation,
+        though its return value is right: the RISC-V stage holds the
+        target to the same observables as the differential stages."""
+        from dataclasses import replace
+
+        from repro.resilience.fuzzer import DEFAULT_FUEL, FuzzReport, _fuzz_one
+        from repro.resilience.generator import _gen_byte_fold
+        from repro.stdlib import default_databases
+        from repro.validation import runners
+
+        honest = runners.run_function_riscv
+
+        def clobbering(fn, spec, params, **kwargs):
+            run = honest(fn, spec, params, **kwargs)
+            return replace(run, out_memory={"s": [0xEE] * (len(params["s"]) + 1)})
+
+        monkeypatch.setattr(runners, "run_function_riscv", clobbering)
+        case = _gen_byte_fold(random.Random(0), "t_fold")
+        report = FuzzReport(seed=0, budget=1)
+        outcome = _fuzz_one(
+            case, 0, report, *default_databases(), width=64, trials=2,
+            fuel=DEFAULT_FUEL, deadline=20.0, riscv_trials=1,
+        )
+        assert outcome == "violation:riscv"
+        assert "read-only input 's' was modified" in report.violations[0].detail
+
+
 class TestFaultCampaign:
     def test_all_points_covered(self):
         assert len(INJECTION_POINTS) >= 8

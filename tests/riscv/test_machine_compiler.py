@@ -253,6 +253,27 @@ def test_suite_through_riscv(program):
                 assert rets[0] == want
 
 
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.name)
+def test_spec_runners_agree(program, opt_level):
+    """``run_function`` and ``run_function_riscv`` lay the spec's arguments
+    out the same way: on seeded inputs both backends return the same
+    values and leave the same pointed-to memory."""
+    from repro.validation.runners import make_inputs, run_function, run_function_riscv
+
+    compiled = program.compile(opt_level=opt_level)
+    rv_program = compile_function(compiled.bedrock_fn)
+    gen = program.validation_input_gen()
+    rng = random.Random(23)
+    for _ in range(4):
+        params = gen(rng) if gen is not None else make_inputs(compiled.model, rng)
+        want = run_function(compiled.bedrock_fn, compiled.spec, params)
+        got = run_function_riscv(
+            compiled.bedrock_fn, compiled.spec, params, program=rv_program
+        )
+        assert (got.rets, got.out_memory) == (want.rets, want.out_memory)
+
+
 class TestBinaryExecution:
     """The full binary path: encode into memory, fetch, decode, execute."""
 

@@ -160,46 +160,95 @@ def test_sigint_while_idle_drains_too(tmp_path):
     assert "drained" in out + err
 
 
-def test_socket_transport_serves_concurrent_connections(tmp_path):
-    """The Unix-socket transport at ``concurrency > 1``: two clients
-    connected at once both get served, and shutdown stops the listener."""
-    import socket
+def _serving(service, path):
+    """Start ``service.serve_socket(path)`` on a thread; wait for the socket."""
     import threading
 
-    path = str(tmp_path / "serve.sock")
-    service = CompileService(allow_test_ops=True)
     server = threading.Thread(
-        target=service.serve_socket, args=(path,), kwargs={"concurrency": 2}
+        target=service.serve_socket, args=(path,), daemon=True
     )
     server.start()
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server
+
+
+def _connect(path, timeout=10.0):
+    import socket
+
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(timeout)
+    client.connect(path)
+    return client
+
+
+def _ask(client, request: dict) -> dict:
+    client.sendall((json.dumps(request) + "\n").encode())
+    return json.loads(client.makefile("r", encoding="utf-8").readline())
+
+
+def test_socket_transport_serves_concurrent_connections(tmp_path):
+    """The supervised front end serves each socket connection on its own
+    thread: while one client holds a connection open, two more are
+    served at once by the two workers, and shutdown stops the listener."""
+    import threading
+
+    from repro.serve.supervisor import (
+        SupervisedService,
+        Supervisor,
+        SupervisorConfig,
+    )
+
+    path = str(tmp_path / "serve.sock")
+    config = SupervisorConfig(workers=2, request_timeout=60.0)
+    with Supervisor(config, allow_test_ops=True) as supervisor:
+        server = _serving(SupervisedService(supervisor), path)
+        idle = _connect(path)  # never sends: must not block the others
+        try:
+            results = []
+            lock = threading.Lock()
+
+            def client_thread():
+                with _connect(path) as client:
+                    response = _ask(client, {"op": "test_sleep", "seconds": 0.2})
+                with lock:
+                    results.append(response)
+
+            threads = [threading.Thread(target=client_thread) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert len(results) == 2 and all(r["ok"] for r in results)
+            assert _ask(idle, {"op": "ping"})["ok"]
+            assert _ask(idle, {"op": "shutdown"})["ok"]
+        finally:
+            idle.close()
+            server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert not os.path.exists(path), "the socket file must be cleaned up"
+
+
+def test_plain_socket_transport_serves_one_connection_at_a_time(tmp_path):
+    """The plain service's requests share the process tracer's span
+    stack, so its socket transport serves connections one at a time."""
+    import socket
+
+    import pytest
+
+    path = str(tmp_path / "serve.sock")
+    server = _serving(CompileService(), path)
     try:
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(path) and time.monotonic() < deadline:
-            time.sleep(0.01)
-
-        def ask(request: dict) -> dict:
-            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            client.connect(path)
-            with client:
-                client.sendall((json.dumps(request) + "\n").encode())
-                reader = client.makefile("r", encoding="utf-8")
-                return json.loads(reader.readline())
-
-        results = []
-        lock = threading.Lock()
-
-        def client_thread():
-            response = ask({"op": "ping"})
-            with lock:
-                results.append(response)
-
-        threads = [threading.Thread(target=client_thread) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert len(results) == 2 and all(r["ok"] for r in results)
-        assert ask({"op": "shutdown"})["ok"]
+        with _connect(path) as first, _connect(path, timeout=0.3) as second:
+            assert _ask(first, {"op": "ping"})["ok"]
+            with pytest.raises(socket.timeout):
+                _ask(second, {"op": "ping"})  # queued behind `first`
+            first.close()
+            second.settimeout(10.0)
+            reader = second.makefile("r", encoding="utf-8")
+            assert json.loads(reader.readline())["ok"]
+            assert _ask(second, {"op": "shutdown"})["ok"]
     finally:
         server.join(timeout=10.0)
     assert not server.is_alive()

@@ -12,50 +12,23 @@ import pytest
 
 from repro.bedrock2 import ast as b2
 from repro.core.spec import CompiledFunction
+from repro.opt.rewrite import map_expr
 from repro.programs import get_program
+from repro.resilience.faults import rebuild_stmt
 from repro.validation import differential_check
 
 
-def rebuild_stmt(stmt, transform):
-    """Apply ``transform`` to every statement node, bottom-up."""
-    if isinstance(stmt, b2.SSeq):
-        stmt = b2.SSeq(
-            rebuild_stmt(stmt.first, transform), rebuild_stmt(stmt.second, transform)
-        )
-    elif isinstance(stmt, b2.SCond):
-        stmt = b2.SCond(
-            stmt.cond,
-            rebuild_stmt(stmt.then_, transform),
-            rebuild_stmt(stmt.else_, transform),
-        )
-    elif isinstance(stmt, b2.SWhile):
-        stmt = b2.SWhile(stmt.cond, rebuild_stmt(stmt.body, transform))
-    elif isinstance(stmt, b2.SStackalloc):
-        stmt = b2.SStackalloc(stmt.lhs, stmt.nbytes, rebuild_stmt(stmt.body, transform))
-    return transform(stmt)
-
-
-def rebuild_expr(expr, transform):
-    if isinstance(expr, b2.EOp):
-        expr = b2.EOp(
-            expr.op, rebuild_expr(expr.lhs, transform), rebuild_expr(expr.rhs, transform)
-        )
-    elif isinstance(expr, b2.ELoad):
-        expr = b2.ELoad(expr.size, rebuild_expr(expr.addr, transform))
-    elif isinstance(expr, b2.EInlineTable):
-        expr = b2.EInlineTable(expr.size, expr.data, rebuild_expr(expr.index, transform))
-    return transform(expr)
-
-
 def mutate_exprs_in_stmts(stmt, expr_transform):
+    """Rewrite the expressions of ``SSet``/``SStore`` nodes only."""
+
     def on_stmt(node):
         if isinstance(node, b2.SSet):
-            return b2.SSet(node.lhs, rebuild_expr(node.rhs, expr_transform))
+            return b2.SSet(node.lhs, map_expr(node.rhs, expr_transform))
         if isinstance(node, b2.SStore):
             return b2.SStore(
                 node.size,
-                rebuild_expr(node.addr, expr_transform),
-                rebuild_expr(node.value, expr_transform),
+                map_expr(node.addr, expr_transform),
+                map_expr(node.value, expr_transform),
             )
         return node
 
