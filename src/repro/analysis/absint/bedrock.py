@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.dataflow import CFG, Node
 from repro.analysis.diagnostics import Diagnostic
@@ -309,20 +309,6 @@ def analyze_function(
 # -- The RB3xx lint ----------------------------------------------------------
 
 
-def _node_exprs(stmt: Optional[ast.Stmt]) -> Iterable[ast.Expr]:
-    """The expressions evaluated *at* this node (nested statements have
-    their own CFG nodes)."""
-    if isinstance(stmt, ast.SSet):
-        return (stmt.rhs,)
-    if isinstance(stmt, ast.SStore):
-        return (stmt.addr, stmt.value)
-    if isinstance(stmt, (ast.SCond, ast.SWhile)):
-        return (stmt.cond,)
-    if isinstance(stmt, (ast.SCall, ast.SInteract)):
-        return tuple(stmt.args)
-    return ()
-
-
 def _check_expr(
     expr: ast.Expr,
     env: Env,
@@ -412,7 +398,10 @@ def range_lint(fn: ast.Function, width: int = 64) -> List[Diagnostic]:
         if node.id not in result.cfg.reachable or node.id not in result.env_in:
             continue
         env = result.env_in[node.id]
-        for expr in _node_exprs(node.stmt):
+        if node.stmt is None:
+            continue
+        # Nested statements have their own CFG nodes.
+        for expr in ast.node_exprs(node.stmt):
             _check_expr(expr, env, width, fn.name, node.path, diags)
     return diags
 

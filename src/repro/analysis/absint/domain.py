@@ -118,10 +118,6 @@ def top(width: Optional[int]) -> Range:
     return Range(0, (1 << width) - 1, 1, 0)
 
 
-def is_top(r: Range, width: Optional[int]) -> bool:
-    return r == top(width)
-
-
 def _cong(r: Range):
     """The congruence component, with constants as the exact element.
 

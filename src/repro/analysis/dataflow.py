@@ -140,7 +140,7 @@ class CFG:
         if isinstance(stmt, ast.SSkip):
             return preds
         if isinstance(stmt, ast.SSeq):
-            items = _flatten(stmt)
+            items = ast.flatten(stmt)
             frontier = preds
             for index, item in enumerate(items):
                 frontier = self._build(item, frontier, f"{path}[{index}]", regions)
@@ -351,14 +351,6 @@ class CFG:
                     if succ not in work:
                         work.append(succ)
         return inn
-
-
-def _flatten(stmt: ast.Stmt) -> List[ast.Stmt]:
-    if isinstance(stmt, ast.SSeq):
-        return _flatten(stmt.first) + _flatten(stmt.second)
-    if isinstance(stmt, ast.SSkip):
-        return []
-    return [stmt]
 
 
 # ---------------------------------------------------------------------------

@@ -169,14 +169,6 @@ class CoverageMatrix:
                 matrix.liftability[head] = LIFT_NONE
         return matrix
 
-    def stall_proof_heads(self) -> Set[str]:
-        """Heads for which this matrix *guarantees* no NO_*_LEMMA stall."""
-        return {
-            head
-            for head, level in self.levels.items()
-            if level in (COVER_TOTAL, COVER_ENGINE)
-        }
-
     def uncovered_heads(self) -> List[str]:
         return sorted(h for h, level in self.levels.items() if level == COVER_NONE)
 

@@ -47,7 +47,7 @@ _INFIX_OPS: Dict[str, str] = {
 }
 
 
-def _print_expr(expr: ast.Expr, tables: Dict[int, str]) -> str:
+def _print_expr(expr: ast.Expr, tables: Dict[bytes, str]) -> str:
     if isinstance(expr, ast.ELit):
         if expr.value < 0:
             return f"(uintptr_t)({expr.value}LL)"
@@ -57,7 +57,7 @@ def _print_expr(expr: ast.Expr, tables: Dict[int, str]) -> str:
     if isinstance(expr, ast.ELoad):
         return f"_br2_load({_print_expr(expr.addr, tables)}, {expr.size})"
     if isinstance(expr, ast.EInlineTable):
-        name = tables[id(expr.data)]
+        name = tables[expr.data]
         index = _print_expr(expr.index, tables)
         return f"_br2_load((uintptr_t)&{name}[{index}], {expr.size})"
     if isinstance(expr, ast.EOp):
@@ -75,71 +75,18 @@ def _print_expr(expr: ast.Expr, tables: Dict[int, str]) -> str:
     raise ValueError(f"cannot print expression {expr!r}")
 
 
-def _collect_tables(stmt: ast.Stmt, tables: Dict[int, bytes]) -> None:
-    def visit_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.EInlineTable):
-            tables.setdefault(id(expr.data), expr.data)
-            visit_expr(expr.index)
-        elif isinstance(expr, ast.EOp):
-            visit_expr(expr.lhs)
-            visit_expr(expr.rhs)
-        elif isinstance(expr, ast.ELoad):
-            visit_expr(expr.addr)
-
-    if isinstance(stmt, ast.SSet):
-        visit_expr(stmt.rhs)
-    elif isinstance(stmt, ast.SStore):
-        visit_expr(stmt.addr)
-        visit_expr(stmt.value)
-    elif isinstance(stmt, ast.SSeq):
-        _collect_tables(stmt.first, tables)
-        _collect_tables(stmt.second, tables)
-    elif isinstance(stmt, ast.SCond):
-        visit_expr(stmt.cond)
-        _collect_tables(stmt.then_, tables)
-        _collect_tables(stmt.else_, tables)
-    elif isinstance(stmt, ast.SWhile):
-        visit_expr(stmt.cond)
-        _collect_tables(stmt.body, tables)
-    elif isinstance(stmt, ast.SStackalloc):
-        _collect_tables(stmt.body, tables)
-    elif isinstance(stmt, (ast.SCall, ast.SInteract)):
-        for arg in stmt.args:
-            visit_expr(arg)
-
-
 def _locals_of(stmt: ast.Stmt, bound: set) -> List[str]:
-    """Variables assigned in ``stmt`` that need a declaration."""
+    """Variables bound in ``stmt`` that need a declaration, in pre-order."""
     out: List[str] = []
-
-    def visit(node: ast.Stmt) -> None:
-        if isinstance(node, ast.SSet) and node.lhs not in bound:
-            bound.add(node.lhs)
-            out.append(node.lhs)
-        elif isinstance(node, ast.SStackalloc):
-            if node.lhs not in bound:
-                bound.add(node.lhs)
-                out.append(node.lhs)
-            visit(node.body)
-        elif isinstance(node, ast.SSeq):
-            visit(node.first)
-            visit(node.second)
-        elif isinstance(node, ast.SCond):
-            visit(node.then_)
-            visit(node.else_)
-        elif isinstance(node, ast.SWhile):
-            visit(node.body)
-        elif isinstance(node, (ast.SCall, ast.SInteract)):
-            for lhs in node.lhss:
-                if lhs not in bound:
-                    bound.add(lhs)
-                    out.append(lhs)
-
-    visit(stmt)
+    for node in ast.walk_stmts(stmt):
+        for name in ast.defined_names(node):
+            if name not in bound:
+                bound.add(name)
+                out.append(name)
     return out
 
 
-def _print_stmt(stmt: ast.Stmt, tables: Dict[int, str], indent: int) -> List[str]:
+def _print_stmt(stmt: ast.Stmt, tables: Dict[bytes, str], indent: int) -> List[str]:
     pad = "  " * indent
     if isinstance(stmt, ast.SSkip):
         return [f"{pad}/* skip */;"]
@@ -191,13 +138,11 @@ def _print_stmt(stmt: ast.Stmt, tables: Dict[int, str], indent: int) -> List[str
 
 def print_c_function(fn: ast.Function) -> str:
     """Render one Bedrock2 function as C text."""
-    tables_raw: Dict[int, bytes] = {}
-    _collect_tables(fn.body, tables_raw)
-    tables: Dict[int, str] = {}
+    tables: Dict[bytes, str] = {}
     table_decls: List[str] = []
-    for index, (key, data) in enumerate(tables_raw.items()):
+    for index, data in enumerate(ast.inline_tables(fn.body)):
         name = f"_{fn.name}_table{index}"
-        tables[key] = name
+        tables[data] = name
         contents = ", ".join(str(b) for b in data)
         table_decls.append(
             f"static const uint8_t {name}[{len(data)}] = {{{contents}}};"

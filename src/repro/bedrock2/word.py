@@ -200,10 +200,6 @@ def word8(value: IntLike) -> Word:
     return Word(8, value)
 
 
-def word16(value: IntLike) -> Word:
-    return Word(16, value)
-
-
 def word32(value: IntLike) -> Word:
     return Word(32, value)
 

@@ -158,10 +158,6 @@ class SymState:
         self.version += 1
         self.heap[ptr] = replace(clause, value=value)
 
-    def drop_clause(self, ptr: PtrSym) -> None:
-        self.version += 1
-        del self.heap[ptr]
-
     def add_fact(self, fact: t.Term) -> None:
         if fact not in self.facts:
             self.version += 1
@@ -230,9 +226,6 @@ class SymState:
             clause = self.heap.get(binding.ptr)
             return clause.value if clause is not None else None
         return None
-
-    def used_names(self) -> set:
-        return set(self.locals)
 
     def fresh_local(self, prefix: str) -> str:
         if prefix not in self.locals:

@@ -104,12 +104,6 @@ class Model:
     term: t.Term
     result_ty: Optional[SourceType] = None
 
-    def param_type(self, name: str) -> SourceType:
-        for param, ty in self.params:
-            if param == name:
-                return ty
-        raise KeyError(f"model {self.name!r} has no parameter {name!r}")
-
 
 @dataclass
 class FnSpec:

@@ -53,11 +53,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bedrock2 import ast
+from repro.bedrock2.ast import flatten
 from repro.core.spec import ArgKind, FnSpec, Model, OutKind
 from repro.lift import patterns as pat
 from repro.lift.goals import LiftStallReport, LiftStalled
 from repro.obs.trace import NULL_SPAN, current_tracer
-from repro.opt.rewrite import flatten
 from repro.source import terms as t
 from repro.source.types import BOOL, BYTE, NAT, WORD, SourceType, TypeKind
 

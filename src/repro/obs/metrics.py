@@ -68,15 +68,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histograms.setdefault(name, Histogram()).observe(value)
 
-    def by_prefix(self, prefix: str) -> Dict[str, int]:
-        """All counters under ``prefix.``, keyed by the remainder."""
-        cut = len(prefix) + 1
-        return {
-            name[cut:]: value
-            for name, value in sorted(self.counters.items())
-            if name.startswith(prefix + ".")
-        }
-
     def merge(self, other: "MetricsRegistry") -> None:
         for name, value in other.counters.items():
             self.inc(name, value)

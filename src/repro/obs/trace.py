@@ -343,11 +343,6 @@ class Tracer:
     def open_spans(self) -> List[int]:
         return list(self._stack)
 
-    def spans_by_kind(self, kind: str) -> List[dict]:
-        return [
-            e for e in self.events if e["ev"] == "span_open" and e["kind"] == kind
-        ]
-
     def events_by_type(self, ev: str) -> List[dict]:
         return [e for e in self.events if e["ev"] == ev]
 

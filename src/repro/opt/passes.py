@@ -44,17 +44,18 @@ from repro.opt.rewrite import (
     MAX_EXPR_DEPTH,
     FreshNames,
     assigned_vars,
-    count_var_reads,
     expr_depth,
     expr_is_pure,
-    flatten,
-    iter_exprs,
-    map_expr,
-    map_stmt_exprs,
-    reseq,
     subst_expr,
     subst_vars,
 )
+
+
+def count_var_reads(node, name: str) -> int:
+    """Occurrences of ``EVar(name)`` in all expressions under ``node``."""
+    return sum(
+        1 for e in ast.walk_exprs(node) if isinstance(e, ast.EVar) and e.name == name
+    )
 
 
 class Pass:
@@ -79,20 +80,13 @@ class NormalizeStmts(Pass):
     name = "normalize"
 
     def run(self, fn: ast.Function, width: int) -> ast.Function:
-        return self._with_body(fn, self._norm(fn.body))
+        return self._with_body(fn, ast.map_stmt(fn.body, self._norm))
 
-    def _norm(self, stmt: ast.Stmt) -> ast.Stmt:
+    @staticmethod
+    def _norm(stmt: ast.Stmt) -> ast.Stmt:
+        # Bottom-up, so both halves of a sequence are already normal.
         if isinstance(stmt, (ast.SSeq, ast.SSkip)):
-            items: List[ast.Stmt] = []
-            for s in flatten(stmt):
-                items.extend(flatten(self._norm(s)))
-            return reseq(items)
-        if isinstance(stmt, ast.SCond):
-            return ast.SCond(stmt.cond, self._norm(stmt.then_), self._norm(stmt.else_))
-        if isinstance(stmt, ast.SWhile):
-            return ast.SWhile(stmt.cond, self._norm(stmt.body))
-        if isinstance(stmt, ast.SStackalloc):
-            return ast.SStackalloc(stmt.lhs, stmt.nbytes, self._norm(stmt.body))
+            return ast.seq_of(*ast.flatten(stmt))
         return stmt
 
 
@@ -178,7 +172,7 @@ class ConstantFolding(Pass):
                 return ast.ELit(0)
             return expr
 
-        return self._with_body(fn, map_stmt_exprs(fn.body, fold))
+        return self._with_body(fn, ast.map_stmt(fn.body, on_expr=fold))
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +186,20 @@ class BranchSimplification(Pass):
 
     def run(self, fn: ast.Function, width: int) -> ast.Function:
         self.mask = (1 << width) - 1
-        return self._with_body(fn, self._simp(fn.body))
+        return self._with_body(fn, ast.map_stmt(fn.body, self._simp))
 
     def _simp(self, stmt: ast.Stmt) -> ast.Stmt:
+        # Bottom-up: the arms and bodies seen here are already simplified.
         if isinstance(stmt, ast.SSeq):
-            return ast.seq_of(self._simp(stmt.first), self._simp(stmt.second))
+            return ast.seq_of(stmt.first, stmt.second)
         if isinstance(stmt, ast.SCond):
-            then_ = self._simp(stmt.then_)
-            else_ = self._simp(stmt.else_)
             if isinstance(stmt.cond, ast.ELit):
-                return then_ if stmt.cond.value & self.mask else else_
-            if then_ == else_ and expr_is_pure(stmt.cond):
-                return then_
-            return ast.SCond(stmt.cond, then_, else_)
+                return stmt.then_ if stmt.cond.value & self.mask else stmt.else_
+            if stmt.then_ == stmt.else_ and expr_is_pure(stmt.cond):
+                return stmt.then_
         if isinstance(stmt, ast.SWhile):
-            body = self._simp(stmt.body)
             if isinstance(stmt.cond, ast.ELit) and stmt.cond.value & self.mask == 0:
                 return ast.SSkip()
-            return ast.SWhile(stmt.cond, body)
-        if isinstance(stmt, ast.SStackalloc):
-            return ast.SStackalloc(stmt.lhs, stmt.nbytes, self._simp(stmt.body))
         return stmt
 
 
@@ -237,9 +225,9 @@ class CopyPropagation(Pass):
         self, stmt: ast.Stmt, env: Dict[str, str]
     ) -> Tuple[ast.Stmt, Dict[str, str]]:
         out: List[ast.Stmt] = []
-        for s in flatten(stmt):
+        for s in ast.flatten(stmt):
             env = self._stmt(s, env, out)
-        return reseq(out), env
+        return ast.seq_of(*out), env
 
     def _kill(self, env: Dict[str, str], names) -> Dict[str, str]:
         names = set(names)
@@ -328,9 +316,9 @@ class LoadCSE(Pass):
         self, stmt: ast.Stmt, avail: Dict[ast.Expr, str], names: FreshNames
     ) -> ast.Stmt:
         out: List[ast.Stmt] = []
-        for s in flatten(stmt):
+        for s in ast.flatten(stmt):
             self._stmt(s, avail, names, out)
-        return reseq(out)
+        return ast.seq_of(*out)
 
     def _rw(self, expr: ast.Expr, avail: Dict[ast.Expr, str]) -> ast.Expr:
         def sub(node: ast.Expr) -> ast.Expr:
@@ -338,7 +326,7 @@ class LoadCSE(Pass):
                 return ast.EVar(avail[node])
             return node
 
-        return map_expr(expr, sub)
+        return ast.map_expr(expr, sub)
 
     def _kill_var(self, avail: Dict[ast.Expr, str], name: str) -> None:
         for key in [k for k, v in avail.items() if v == name or name in ast.expr_vars(k)]:
@@ -408,7 +396,7 @@ class LoadCSE(Pass):
         def sub(node: ast.Expr) -> ast.Expr:
             if isinstance(node, ast.ELoad) and node not in avail:
                 # Only worth a temporary if the branch recomputes it.
-                uses = sum(1 for e in iter_exprs(original) if e == node)
+                uses = sum(1 for e in ast.walk_exprs(original) if e == node)
                 if uses >= 2:
                     temp = names.fresh()
                     out.append(ast.SSet(temp, node))
@@ -418,7 +406,7 @@ class LoadCSE(Pass):
                 return ast.EVar(avail[node])
             return node
 
-        return map_expr(cond, sub)
+        return ast.map_expr(cond, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -453,26 +441,19 @@ class ForwardSubstitution(Pass):
         return self._with_body(fn, self._rewrite(fn.body, top_level=True))
 
     def _rewrite(self, stmt: ast.Stmt, top_level: bool) -> ast.Stmt:
-        items = [self._recurse(s) for s in flatten(stmt)]
+        items = [self._recurse(s) for s in ast.flatten(stmt)]
         changed = True
         while changed:
             changed = self._fuse_once(items, top_level)
-        return reseq(items)
+        return ast.seq_of(*items)
 
     def _recurse(self, s: ast.Stmt) -> ast.Stmt:
-        if isinstance(s, ast.SCond):
-            return ast.SCond(
-                s.cond,
-                self._rewrite(s.then_, top_level=False),
-                self._rewrite(s.else_, top_level=False),
-            )
-        if isinstance(s, ast.SWhile):
-            return ast.SWhile(s.cond, self._rewrite(s.body, top_level=False))
-        if isinstance(s, ast.SStackalloc):
-            return ast.SStackalloc(
-                s.lhs, s.nbytes, self._rewrite(s.body, top_level=False)
-            )
-        return s
+        blocks = ast.child_blocks(s)
+        if not blocks:
+            return s
+        return ast.with_blocks(
+            s, [self._rewrite(b, top_level=False) for b in blocks]
+        )
 
     def _fuse_once(self, items: List[ast.Stmt], top_level: bool) -> bool:
         for i, s in enumerate(items):
@@ -583,31 +564,18 @@ class PointerStrengthReduction(Pass):
 
     # One rewrite per iteration so the global read counts stay current.
     def _transform_block(self, stmt: ast.Stmt, fn: ast.Function) -> Optional[ast.Stmt]:
-        items = flatten(stmt)
+        items = ast.flatten(stmt)
         for idx in range(len(items) - 1):
             replacement = self._match(items[idx], items[idx + 1], fn)
             if replacement is not None:
-                return reseq(items[:idx] + replacement + items[idx + 2 :])
+                return ast.seq_of(*items[:idx], *replacement, *items[idx + 2 :])
         for idx, s in enumerate(items):
-            child: Optional[ast.Stmt] = None
-            if isinstance(s, ast.SWhile):
-                inner = self._transform_block(s.body, fn)
+            blocks = ast.child_blocks(s)
+            for k, block in enumerate(blocks):
+                inner = self._transform_block(block, fn)
                 if inner is not None:
-                    child = ast.SWhile(s.cond, inner)
-            elif isinstance(s, ast.SCond):
-                inner = self._transform_block(s.then_, fn)
-                if inner is not None:
-                    child = ast.SCond(s.cond, inner, s.else_)
-                else:
-                    inner = self._transform_block(s.else_, fn)
-                    if inner is not None:
-                        child = ast.SCond(s.cond, s.then_, inner)
-            elif isinstance(s, ast.SStackalloc):
-                inner = self._transform_block(s.body, fn)
-                if inner is not None:
-                    child = ast.SStackalloc(s.lhs, s.nbytes, inner)
-            if child is not None:
-                return reseq(items[:idx] + [child] + items[idx + 1 :])
+                    child = ast.with_blocks(s, blocks[:k] + (inner,) + blocks[k + 1 :])
+                    return ast.seq_of(*items[:idx], child, *items[idx + 1 :])
         return None
 
     def _match(
@@ -636,7 +604,7 @@ class PointerStrengthReduction(Pass):
         elif not isinstance(bound, ast.ELit):
             return None
 
-        items = flatten(loop.body)
+        items = ast.flatten(loop.body)
         if not items:
             return None
         inc = items[-1]
@@ -666,7 +634,7 @@ class PointerStrengthReduction(Pass):
         bases: List[str] = []
         addr_reads = 0
         for s in prefix:
-            for e in iter_exprs(s):
+            for e in ast.walk_exprs(s):
                 base = self._addr_base(e, ivar)
                 if base is not None:
                     if base in body_assigned or base == ivar:
@@ -698,13 +666,13 @@ class PointerStrengthReduction(Pass):
                 return ast.EVar(pvar[base])
             return e
 
-        new_prefix = [map_stmt_exprs(s, to_pointer) for s in prefix]
+        new_prefix = [ast.map_stmt(s, on_expr=to_pointer) for s in prefix]
         bumps = [
             ast.SSet(pvar[base], ast.EOp("add", ast.EVar(pvar[base]), ast.ELit(1)))
             for base in bases
         ]
         new_cond = ast.EOp("ltu", ast.EVar(pvar[bases[0]]), ast.EVar(end))
-        new_loop = ast.SWhile(new_cond, reseq(new_prefix + bumps))
+        new_loop = ast.SWhile(new_cond, ast.seq_of(*new_prefix, *bumps))
         return [init_s] + pre + [new_loop]
 
     @staticmethod
@@ -720,27 +688,12 @@ class PointerStrengthReduction(Pass):
 
     @staticmethod
     def _count_assigns(stmt: ast.Stmt, name: str) -> int:
-        if isinstance(stmt, ast.SSet):
-            return 1 if stmt.lhs == name else 0
-        if isinstance(stmt, ast.SSeq):
-            return PointerStrengthReduction._count_assigns(
-                stmt.first, name
-            ) + PointerStrengthReduction._count_assigns(stmt.second, name)
-        if isinstance(stmt, ast.SCond):
-            return PointerStrengthReduction._count_assigns(
-                stmt.then_, name
-            ) + PointerStrengthReduction._count_assigns(stmt.else_, name)
-        if isinstance(stmt, ast.SWhile):
-            return PointerStrengthReduction._count_assigns(stmt.body, name)
-        if isinstance(stmt, ast.SStackalloc):
-            return (1 if stmt.lhs == name else 0) + PointerStrengthReduction._count_assigns(
-                stmt.body, name
-            )
-        if isinstance(stmt, (ast.SCall, ast.SInteract)):
-            return sum(1 for lhs in stmt.lhss if lhs == name)
-        if isinstance(stmt, ast.SUnset):
-            return 1 if stmt.name == name else 0
-        return 0
+        count = 0
+        for node in ast.walk_stmts(stmt):
+            count += ast.defined_names(node).count(name)
+            if isinstance(node, ast.SUnset) and node.name == name:
+                count += 1
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +747,10 @@ class RangeGuardElimination(Pass):
 
     def _block(self, stmt: ast.Stmt, env: dict) -> Tuple[ast.Stmt, dict]:
         out: List[ast.Stmt] = []
-        for s in flatten(stmt):
+        for s in ast.flatten(stmt):
             rewritten, env = self._stmt(s, env)
             out.append(rewritten)
-        return reseq(out), env
+        return ast.seq_of(*out), env
 
     def _stmt(self, s: ast.Stmt, env: dict) -> Tuple[ast.Stmt, dict]:
         from repro.analysis.absint.bedrock import join_envs, refine_env
@@ -876,7 +829,7 @@ class RangeGuardElimination(Pass):
         return {}
 
     def _abstract_block(self, stmt: ast.Stmt, env: dict) -> dict:
-        for s in flatten(stmt):
+        for s in ast.flatten(stmt):
             env = self._abstract_stmt(s, env)
         return env
 

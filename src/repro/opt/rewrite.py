@@ -1,140 +1,18 @@
-"""Shared AST-rewriting machinery for the optimizer passes.
+"""Pass-specific AST helpers for the optimizer passes.
 
-Every pass in :mod:`repro.opt.passes` is a pure function from
-:class:`~repro.bedrock2.ast.Function` to Function, built out of the
-traversals here.  The conventions:
-
-- statement lists: ``SSeq`` trees are *flattened* into Python lists at
-  each nesting level (``flatten``), transformed, and re-nested with
-  ``ast.seq_of`` (which drops ``SSkip``).  Compound statements keep
-  their block structure; only the straight-line spine is a list.
-- expressions are immutable, so rewriting builds fresh nodes bottom-up
-  (``map_expr``), and structural equality/hashing of the frozen
-  dataclasses is what lets CSE use expressions as dictionary keys.
-- "pure" means *cannot fault*: Bedrock2 expressions have no side
-  effects, but ``ELoad``/``EInlineTable`` can make execution undefined
-  (bad address / out-of-range index), so passes that discard or
-  duplicate an expression must check :func:`expr_is_pure` first.
+The traversals themselves (``flatten``, ``walk_exprs``, ``map_expr``,
+``map_stmt`` and friends) live in :mod:`repro.bedrock2.ast`; the
+conventions the passes follow when using them are in
+``docs/optimizer.md``.  What stays here is what only the optimizer
+needs: purity, the RISC-V expression-depth budget, variable
+substitution, assigned names, and fresh-name generation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Dict, Set
 
 from repro.bedrock2 import ast
-
-
-# -- Statement-list plumbing --------------------------------------------------
-
-
-def flatten(stmt: ast.Stmt) -> List[ast.Stmt]:
-    """The straight-line statement list of one nesting level."""
-    if isinstance(stmt, ast.SSeq):
-        return flatten(stmt.first) + flatten(stmt.second)
-    if isinstance(stmt, ast.SSkip):
-        return []
-    return [stmt]
-
-
-def reseq(stmts: Iterable[ast.Stmt]) -> ast.Stmt:
-    """Right-nest a statement list back into an ``SSeq`` tree."""
-    return ast.seq_of(*stmts)
-
-
-def map_expr(expr: ast.Expr, transform: Callable[[ast.Expr], ast.Expr]) -> ast.Expr:
-    """Rebuild ``expr`` bottom-up, applying ``transform`` at every node."""
-    if isinstance(expr, ast.EOp):
-        expr = ast.EOp(
-            expr.op, map_expr(expr.lhs, transform), map_expr(expr.rhs, transform)
-        )
-    elif isinstance(expr, ast.ELoad):
-        expr = ast.ELoad(expr.size, map_expr(expr.addr, transform))
-    elif isinstance(expr, ast.EInlineTable):
-        expr = ast.EInlineTable(expr.size, expr.data, map_expr(expr.index, transform))
-    return transform(expr)
-
-
-def map_stmt_exprs(
-    stmt: ast.Stmt, transform: Callable[[ast.Expr], ast.Expr]
-) -> ast.Stmt:
-    """Apply an expression transform to every expression in ``stmt``."""
-    if isinstance(stmt, ast.SSet):
-        return ast.SSet(stmt.lhs, map_expr(stmt.rhs, transform))
-    if isinstance(stmt, ast.SStore):
-        return ast.SStore(
-            stmt.size, map_expr(stmt.addr, transform), map_expr(stmt.value, transform)
-        )
-    if isinstance(stmt, ast.SSeq):
-        return ast.SSeq(
-            map_stmt_exprs(stmt.first, transform),
-            map_stmt_exprs(stmt.second, transform),
-        )
-    if isinstance(stmt, ast.SCond):
-        return ast.SCond(
-            map_expr(stmt.cond, transform),
-            map_stmt_exprs(stmt.then_, transform),
-            map_stmt_exprs(stmt.else_, transform),
-        )
-    if isinstance(stmt, ast.SWhile):
-        return ast.SWhile(
-            map_expr(stmt.cond, transform), map_stmt_exprs(stmt.body, transform)
-        )
-    if isinstance(stmt, ast.SStackalloc):
-        return ast.SStackalloc(
-            stmt.lhs, stmt.nbytes, map_stmt_exprs(stmt.body, transform)
-        )
-    if isinstance(stmt, ast.SCall):
-        return ast.SCall(
-            stmt.lhss, stmt.func, tuple(map_expr(a, transform) for a in stmt.args)
-        )
-    if isinstance(stmt, ast.SInteract):
-        return ast.SInteract(
-            stmt.lhss, stmt.action, tuple(map_expr(a, transform) for a in stmt.args)
-        )
-    return stmt
-
-
-# -- Queries ------------------------------------------------------------------
-
-
-def iter_exprs(node):
-    """Yield every expression node (including subexpressions) under a
-    statement or expression."""
-    if isinstance(node, ast.Expr):
-        yield node
-        if isinstance(node, ast.EOp):
-            yield from iter_exprs(node.lhs)
-            yield from iter_exprs(node.rhs)
-        elif isinstance(node, ast.ELoad):
-            yield from iter_exprs(node.addr)
-        elif isinstance(node, ast.EInlineTable):
-            yield from iter_exprs(node.index)
-        return
-    if isinstance(node, ast.SSet):
-        yield from iter_exprs(node.rhs)
-    elif isinstance(node, ast.SStore):
-        yield from iter_exprs(node.addr)
-        yield from iter_exprs(node.value)
-    elif isinstance(node, ast.SSeq):
-        yield from iter_exprs(node.first)
-        yield from iter_exprs(node.second)
-    elif isinstance(node, ast.SCond):
-        yield from iter_exprs(node.cond)
-        yield from iter_exprs(node.then_)
-        yield from iter_exprs(node.else_)
-    elif isinstance(node, ast.SWhile):
-        yield from iter_exprs(node.cond)
-        yield from iter_exprs(node.body)
-    elif isinstance(node, ast.SStackalloc):
-        yield from iter_exprs(node.body)
-    elif isinstance(node, (ast.SCall, ast.SInteract)):
-        for arg in node.args:
-            yield from iter_exprs(arg)
-
-
-def count_subexpr(node, target: ast.Expr) -> int:
-    """Structural occurrences of ``target`` under a statement/expression."""
-    return sum(1 for e in iter_exprs(node) if e == target)
 
 
 def expr_is_pure(expr: ast.Expr) -> bool:
@@ -144,97 +22,6 @@ def expr_is_pure(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.EOp):
         return expr_is_pure(expr.lhs) and expr_is_pure(expr.rhs)
     return True
-
-
-def expr_reads_memory(expr: ast.Expr) -> bool:
-    return not expr_is_pure(expr)
-
-
-def count_var_reads(node, name: str) -> int:
-    """Occurrences of ``EVar(name)`` in all expressions under ``node``."""
-    if isinstance(node, ast.EVar):
-        return 1 if node.name == name else 0
-    if isinstance(node, ast.EOp):
-        return count_var_reads(node.lhs, name) + count_var_reads(node.rhs, name)
-    if isinstance(node, ast.ELoad):
-        return count_var_reads(node.addr, name)
-    if isinstance(node, ast.EInlineTable):
-        return count_var_reads(node.index, name)
-    if isinstance(node, ast.Expr):
-        return 0
-    if isinstance(node, ast.SSet):
-        return count_var_reads(node.rhs, name)
-    if isinstance(node, ast.SStore):
-        return count_var_reads(node.addr, name) + count_var_reads(node.value, name)
-    if isinstance(node, ast.SSeq):
-        return count_var_reads(node.first, name) + count_var_reads(node.second, name)
-    if isinstance(node, ast.SCond):
-        return (
-            count_var_reads(node.cond, name)
-            + count_var_reads(node.then_, name)
-            + count_var_reads(node.else_, name)
-        )
-    if isinstance(node, ast.SWhile):
-        return count_var_reads(node.cond, name) + count_var_reads(node.body, name)
-    if isinstance(node, ast.SStackalloc):
-        return count_var_reads(node.body, name)
-    if isinstance(node, (ast.SCall, ast.SInteract)):
-        return sum(count_var_reads(a, name) for a in node.args)
-    return 0
-
-
-def used_vars(stmt: ast.Stmt) -> Set[str]:
-    """All variable names read anywhere under ``stmt``."""
-    if isinstance(stmt, ast.SSet):
-        return ast.expr_vars(stmt.rhs)
-    if isinstance(stmt, ast.SStore):
-        return ast.expr_vars(stmt.addr) | ast.expr_vars(stmt.value)
-    if isinstance(stmt, ast.SSeq):
-        return used_vars(stmt.first) | used_vars(stmt.second)
-    if isinstance(stmt, ast.SCond):
-        return ast.expr_vars(stmt.cond) | used_vars(stmt.then_) | used_vars(stmt.else_)
-    if isinstance(stmt, ast.SWhile):
-        return ast.expr_vars(stmt.cond) | used_vars(stmt.body)
-    if isinstance(stmt, ast.SStackalloc):
-        return used_vars(stmt.body)
-    if isinstance(stmt, (ast.SCall, ast.SInteract)):
-        out: Set[str] = set()
-        for arg in stmt.args:
-            out |= ast.expr_vars(arg)
-        return out
-    return set()
-
-
-def assigned_vars(stmt: ast.Stmt) -> Set[str]:
-    """All variable names written (or unset) anywhere under ``stmt``."""
-    if isinstance(stmt, ast.SSet):
-        return {stmt.lhs}
-    if isinstance(stmt, ast.SUnset):
-        return {stmt.name}
-    if isinstance(stmt, ast.SSeq):
-        return assigned_vars(stmt.first) | assigned_vars(stmt.second)
-    if isinstance(stmt, ast.SCond):
-        return assigned_vars(stmt.then_) | assigned_vars(stmt.else_)
-    if isinstance(stmt, ast.SWhile):
-        return assigned_vars(stmt.body)
-    if isinstance(stmt, ast.SStackalloc):
-        return {stmt.lhs} | assigned_vars(stmt.body)
-    if isinstance(stmt, (ast.SCall, ast.SInteract)):
-        return set(stmt.lhss)
-    return set()
-
-
-def contains_memory_write(stmt: ast.Stmt) -> bool:
-    """True if ``stmt`` may mutate memory or perform I/O."""
-    if isinstance(stmt, (ast.SStore, ast.SCall, ast.SInteract, ast.SStackalloc)):
-        return True
-    if isinstance(stmt, ast.SSeq):
-        return contains_memory_write(stmt.first) or contains_memory_write(stmt.second)
-    if isinstance(stmt, ast.SCond):
-        return contains_memory_write(stmt.then_) or contains_memory_write(stmt.else_)
-    if isinstance(stmt, ast.SWhile):
-        return contains_memory_write(stmt.body)
-    return False
 
 
 def expr_depth(expr: ast.Expr) -> int:
@@ -265,7 +52,7 @@ def subst_vars(expr: ast.Expr, env: Dict[str, str]) -> ast.Expr:
             return ast.EVar(env[node.name])
         return node
 
-    return map_expr(expr, rename)
+    return ast.map_expr(expr, rename)
 
 
 def subst_expr(expr: ast.Expr, name: str, replacement: ast.Expr) -> ast.Expr:
@@ -276,18 +63,25 @@ def subst_expr(expr: ast.Expr, name: str, replacement: ast.Expr) -> ast.Expr:
             return replacement
         return node
 
-    return map_expr(expr, widen)
+    return ast.map_expr(expr, widen)
 
 
-def fn_names(fn: ast.Function) -> Set[str]:
-    return set(fn.args) | set(fn.rets) | assigned_vars(fn.body) | used_vars(fn.body)
+def assigned_vars(stmt: ast.Stmt) -> Set[str]:
+    """All variable names written (or unset) anywhere under ``stmt``."""
+    out: Set[str] = set()
+    for node in ast.walk_stmts(stmt):
+        out.update(ast.defined_names(node))
+        if isinstance(node, ast.SUnset):
+            out.add(node.name)
+    return out
 
 
 class FreshNames:
     """Generates local names guaranteed not to collide with ``fn``'s."""
 
     def __init__(self, fn: ast.Function, prefix: str = "_o"):
-        self.taken = fn_names(fn)
+        reads = {e.name for e in ast.walk_exprs(fn.body) if isinstance(e, ast.EVar)}
+        self.taken = set(fn.args) | set(fn.rets) | assigned_vars(fn.body) | reads
         self.prefix = prefix
         self.counter = 0
 

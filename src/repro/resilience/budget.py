@@ -54,9 +54,6 @@ class Budget:
     def elapsed(self) -> float:
         return self._clock() - self._start
 
-    def remaining_fuel(self) -> Optional[int]:
-        return None if self.fuel is None else max(0, self.fuel - self.spent)
-
     def charge(self, units: int = 1, goal: str = "") -> None:
         """Consume ``units`` of fuel; raise ``ResourceExhausted`` when spent.
 

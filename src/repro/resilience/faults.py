@@ -23,12 +23,11 @@ for every point, on every seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.bedrock2 import ast as b2
 from repro.core.goals import CompileError
 from repro.core.spec import CompiledFunction, FnSpec, Model
-from repro.opt.rewrite import map_expr
 from repro.resilience.campaign import (
     CRASH,
     DETECTED,
@@ -57,25 +56,6 @@ VOCABULARY = Vocabulary(
 # -- Bedrock2 AST surgery (the corruption toolkit) ---------------------------------
 
 
-def rebuild_stmt(stmt: b2.Stmt, transform: Callable[[b2.Stmt], b2.Stmt]) -> b2.Stmt:
-    """Apply ``transform`` to every statement node, bottom-up."""
-    if isinstance(stmt, b2.SSeq):
-        stmt = b2.SSeq(
-            rebuild_stmt(stmt.first, transform), rebuild_stmt(stmt.second, transform)
-        )
-    elif isinstance(stmt, b2.SCond):
-        stmt = b2.SCond(
-            stmt.cond,
-            rebuild_stmt(stmt.then_, transform),
-            rebuild_stmt(stmt.else_, transform),
-        )
-    elif isinstance(stmt, b2.SWhile):
-        stmt = b2.SWhile(stmt.cond, rebuild_stmt(stmt.body, transform))
-    elif isinstance(stmt, b2.SStackalloc):
-        stmt = b2.SStackalloc(stmt.lhs, stmt.nbytes, rebuild_stmt(stmt.body, transform))
-    return transform(stmt)
-
-
 def corrupt_first_literal(stmt: b2.Stmt) -> b2.Stmt:
     """Flip the first integer literal found in the statement tree."""
     state = {"done": False}
@@ -88,16 +68,16 @@ def corrupt_first_literal(stmt: b2.Stmt) -> b2.Stmt:
 
     def on_stmt(node: b2.Stmt) -> b2.Stmt:
         if isinstance(node, b2.SSet):
-            return b2.SSet(node.lhs, map_expr(node.rhs, on_expr))
+            return b2.SSet(node.lhs, b2.map_expr(node.rhs, on_expr))
         if isinstance(node, b2.SStore):
             return b2.SStore(
                 node.size,
-                map_expr(node.addr, on_expr),
-                map_expr(node.value, on_expr),
+                b2.map_expr(node.addr, on_expr),
+                b2.map_expr(node.value, on_expr),
             )
         return node
 
-    return rebuild_stmt(stmt, on_stmt)
+    return b2.map_stmt(stmt, on_stmt)
 
 
 # -- Corrupting lemma wrappers ------------------------------------------------------

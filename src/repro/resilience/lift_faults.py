@@ -50,7 +50,6 @@ from repro.resilience.campaign import (
     Vocabulary,
     ordered_map,
 )
-from repro.resilience.faults import rebuild_stmt
 
 # Row outcomes beyond the shared ones.  HARMLESS: the target has no loop
 # to peel; SILENT: lift-validate *validated* drifted code (a false cert).
@@ -77,9 +76,9 @@ class _PeelFirstIteration:
                 return b2.SSeq(stmt.body, stmt)
             return stmt
 
-        # rebuild_stmt never re-visits a transform's output, so each
-        # loop is peeled exactly once.
-        return b2.Function(fn.name, fn.args, fn.rets, rebuild_stmt(fn.body, peel))
+        # map_stmt never re-visits a transform's output, so each loop is
+        # peeled exactly once.
+        return b2.Function(fn.name, fn.args, fn.rets, b2.map_stmt(fn.body, peel))
 
 
 def _nonempty_input_gen(prog):

@@ -103,16 +103,18 @@ class CompiledProgram:
 
 
 class _FunctionCompiler:
-    def __init__(self, fn: ast.Function, tables: Dict[int, int], actions: List[str]):
+    def __init__(self, fn: ast.Function, tables: Dict[bytes, int], actions: List[str]):
         self.fn = fn
-        self.tables = tables  # id(table bytes) -> absolute data address
+        self.tables = tables  # table bytes -> absolute data address
         self.actions = actions
         self.out: List[Emitted] = []
         self.slots: Dict[str, int] = {}
         self._label_counter = 0
         for name in fn.args:
             self._slot(name)
-        self._collect_locals(fn.body)
+        for stmt in ast.walk_stmts(fn.body):
+            for name in ast.defined_names(stmt):
+                self._slot(name)
         for name in fn.rets:
             self._slot(name)
         # Constant pool: wide literals are materialized once into saved
@@ -120,46 +122,15 @@ class _FunctionCompiler:
         # instead of byte-by-byte at every use.
         self.pool: Dict[int, int] = {}
         counts: Dict[int, int] = {}
-        self._count_constants(fn.body, counts)
-        widest = sorted(counts, key=lambda v: (-counts[v], v))
-        for value in widest[: len(POOL_REGS)]:
-            self.pool[value] = POOL_REGS[len(self.pool)]
-
-    def _count_constants(self, stmt: ast.Stmt, counts: Dict[int, int]) -> None:
-        def visit_expr(expr: ast.Expr) -> None:
+        for expr in ast.walk_exprs(fn.body):
             if isinstance(expr, ast.ELit):
                 value = expr.value & ((1 << 64) - 1)
                 signed = value - (1 << 64) if value >> 63 else value
                 if not -2048 <= signed <= 2047:
                     counts[value] = counts.get(value, 0) + 1
-            elif isinstance(expr, ast.EOp):
-                visit_expr(expr.lhs)
-                visit_expr(expr.rhs)
-            elif isinstance(expr, ast.ELoad):
-                visit_expr(expr.addr)
-            elif isinstance(expr, ast.EInlineTable):
-                visit_expr(expr.index)
-
-        if isinstance(stmt, ast.SSet):
-            visit_expr(stmt.rhs)
-        elif isinstance(stmt, ast.SStore):
-            visit_expr(stmt.addr)
-            visit_expr(stmt.value)
-        elif isinstance(stmt, ast.SSeq):
-            self._count_constants(stmt.first, counts)
-            self._count_constants(stmt.second, counts)
-        elif isinstance(stmt, ast.SCond):
-            visit_expr(stmt.cond)
-            self._count_constants(stmt.then_, counts)
-            self._count_constants(stmt.else_, counts)
-        elif isinstance(stmt, ast.SWhile):
-            visit_expr(stmt.cond)
-            self._count_constants(stmt.body, counts)
-        elif isinstance(stmt, ast.SStackalloc):
-            self._count_constants(stmt.body, counts)
-        elif isinstance(stmt, (ast.SCall, ast.SInteract)):
-            for arg in stmt.args:
-                visit_expr(arg)
+        widest = sorted(counts, key=lambda v: (-counts[v], v))
+        for value in widest[: len(POOL_REGS)]:
+            self.pool[value] = POOL_REGS[len(self.pool)]
 
     # -- Bookkeeping -----------------------------------------------------------
 
@@ -167,24 +138,6 @@ class _FunctionCompiler:
         if name not in self.slots:
             self.slots[name] = len(self.slots)
         return self.slots[name]
-
-    def _collect_locals(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.SSet):
-            self._slot(stmt.lhs)
-        elif isinstance(stmt, ast.SStackalloc):
-            self._slot(stmt.lhs)
-            self._collect_locals(stmt.body)
-        elif isinstance(stmt, ast.SSeq):
-            self._collect_locals(stmt.first)
-            self._collect_locals(stmt.second)
-        elif isinstance(stmt, ast.SCond):
-            self._collect_locals(stmt.then_)
-            self._collect_locals(stmt.else_)
-        elif isinstance(stmt, ast.SWhile):
-            self._collect_locals(stmt.body)
-        elif isinstance(stmt, (ast.SCall, ast.SInteract)):
-            for lhs in stmt.lhss:
-                self._slot(lhs)
 
     def _fresh_label(self) -> int:
         self._label_counter += 1
@@ -199,10 +152,6 @@ class _FunctionCompiler:
         # Locals + saved ra + saved s0 + saved pool registers, aligned.
         raw = 8 * len(self.slots) + 16 + 8 * len(self.pool)
         return (raw + 15) & ~15
-
-    def _pool_save_offset(self, index: int) -> int:
-        # Pool saves sit between ra/s0 and the local slots.
-        return self.frame_size - 24 - 8 * index
 
     # -- Emission helpers ---------------------------------------------------------
 
@@ -263,7 +212,7 @@ class _FunctionCompiler:
         if isinstance(node, ast.EInlineTable):
             index = self.expr(node.index, depth)
             base_reg = T_REGS[depth + 1]
-            self.li(base_reg, self.tables[id(node.data)])
+            self.li(base_reg, self.tables[node.data])
             self.emit(Instr("add", reg, index, base_reg))
             self.emit(Instr(_LOADS[node.size], reg, reg, 0))
             return reg
@@ -389,50 +338,17 @@ class _FunctionCompiler:
         return self.out
 
 
-def _collect_tables(stmt: ast.Stmt, found: Dict[int, bytes]) -> None:
-    def visit_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.EInlineTable):
-            found.setdefault(id(expr.data), expr.data)
-            visit_expr(expr.index)
-        elif isinstance(expr, ast.EOp):
-            visit_expr(expr.lhs)
-            visit_expr(expr.rhs)
-        elif isinstance(expr, ast.ELoad):
-            visit_expr(expr.addr)
-
-    if isinstance(stmt, ast.SSet):
-        visit_expr(stmt.rhs)
-    elif isinstance(stmt, ast.SStore):
-        visit_expr(stmt.addr)
-        visit_expr(stmt.value)
-    elif isinstance(stmt, ast.SSeq):
-        _collect_tables(stmt.first, found)
-        _collect_tables(stmt.second, found)
-    elif isinstance(stmt, ast.SCond):
-        visit_expr(stmt.cond)
-        _collect_tables(stmt.then_, found)
-        _collect_tables(stmt.else_, found)
-    elif isinstance(stmt, ast.SWhile):
-        visit_expr(stmt.cond)
-        _collect_tables(stmt.body, found)
-    elif isinstance(stmt, ast.SStackalloc):
-        _collect_tables(stmt.body, found)
-    elif isinstance(stmt, (ast.SCall, ast.SInteract)):
-        for arg in stmt.args:
-            visit_expr(arg)
-
-
 def compile_program(
     program: ast.Program, data_base: int = 0x4000
 ) -> CompiledProgram:
     """Compile and link a whole Bedrock2 program."""
-    tables_raw: Dict[int, bytes] = {}
-    for fn in program.functions:
-        _collect_tables(fn.body, tables_raw)
+    tables = dict.fromkeys(
+        contents for fn in program.functions for contents in ast.inline_tables(fn.body)
+    )
     data = bytearray()
-    table_addrs: Dict[int, int] = {}
-    for key, contents in tables_raw.items():
-        table_addrs[key] = data_base + len(data)
+    table_addrs: Dict[bytes, int] = {}
+    for contents in tables:
+        table_addrs[contents] = data_base + len(data)
         data.extend(contents)
         while len(data) % 8:
             data.append(0)

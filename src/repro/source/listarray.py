@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.source import terms as t
-from repro.source.builder import SymValue, lift, sym, to_term, trace_lambda
+from repro.source.builder import SymValue, lift, to_term, trace_lambda
 from repro.source.types import NAT, SourceType, TypeKind
 
 
@@ -136,9 +136,3 @@ def fold_break(
         acc_ty,
     )
 
-
-def of_var(name: str, elem: SourceType) -> SymValue:
-    """An array-typed free variable (convenience mirror of ``sym``)."""
-    from repro.source.types import array_of
-
-    return sym(name, array_of(elem))

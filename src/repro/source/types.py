@@ -54,10 +54,6 @@ class SourceType:
         """Scalars live in Bedrock2 locals; composites live behind pointers."""
         return self.kind in (TypeKind.WORD, TypeKind.BYTE, TypeKind.BOOL, TypeKind.NAT)
 
-    @property
-    def is_pointer(self) -> bool:
-        return self.kind in (TypeKind.ARRAY, TypeKind.CELL)
-
     def elem_size(self, word_bytes: int) -> int:
         """Byte width of one element when stored in Bedrock2 memory."""
         if self.kind in (TypeKind.ARRAY, TypeKind.CELL, TypeKind.TABLE):

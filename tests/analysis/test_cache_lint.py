@@ -14,7 +14,6 @@ import json
 from repro.bedrock2 import ast as b2
 from repro.bedrock2.serial import decode_function, encode_function
 from repro.core.spec import FnSpec, Model, array_out, len_arg, ptr_arg
-from repro.opt.rewrite import map_expr, map_stmt_exprs
 from repro.serve.cache import HIT, INVALIDATED, MISS, CompilationCache, _payload_digest
 from repro.source import terms as t
 from repro.source.annotations import copy
@@ -51,7 +50,7 @@ def redirect_stores_to_source(fn: b2.Function) -> b2.Function:
             return b2.EVar("s")
         return expr
 
-    body = map_stmt_exprs(fn.body, lambda e: map_expr(e, rename))
+    body = b2.map_stmt(fn.body, on_expr=lambda e: b2.map_expr(e, rename))
     return b2.Function(name=fn.name, args=fn.args, rets=fn.rets, body=body)
 
 

@@ -153,3 +153,27 @@ class TestProgramPrinting:
         import repro.bedrock2.c_printer as mod
 
         assert len(inspect.getsource(mod).splitlines()) < 400
+
+
+def test_inline_tables_are_named_by_contents_not_identity():
+    """Equal functions emit equal code, however their table bytes were built.
+
+    A serialized round trip (the compilation cache's decode path) gives
+    each ``EInlineTable`` its own ``bytes`` object; both backends must
+    still see one table.
+    """
+    from repro.bedrock2.serial import decode_function, encode_function
+    from repro.riscv.compiler import compile_function
+
+    table = bytes(range(16))
+    first = EInlineTable(1, table, var("i"))
+    second = EInlineTable(1, table, add(var("i"), lit(1)))
+    fn = Function("f", ("i",), ("r",), SSet("r", add(first, second)))
+    decoded = decode_function(encode_function(fn))
+    assert decoded == fn
+    assert decoded.body.rhs.lhs.data is not decoded.body.rhs.rhs.data
+
+    assert print_c_function(decoded) == print_c_function(fn)
+    assert print_c_function(fn).count("static const uint8_t") == 1
+    assert compile_function(decoded) == compile_function(fn)
+    assert len(compile_function(fn).data) == 16

@@ -11,7 +11,6 @@ import random
 
 from repro.bedrock2 import ast as b2
 from repro.opt import ConstantFolding, Pass, PassManager
-from repro.opt.rewrite import map_expr, map_stmt_exprs
 from repro.programs import get_program
 from repro.validation import pass_validator
 
@@ -49,7 +48,8 @@ class OffByOneLiterals(Pass):
                 return b2.ELit((expr.value + 1) % (1 << width))
             return expr
 
-        return self._with_body(fn, map_stmt_exprs(fn.body, lambda e: map_expr(e, bump)))
+        body = b2.map_stmt(fn.body, on_expr=lambda e: b2.map_expr(e, bump))
+        return self._with_body(fn, body)
 
 
 class IllFormedOutput(Pass):

@@ -219,11 +219,9 @@ class TestPointerStrengthReduction:
         out = PointerStrengthReduction().run(fn, 64)
         assert out != fn
         # The loop no longer computes s + i in its body.
-        from repro.opt.rewrite import iter_exprs
-
         adds = [
             e
-            for e in iter_exprs(out.body)
+            for e in b2.walk_exprs(out.body)
             if isinstance(e, b2.EOp)
             and e.op == "add"
             and b2.EVar("i") in (e.lhs, e.rhs)

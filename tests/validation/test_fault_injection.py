@@ -12,9 +12,7 @@ import pytest
 
 from repro.bedrock2 import ast as b2
 from repro.core.spec import CompiledFunction
-from repro.opt.rewrite import map_expr
 from repro.programs import get_program
-from repro.resilience.faults import rebuild_stmt
 from repro.validation import differential_check
 
 
@@ -23,16 +21,16 @@ def mutate_exprs_in_stmts(stmt, expr_transform):
 
     def on_stmt(node):
         if isinstance(node, b2.SSet):
-            return b2.SSet(node.lhs, map_expr(node.rhs, expr_transform))
+            return b2.SSet(node.lhs, b2.map_expr(node.rhs, expr_transform))
         if isinstance(node, b2.SStore):
             return b2.SStore(
                 node.size,
-                map_expr(node.addr, expr_transform),
-                map_expr(node.value, expr_transform),
+                b2.map_expr(node.addr, expr_transform),
+                b2.map_expr(node.value, expr_transform),
             )
         return node
 
-    return rebuild_stmt(stmt, on_stmt)
+    return b2.map_stmt(stmt, on_stmt)
 
 
 def tampered(compiled: CompiledFunction, new_body) -> CompiledFunction:
@@ -165,7 +163,7 @@ class TestPlantedBugs:
                 return b2.SSkip()
             return node
 
-        body = rebuild_stmt(compiled.bedrock_fn.body, drop_stores)
+        body = b2.map_stmt(compiled.bedrock_fn.body, drop_stores)
         wrong = tampered(compiled, body)
         report = differential_check(
             wrong,
@@ -190,7 +188,7 @@ class TestPlantedBugs:
                 return b2.SSkip()
             return node
 
-        body = rebuild_stmt(compiled.bedrock_fn.body, freeze_counter)
+        body = b2.map_stmt(compiled.bedrock_fn.body, freeze_counter)
         wrong = tampered(compiled, body)
 
         from repro.validation.runners import run_function
