@@ -1,18 +1,24 @@
-"""E18 -- the closure executor against the reference tree-walker.
+"""E18/E19 -- closure executor and closure evaluator vs their tree-walkers.
 
-``Interpreter.call_function`` runs Bedrock2 function bodies on the
+E18: ``Interpreter.call_function`` runs Bedrock2 function bodies on the
 closure executor (:mod:`repro.bedrock2.closures`); a subclass that
 overrides ``exec_stmt`` runs on the tree-walker alone.  This benchmark
 runs the ``-O1`` code of the 9 Table 2 programs on a seeded 16 KiB input
 under both, driven per calling style as ``benchmarks/figure2.py`` does,
 and reports the min-of-3 wall time of each.
 
+E19: ``Evaluator.eval`` runs functional models compiled into closures
+(:mod:`repro.source.closures`); a subclass that overrides ``_eval`` runs
+on the tree-walker alone.  This benchmark evaluates the models of the 9
+Table 2 and 8 query programs on seeded validation inputs under both and
+reports the min-of-3 wall time of each.
+
 The gate (``--check``) is a ratio, not raw milliseconds, as
-``dispatch_baseline.json`` is: both executors run on the same host, so
-only their relative speed is compared.  It fails when the geometric mean
-of tree-walker ÷ closure time over the 9 programs is below
-``SPEEDUP_FLOOR`` (2×), or when the two disagree on any result or op
-count.
+``dispatch_baseline.json`` is: both sides run on the same host, so only
+their relative speed is compared.  It fails when the geometric mean of
+tree-walker ÷ closure time is below ``SPEEDUP_FLOOR`` (2×) in either
+table, or when the two sides disagree on any result (for E18 also on any
+op count; for E19 also on any step count).
 
 Run from the repository root::
 
@@ -34,11 +40,14 @@ from repro.bedrock2.memory import Memory
 from repro.bedrock2.semantics import Interpreter
 from repro.bedrock2.word import Word
 from repro.programs import all_programs
-from repro.validation.runners import run_function
+from repro.query.programs import all_query_programs
+from repro.source.evaluator import EvalError, Evaluator
+from repro.validation.runners import make_inputs, run_function
 
 SPEEDUP_FLOOR = 2.0
 DEFAULT_SIZE = 16 * 1024
 REPEATS = 3
+MODEL_INPUTS = 40  # seeded validation inputs per model
 
 
 class TreeWalker(Interpreter):
@@ -118,6 +127,64 @@ def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> 
     }
 
 
+class TreeWalkerEvaluator(Evaluator):
+    """Overrides ``_eval``, so every model runs on the tree-walker."""
+
+    def _eval(self, term, env, fx):
+        return super()._eval(term, env, fx)
+
+
+def _evaluate_all(term, inputs: List[Dict], cls: type) -> List[Tuple]:
+    """``(value or error, steps)`` of ``term`` on every input."""
+    outcomes = []
+    for params in inputs:
+        evaluator = cls()
+        try:
+            value = evaluator.eval(term, params)
+        except EvalError as error:
+            value = ("error", str(error))
+        outcomes.append((value, evaluator._steps))
+    return outcomes
+
+
+def measure_models(repeats: int = REPEATS, seed: int = 0) -> Dict:
+    rows: List[Dict] = []
+    for program in all_programs() + all_query_programs():
+        model = program.build_model()
+        gen = program.validation_input_gen() or (
+            lambda rng, model=model: make_inputs(model, rng, array_len=rng.randrange(48))
+        )
+        rng = random.Random(f"{seed}-{program.name}")
+        inputs = [gen(rng) for _ in range(MODEL_INPUTS)]
+
+        def run(cls, term=model.term, inputs=inputs):
+            return _evaluate_all(term, inputs, cls)
+
+        tree_ms = fast_ms = math.inf
+        for _ in range(repeats):
+            ms, tree_out = _timed(run, TreeWalkerEvaluator)
+            tree_ms = min(tree_ms, ms)
+            ms, fast_out = _timed(run, Evaluator)
+            fast_ms = min(fast_ms, ms)
+        rows.append({
+            "program": program.name,
+            "steps": sum(steps for _, steps in fast_out),
+            "tree_ms": round(tree_ms, 3),
+            "closure_ms": round(fast_ms, 3),
+            "speedup": round(tree_ms / fast_ms, 2),
+            "identical": tree_out == fast_out,
+        })
+    geomean = math.exp(sum(math.log(r["tree_ms"] / r["closure_ms"]) for r in rows) / len(rows))
+    return {
+        "experiment": "E19",
+        "inputs": MODEL_INPUTS,
+        "repeats": repeats,
+        "rows": rows,
+        "geomean_speedup": round(geomean, 2),
+        "identical": all(r["identical"] for r in rows),
+    }
+
+
 def render(report: Dict) -> str:
     lines = [
         f"E18: closure executor vs tree-walker, -O1, {report['size']} B inputs, "
@@ -136,8 +203,43 @@ def render(report: Dict) -> str:
     return "\n".join(lines)
 
 
+def render_models(report: Dict) -> str:
+    lines = [
+        f"E19: closure evaluator vs tree-walker, functional models, "
+        f"{report['inputs']} seeded inputs each, min of {report['repeats']}",
+        f"{'program':<15} {'steps':>8} {'tree ms':>9} {'closure ms':>11} {'speedup':>8}  same",
+    ]
+    for r in report["rows"]:
+        lines.append(
+            f"{r['program']:<15} {r['steps']:>8} {r['tree_ms']:>9.2f} "
+            f"{r['closure_ms']:>11.2f} {r['speedup']:>7.2f}x  {'yes' if r['identical'] else 'NO'}"
+        )
+    lines.append(
+        f"geomean speedup {report['geomean_speedup']:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)"
+    )
+    return "\n".join(lines)
+
+
+def gate_failures(report: Dict, what: str) -> List[str]:
+    failures = []
+    if not report["identical"]:
+        bad = [r["program"] for r in report["rows"] if not r["identical"]]
+        failures.append(f"{report['experiment']}: {what} disagree on {', '.join(bad)}")
+    if report["geomean_speedup"] < SPEEDUP_FLOOR:
+        failures.append(
+            f"{report['experiment']}: geomean speedup {report['geomean_speedup']:.2f}x "
+            f"below {SPEEDUP_FLOOR:.1f}x"
+        )
+    return failures
+
+
 def test_executors_agree_on_small_inputs():
     report = measure(size=256, repeats=1)
+    assert report["identical"], report["rows"]
+
+
+def test_evaluators_agree():
+    report = measure_models(repeats=1)
     assert report["identical"], report["rows"]
 
 
@@ -150,26 +252,26 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--check", action="store_true",
-        help=f"fail below a {SPEEDUP_FLOOR:.0f}x geomean speedup or on any mismatch",
+        help=f"fail below a {SPEEDUP_FLOOR:.0f}x geomean speedup in either table "
+        "or on any mismatch",
     )
     args = parser.parse_args(argv)
-    report = measure(size=args.size, repeats=args.repeats)
-    print(json.dumps(report, indent=2) if args.json else render(report))
+    executor = measure(size=args.size, repeats=args.repeats)
+    evaluator = measure_models(repeats=args.repeats)
+    if args.json:
+        print(json.dumps({"E18": executor, "E19": evaluator}, indent=2))
+    else:
+        print(render(executor))
+        print()
+        print(render_models(evaluator))
     if not args.check:
         return 0
-    failures = []
-    if not report["identical"]:
-        bad = [r["program"] for r in report["rows"] if not r["identical"]]
-        failures.append(f"executors disagree on {', '.join(bad)}")
-    if report["geomean_speedup"] < SPEEDUP_FLOOR:
-        failures.append(
-            f"geomean speedup {report['geomean_speedup']:.2f}x below {SPEEDUP_FLOOR:.1f}x"
-        )
+    failures = gate_failures(executor, "executors") + gate_failures(evaluator, "evaluators")
     for failure in failures:
         print(f"REGRESSION: {failure}")
     if failures:
         return 1
-    print("E18 gate: ok")
+    print("E18/E19 gates: ok")
     return 0
 
 

@@ -13,7 +13,8 @@ single-column folds, existence checks) reuses ``ListArray``'s
 Each class implements the duck-typed extension hooks the core consults
 on unknown heads -- ``free_vars_node``/``subst_node``/``pretty_node``
 (:mod:`repro.source.terms`), ``eval_node``
-(:mod:`repro.source.evaluator`), ``resolve_node``
+(:mod:`repro.source.evaluator`) and ``compile_node``
+(:mod:`repro.source.closures`), ``resolve_node``
 (:mod:`repro.core.engine`), ``infer_type_node``
 (:mod:`repro.core.typecheck`), and the solver's length hooks -- so
 ``repro.source``/``repro.core`` never import this package.
@@ -100,6 +101,22 @@ class QAggregate(t.Term):
             acc = evaluator._eval(self.body, inner, fx)
         return acc
 
+    def compile_node(self, compile):
+        count, init, body = compile(self.count), compile(self.init), compile(self.body)
+        idx_name, acc_name = self.idx_name, self.acc_name
+
+        def aggregate(ev, env, fx):
+            n = int(count(ev, env, fx))
+            acc = init(ev, env, fx)
+            inner = dict(env)
+            for index in range(n):
+                inner[idx_name] = index
+                inner[acc_name] = acc
+                acc = body(ev, inner, fx)
+            return acc
+
+        return aggregate
+
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)
 
@@ -163,6 +180,20 @@ class QProjectInto(t.Term):
             inner[self.idx_name] = index
             result.append(evaluator._eval(self.body, inner, fx))
         return result
+
+    def compile_node(self, compile):
+        out, body, idx_name = compile.array(self.out), compile(self.body), self.idx_name
+
+        def project(ev, env, fx):
+            target = out(ev, env, fx)
+            inner = dict(env)
+            result = []
+            for index in range(len(target)):
+                inner[idx_name] = index
+                result.append(body(ev, inner, fx))
+            return result
+
+        return project
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.out)
@@ -275,6 +306,26 @@ class QJoinAgg(t.Term):
                 inner[self.acc_name] = acc
                 acc = evaluator._eval(self.body, inner, fx)
         return acc
+
+    def compile_node(self, compile):
+        left_count, right_count = compile(self.left_count), compile(self.right_count)
+        init, body = compile(self.init), compile(self.body)
+        i_name, j_name, acc_name = self.i_name, self.j_name, self.acc_name
+
+        def join_agg(ev, env, fx):
+            left = int(left_count(ev, env, fx))
+            right = int(right_count(ev, env, fx))
+            acc = init(ev, env, fx)
+            inner = dict(env)
+            for i in range(left):
+                for j in range(right):
+                    inner[i_name] = i
+                    inner[j_name] = j
+                    inner[acc_name] = acc
+                    acc = body(ev, inner, fx)
+            return acc
+
+        return join_agg
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)

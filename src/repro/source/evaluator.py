@@ -63,11 +63,19 @@ class EffectContext:
 
 
 class Evaluator:
-    """Evaluates terms at a given target word width."""
+    """Evaluates terms at a given target word width.
+
+    :meth:`_eval` is the tree-walker, the reference semantics.
+    :meth:`eval` runs the term compiled into closures instead
+    (:mod:`repro.source.closures`), which matches the tree-walker on
+    values, effects, fuel and errors.  A subclass that overrides
+    :meth:`_eval` runs on the tree-walker alone.
+    """
 
     def __init__(self, width: int = 64, fuel: int = 10_000_000):
         self.width = width
         self.fuel = fuel
+        self._tree_walk = type(self)._eval is not Evaluator._eval
 
     def eval(
         self,
@@ -78,7 +86,9 @@ class Evaluator:
         env = dict(env or {})
         effects = effects or EffectContext()
         self._steps = 0
-        return self._eval(term, env, effects)
+        if self._tree_walk:
+            return self._eval(term, env, effects)
+        return closures.compiled(term, self.width)(self, env, effects)
 
     def _tick(self) -> None:
         self._steps += 1
@@ -264,8 +274,9 @@ class Evaluator:
         # Open extension point: Term subclasses defined outside
         # repro.source (e.g. repro.query's combinators) carry their own
         # functional semantics via ``eval_node`` instead of growing this
-        # chain.  The hook receives the evaluator so it can recurse (and
-        # so fuel accounting stays shared).
+        # chain (and via ``compile_node`` for the closure path).  The
+        # hook receives the evaluator so it can recurse (and so fuel
+        # accounting stays shared).
         hook = getattr(term, "eval_node", None)
         if hook is not None:
             return hook(self, env, fx)
@@ -298,3 +309,7 @@ def eval_term(
 ) -> object:
     """One-shot evaluation helper."""
     return Evaluator(width=width).eval(term, env, effects)
+
+
+# Imported last: the closure compiler builds on the names above.
+from repro.source import closures  # noqa: E402

@@ -1,0 +1,152 @@
+"""The closure evaluator's cache lifetime, per-width entries and thread safety."""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+import types
+
+from repro.programs import get_program
+from repro.source import closures
+from repro.source import terms as t
+from repro.source.evaluator import EvalError, Evaluator
+from repro.source.types import ARRAY_WORD, WORD
+
+
+class TreeWalker(Evaluator):
+    def _eval(self, term, env, fx):
+        return super()._eval(term, env, fx)
+
+
+def _sum_model(tag: int) -> t.Term:
+    """An interned model no other test builds."""
+    return t.ArrayFold(
+        "acc", "e", t.Prim("word.add", (t.Var("acc"), t.Var("e"))),
+        t.Lit(tag, WORD), t.Var("xs"),
+    )
+
+
+# -- Cache lifetime ----------------------------------------------------------------
+
+
+def test_entry_dies_with_a_model_that_is_not_interned():
+    # A list payload cannot be interned, and neither can its parents.
+    term = t.Let("a", t.Lit([1, 2, 3], ARRAY_WORD), t.ArrayLen(t.Var("a")))
+    assert not term.__dict__.get("_hc_canonical")
+    assert Evaluator().eval(term) == 3
+    key = id(term)
+    assert key in closures._CACHE
+    del term
+    gc.collect()
+    assert key not in closures._CACHE
+
+
+def test_clearing_the_intern_table_releases_interned_models():
+    term = _sum_model(0x5EED_C10)
+    assert term.__dict__.get("_hc_canonical")
+    assert Evaluator().eval(term, {"xs": [1, 2]}) == 0x5EED_C10 + 3
+    key = id(term)
+    del term
+    gc.collect()
+    assert key in closures._CACHE  # the intern table still holds the model
+    t.clear_intern_table()
+    gc.collect()
+    assert key not in closures._CACHE
+
+
+def test_entries_are_per_width():
+    term = t.Prim("word.add", (t.Var("x"), t.Lit(1, WORD)))
+    assert Evaluator(width=32).eval(term, {"x": 2**32 - 1}) == 0
+    assert Evaluator(width=64).eval(term, {"x": 2**32 - 1}) == 2**32
+    code32, code64 = closures.compiled(term, 32), closures.compiled(term, 64)
+    assert code32 is not code64
+    assert closures.compiled(term, 32) is code32
+    assert set(closures._CACHE[id(term)][1]) == {32, 64}
+
+
+def _reachable(obj, seen=None):
+    """Every object reachable through closure cells, tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            yield from _reachable(cell.cell_contents, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable(item, seen)
+
+
+def test_no_closure_references_a_term():
+    model = get_program("crc32").build_model().term
+    reached = list(_reachable(closures.compiled(model, 64)))
+    assert len(reached) > 20
+    assert not [o for o in reached if isinstance(o, t.Term)]
+
+
+def test_cache_stays_bounded_over_fresh_models():
+    gc.collect()
+    before = len(closures._CACHE)
+    for tag in range(500):
+        term = t.Let("a", t.Lit([tag], ARRAY_WORD), t.ArrayLen(t.Var("a")))
+        assert Evaluator().eval(term) == 1
+    del term
+    gc.collect()
+    assert len(closures._CACHE) <= before
+
+
+# -- Concurrency -------------------------------------------------------------------
+
+
+def _outcome(evaluator_cls, term, env, fuel):
+    evaluator = evaluator_cls(fuel=fuel)
+    try:
+        return ("ok", evaluator.eval(term, env), evaluator._steps)
+    except EvalError as error:
+        return ("error", str(error), evaluator._steps)
+
+
+def test_threads_share_one_compiled_model_and_no_run_state():
+    model = get_program("crc32").build_model().term
+    requests = [
+        ({"s": list(range(40))}, 10_000_000),
+        ({"s": [0xFF] * 33}, 200),  # runs out of fuel part-way
+        ({"s": [7, 9]}, 10_000_000),
+    ]
+    expected = [_outcome(TreeWalker, model, env, fuel) for env, fuel in requests]
+    assert expected[1][0] == "error"
+    closures.compiled(model, 64)  # one compile, shared by every thread
+    seen = {index: [] for index in range(len(requests))}
+
+    def client(index):
+        env, fuel = requests[index]
+        for _ in range(40):
+            seen[index].append(_outcome(Evaluator, model, env, fuel))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(len(requests))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, outcomes in seen.items():
+        assert outcomes == [expected[index]] * 40
+
+
+def test_a_term_too_deep_to_compile_runs_on_the_tree_walker():
+    # Compiling takes two frames per level, the tree-walker one.
+    depth = sys.getrecursionlimit() * 2 // 3
+    term = t.Lit(depth, WORD)
+    for _ in range(depth):
+        term = t.MRet(term)
+    evaluator = Evaluator()
+    assert evaluator.eval(term) == depth
+    assert evaluator._steps == depth + 1
