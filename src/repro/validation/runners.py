@@ -11,6 +11,7 @@ operationally enforces the separation-logic frame.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,26 +38,30 @@ def _elem_size(ty: SourceType, width: int) -> int:
     return ty.elem_size(width // 8)
 
 
+#: ``struct`` codes for little-endian unsigned elements of each byte size.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _array_format(count: int, size: int) -> str:
+    return f"<{count}{_STRUCT_CODES[size]}"
+
+
 def _encode_composite(value, ty: SourceType, width: int) -> bytes:
     size = _elem_size(ty, width)
     if ty.kind is TypeKind.CELL:
         assert isinstance(value, CellV)
         return int(value.value).to_bytes(size, "little")
-    out = bytearray()
-    for element in value:
-        out.extend(int(element).to_bytes(size, "little"))
-    return bytes(out)
+    try:
+        return struct.pack(_array_format(len(value), size), *value)
+    except struct.error as exc:
+        raise OverflowError(f"cannot encode an array element in {size} byte(s): {exc}") from exc
 
 
 def _decode_composite(data: bytes, ty: SourceType, width: int):
     size = _elem_size(ty, width)
-    values = [
-        int.from_bytes(data[offset : offset + size], "little")
-        for offset in range(0, len(data), size)
-    ]
     if ty.kind is TypeKind.CELL:
-        return CellV(values[0])
-    return values
+        return CellV(int.from_bytes(data, "little"))
+    return list(struct.unpack(_array_format(len(data) // size, size), data))
 
 
 _Pointers = Dict[str, Tuple[int, int, SourceType]]
