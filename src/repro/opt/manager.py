@@ -200,9 +200,8 @@ class PassManager:
         from collections import Counter
 
         from repro.analysis.dataflow import lint_function
-        from repro.analysis.diagnostics import errors
 
-        return dict(Counter(d.code for d in errors(lint_function(fn))))
+        return dict(Counter(d.code for d in lint_function(fn, errors_only=True)))
 
     def _lint_gate(
         self, candidate: ast.Function, baseline: "dict[str, int]"

@@ -11,11 +11,13 @@ writer can leave behind (``gc``: orphaned ``*.tmp`` spools, stale
 
 ``verify`` runs the spec-independent half of the load-path checks --
 JSON shape, schema version, address/key agreement, payload digest,
-AST + certificate decode, definite-assignment well-formedness, and the
-structural certificate check.  The spec-*dependent* checks (name match,
-footprint lint) still run on every load, so a ``verify``-clean cache is
-necessary but not sufficient -- exactly the untrusted-cache trust
-model, swept earlier.
+AST + certificate decode, definite-assignment well-formedness, the
+structural certificate check, and the errors-only dataflow lint without
+a spec (uninitialized reads, stack-pointer misuse, inline-table
+overruns: RB201/RB204/RB205/RB302).  The spec-*dependent* checks (name
+match, the RB206 footprint lint) still run on every load, so a
+``verify``-clean cache is necessary but not sufficient -- exactly the
+untrusted-cache trust model, swept earlier.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _check_entry(cache: CompilationCache, key: str, path: str) -> Optional[str]:
         return rejection.reason
     from repro.validation.checker import first_rejection
 
-    rejection = first_rejection(fn, certificate)
+    rejection = first_rejection(fn, certificate, lint=True)
     return None if rejection is None else rejection.reason
 
 

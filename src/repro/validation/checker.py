@@ -180,9 +180,8 @@ def first_rejection(
         passed("replay")
     if lint:
         from repro.analysis import dataflow
-        from repro.analysis.diagnostics import errors
 
-        found = errors(dataflow.lint_function(fn, spec=spec))
+        found = dataflow.lint_function(fn, spec=spec, errors_only=True)
         if found:
             return Rejection("lint", "; ".join(d.render() for d in found))
         passed("lint")

@@ -65,6 +65,38 @@ def test_verify_catches_resigned_forgeries(tmp_path):
     assert "certificate" in report.corrupt[0]["reason"]
 
 
+def test_verify_lints_resigned_table_overruns(tmp_path):
+    """verify runs the spec-free errors-only lint: a re-signed entry that
+    is well-formed, certificate-clean and reads past an inline table's
+    end is reported offline, not only quarantined on its first load."""
+    from repro.bedrock2 import ast as b2
+    from repro.bedrock2.serial import decode_function, encode_function
+    from repro.serve.cache import _payload_digest
+
+    cache, _, _, key = _prime(tmp_path, name="sbox")
+    assert verify_cache(str(tmp_path)).clean
+
+    def past_the_end(expr):
+        if isinstance(expr, b2.EInlineTable):
+            return b2.EInlineTable(expr.size, expr.data, b2.lit(len(expr.data)))
+        return expr
+
+    with open(cache._path(key)) as fh:
+        entry = json.load(fh)
+    fn = decode_function(entry["function"])
+    body = b2.map_stmt(fn.body, on_expr=lambda e: b2.map_expr(e, past_the_end))
+    entry["function"] = encode_function(
+        b2.Function(name=fn.name, args=fn.args, rets=fn.rets, body=body)
+    )
+    entry.pop("payload_sha")
+    entry["payload_sha"] = _payload_digest(entry)  # attacker re-signs
+    with open(cache._path(key), "w") as fh:
+        fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    report = verify_cache(str(tmp_path))
+    assert [f["key"] for f in report.corrupt] == [key]
+    assert report.corrupt[0]["reason"].startswith("lint: RB302 ")
+
+
 def test_gc_sweeps_spools_stale_locks_and_quarantine(tmp_path):
     cache, program, _, key = _prime(tmp_path)
     shard = os.path.dirname(cache._path(key))
