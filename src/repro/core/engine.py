@@ -61,149 +61,31 @@ def resolve(state: SymState, term: t.Term, shadowed: frozenset = frozenset()) ->
         if tracer.enabled:
             tracer.inc("resolve.rewrites")
         return value
-    if isinstance(term, t.Let):
-        inner = shadowed | {term.name}
-        return t.Let(
-            term.name,
-            resolve(state, term.value, shadowed),
-            resolve(state, term.body, inner),
-        )
-    if isinstance(term, t.LetTuple):
-        inner = shadowed | set(term.names)
-        return t.LetTuple(
-            term.names,
-            resolve(state, term.value, shadowed),
-            resolve(state, term.body, inner),
-        )
-    if isinstance(term, t.MBind):
-        inner = shadowed | {term.name}
-        return t.MBind(
-            term.name,
-            resolve(state, term.ma, shadowed),
-            resolve(state, term.body, inner),
-        )
-    if isinstance(term, t.ArrayMap):
-        inner = shadowed | {term.elem_name}
-        return t.ArrayMap(
-            term.elem_name,
-            resolve(state, term.body, inner),
-            resolve(state, term.arr, shadowed),
-        )
-    if isinstance(term, t.ArrayFold):
-        inner = shadowed | {term.acc_name, term.elem_name}
-        return t.ArrayFold(
-            term.acc_name,
-            term.elem_name,
-            resolve(state, term.body, inner),
-            resolve(state, term.init, shadowed),
-            resolve(state, term.arr, shadowed),
-        )
-    if isinstance(term, t.ArrayFoldBreak):
-        inner = shadowed | {term.acc_name, term.elem_name}
-        pred_shadow = shadowed | {term.acc_name}
-        return t.ArrayFoldBreak(
-            term.acc_name,
-            term.elem_name,
-            resolve(state, term.body, inner),
-            resolve(state, term.init, shadowed),
-            resolve(state, term.arr, shadowed),
-            resolve(state, term.break_pred, pred_shadow),
-        )
-    if isinstance(term, t.RangedFor):
-        inner = shadowed | {term.idx_name, term.acc_name}
-        return t.RangedFor(
-            resolve(state, term.lo, shadowed),
-            resolve(state, term.hi, shadowed),
-            term.idx_name,
-            term.acc_name,
-            resolve(state, term.body, inner),
-            resolve(state, term.init, shadowed),
-        )
-    if isinstance(term, t.NatIter):
-        inner = shadowed | {term.acc_name}
-        return t.NatIter(
-            resolve(state, term.count, shadowed),
-            term.acc_name,
-            resolve(state, term.body, inner),
-            resolve(state, term.init, shadowed),
-        )
-    if isinstance(term, t.CellGet):
+    if isinstance(term, t.CellGet) and (
+        isinstance(term.cell, t.Var)
+        and term.cell.name not in shadowed
+        and isinstance(state.binding(term.cell.name), PointerBinding)
+    ):
         # A cell binder's functional value *is* its content (see FnSpec:
         # cell clauses store content terms), so ``get c`` resolves to the
         # clause value directly and the CellGet node disappears.
-        if (
-            isinstance(term.cell, t.Var)
-            and term.cell.name not in shadowed
-            and isinstance(state.binding(term.cell.name), PointerBinding)
-        ):
-            value = state.value_of(term.cell.name)
-            if value is None:
-                raise OutOfScopeValue(
-                    term.cell.name,
-                    binding_site=state.binding_site(term.cell.name),
-                    kind="cell",
-                )
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.inc("resolve.rewrites")
-            return value
-        return t.CellGet(resolve(state, term.cell, shadowed))
-    # Open extension point: Term subclasses from other packages (e.g.
-    # repro.query) resolve themselves, respecting their own binders.
-    # Without this an unknown node with binders would fall through to the
-    # binder-free congruence below and _rebuild would drop its resolved
-    # children entirely.
-    hook = getattr(term, "resolve_node", None)
-    if hook is not None:
-        return hook(state, shadowed, resolve)
-    # Congruence over nodes without binders, via subst-free reconstruction.
-    rebuilt = _rebuild(term, [resolve(state, c, shadowed) for c in term.children()])
-    return rebuilt
-
-
-def _rebuild(term: t.Term, children: List[t.Term]) -> t.Term:
-    """Reconstruct a binder-free node with new children (same shapes)."""
-    if isinstance(term, t.Prim):
-        return t.Prim(term.op, tuple(children))
-    if isinstance(term, t.If):
-        return t.If(children[0], children[1], children[2])
-    if isinstance(term, t.TupleTerm):
-        return t.TupleTerm(tuple(children))
-    if isinstance(term, t.ArrayLen):
-        return t.ArrayLen(children[0])
-    if isinstance(term, t.ArrayGet):
-        return t.ArrayGet(children[0], children[1])
-    if isinstance(term, t.ArrayPut):
-        return t.ArrayPut(children[0], children[1], children[2])
-    if isinstance(term, t.FirstN):
-        return t.FirstN(children[0], children[1])
-    if isinstance(term, t.SkipN):
-        return t.SkipN(children[0], children[1])
-    if isinstance(term, t.Append):
-        return t.Append(children[0], children[1])
-    if isinstance(term, t.TableGet):
-        return t.TableGet(term.data, term.elem_ty, children[0])
-    if isinstance(term, t.CellGet):
-        return t.CellGet(children[0])
-    if isinstance(term, t.CellPut):
-        return t.CellPut(children[0], children[1])
-    if isinstance(term, t.Stack):
-        return t.Stack(children[0])
-    if isinstance(term, t.Copy):
-        return t.Copy(children[0])
-    if isinstance(term, t.Call):
-        return t.Call(term.func, tuple(children))
-    if isinstance(term, t.MRet):
-        return t.MRet(children[0])
-    if isinstance(term, t.IOWrite):
-        return t.IOWrite(children[0])
-    if isinstance(term, t.WriterTell):
-        return t.WriterTell(children[0])
-    if isinstance(term, t.StPut):
-        return t.StPut(children[0])
-    if isinstance(term, t.ErrGuard):
-        return t.ErrGuard(children[0])
-    return term  # leaves: Lit, IORead, NdAny, NdAllocBytes, StGet
+        value = state.value_of(term.cell.name)
+        if value is None:
+            raise OutOfScopeValue(
+                term.cell.name,
+                binding_site=state.binding_site(term.cell.name),
+                kind="cell",
+            )
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.inc("resolve.rewrites")
+        return value
+    # Every other head: resolve the subterms, each under the names the
+    # head binds over it.
+    return t.map_children(
+        term,
+        lambda child, bound: resolve(state, child, shadowed.union(bound) if bound else shadowed),
+    )
 
 
 class Engine:

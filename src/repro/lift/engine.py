@@ -48,7 +48,6 @@ engine's typed degradation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -160,42 +159,9 @@ class LiftResult:
         return self.model is not None
 
 
-def _free_vars(term: t.Term, out: Optional[set] = None) -> set:
+def _var_names(term: t.Term) -> set:
     """All ``Var`` names in ``term`` (binder-naive, so over-approximate)."""
-    if out is None:
-        out = set()
-    if isinstance(term, t.Var):
-        out.add(term.name)
-        return out
-    for f in dataclasses.fields(term):
-        value = getattr(term, f.name)
-        if isinstance(value, t.Term):
-            _free_vars(value, out)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, t.Term):
-                    _free_vars(item, out)
-    return out
-
-
-def _rewrite(term: t.Term, fn) -> t.Term:
-    """Bottom-up rewrite: ``fn(node)`` returns a replacement or ``None``."""
-    updates = {}
-    for f in dataclasses.fields(term):
-        value = getattr(term, f.name)
-        if isinstance(value, t.Term):
-            new = _rewrite(value, fn)
-            if new is not value:
-                updates[f.name] = new
-        elif isinstance(value, tuple) and any(isinstance(x, t.Term) for x in value):
-            new_tuple = tuple(
-                _rewrite(x, fn) if isinstance(x, t.Term) else x for x in value
-            )
-            if new_tuple != value:
-                updates[f.name] = new_tuple
-    rebuilt = dataclasses.replace(term, **updates) if updates else term
-    replacement = fn(rebuilt)
-    return rebuilt if replacement is None else replacement
+    return {node.name for node in t.walk_terms(term) if isinstance(node, t.Var)}
 
 
 def _is_zero(term: Optional[t.Term]) -> bool:
@@ -701,7 +667,7 @@ class _FunctionLifter:
             pending = frame.bindings[i]
             if pending.names is None and pending.name == name:
                 for later in frame.bindings[i + 1 :]:
-                    if name in _free_vars(later.value.term):
+                    if name in _var_names(later.value.term):
                         return None
                 return frame.bindings.pop(i).value
         return None
@@ -1062,17 +1028,17 @@ class _FunctionLifter:
         """Replace ``ArrayGet(arr, idx)`` with the elem binder; ``None``
         if the index still occurs afterwards (not an element-wise body)."""
 
-        def rule(node: t.Term):
+        def rule(node: t.Term) -> t.Term:
             if (
                 isinstance(node, t.ArrayGet)
                 and node.arr == arr_term
                 and node.index == t.Var(idx_name)
             ):
                 return t.Var(elem_name)
-            return None
+            return node
 
-        rewritten = _rewrite(term, rule)
-        if idx_name in _free_vars(rewritten):
+        rewritten = t.map_term(term, rule)
+        if idx_name in _var_names(rewritten):
             return None
         return rewritten
 
@@ -1091,14 +1057,11 @@ class _FunctionLifter:
         pred_frame.env[acc] = LiftedValue(t.Var(acc), init.ty)
         pred = self._as_bool(self._lift_expr(break_expr, pred_frame))
         # identify the array being folded: the unique array read at idx
-        arrays = set()
-
-        def find(node: t.Term):
-            if isinstance(node, t.ArrayGet) and node.index == t.Var(idx_name):
-                arrays.add(node.arr)
-            return None
-
-        _rewrite(step.term, find)
+        arrays = {
+            node.arr
+            for node in t.walk_terms(step.term)
+            if isinstance(node, t.ArrayGet) and node.index == t.Var(idx_name)
+        }
         if len(arrays) != 1 or not _is_zero(lo):
             raise self._stall(
                 "early-exit loop does not walk a single array from 0",

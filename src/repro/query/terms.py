@@ -10,12 +10,15 @@ a nested-loop join aggregation.  Everything simpler (unfiltered
 single-column folds, existence checks) reuses ``ListArray``'s
 ``fold``/``fold_break`` and introduces no new heads at all.
 
-Each class implements the duck-typed extension hooks the core consults
-on unknown heads -- ``free_vars_node``/``subst_node``/``pretty_node``
+Each class declares its shape with :func:`repro.source.terms.subterms`
+-- which fields are subterms, and which of its binder names each one is
+under -- and the core's generic traversals (``children``/``binders``,
+``free_vars``, ``subst``, the engine's ``resolve``) read it from there.
+What remains per class is meaning: the duck-typed hooks the core
+consults on unknown heads -- ``pretty_node``
 (:mod:`repro.source.terms`), ``eval_node``
-(:mod:`repro.source.evaluator`) and ``compile_node``
-(:mod:`repro.source.closures`), ``resolve_node``
-(:mod:`repro.core.engine`), ``infer_type_node``
+(:mod:`repro.source.evaluator`), ``compile_node``
+(:mod:`repro.source.closures`), ``infer_type_node``
 (:mod:`repro.core.typecheck`), and the solver's length hooks -- so
 ``repro.source``/``repro.core`` never import this package.
 """
@@ -23,12 +26,12 @@ on unknown heads -- ``free_vars_node``/``subst_node``/``pretty_node``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.source import terms as t
 from repro.source.types import NAT, SourceType
 
 
+@t.subterms("count", "init", "body", body=("idx_name", "acc_name"))
 @dataclass(frozen=True)
 class QAggregate(t.Term):
     """``aggregate over idx in [0, count) with acc := init { body }``.
@@ -48,12 +51,6 @@ class QAggregate(t.Term):
 
     statement_shape = True  # compiles to a loop, never to one expression
 
-    def children(self) -> Tuple[t.Term, ...]:
-        return (self.count, self.init, self.body)
-
-    def binders(self) -> Tuple[str, ...]:
-        return (self.idx_name, self.acc_name)
-
     def as_ranged_for(self) -> t.RangedFor:
         """The equivalent core term the lemma family reduces to."""
         return t.RangedFor(
@@ -62,34 +59,6 @@ class QAggregate(t.Term):
         )
 
     # -- core extension hooks -------------------------------------------------
-
-    def free_vars_node(self, free_vars) -> set:
-        bound = {self.idx_name, self.acc_name}
-        return (
-            free_vars(self.count)
-            | free_vars(self.init)
-            | (free_vars(self.body) - bound)
-        )
-
-    def subst_node(self, name: str, replacement: t.Term, subst) -> "QAggregate":
-        shadowed = name in (self.idx_name, self.acc_name)
-        return QAggregate(
-            self.idx_name,
-            self.acc_name,
-            subst(self.count, name, replacement),
-            subst(self.init, name, replacement),
-            self.body if shadowed else subst(self.body, name, replacement),
-        )
-
-    def resolve_node(self, state, shadowed: frozenset, resolve) -> "QAggregate":
-        inner = shadowed | {self.idx_name, self.acc_name}
-        return QAggregate(
-            self.idx_name,
-            self.acc_name,
-            resolve(state, self.count, shadowed),
-            resolve(state, self.init, shadowed),
-            resolve(state, self.body, inner),
-        )
 
     def eval_node(self, evaluator, env: dict, fx) -> object:
         count = int(evaluator._eval(self.count, env, fx))
@@ -128,6 +97,7 @@ class QAggregate(t.Term):
         )
 
 
+@t.subterms("out", "body", body=("idx_name",))
 @dataclass(frozen=True)
 class QProjectInto(t.Term):
     """``[ body idx | idx < length out ]`` -- projection into ``out``.
@@ -145,32 +115,7 @@ class QProjectInto(t.Term):
 
     statement_shape = True
 
-    def children(self) -> Tuple[t.Term, ...]:
-        return (self.out, self.body)
-
-    def binders(self) -> Tuple[str, ...]:
-        return (self.idx_name,)
-
     # -- core extension hooks -------------------------------------------------
-
-    def free_vars_node(self, free_vars) -> set:
-        return free_vars(self.out) | (free_vars(self.body) - {self.idx_name})
-
-    def subst_node(self, name: str, replacement: t.Term, subst) -> "QProjectInto":
-        return QProjectInto(
-            self.idx_name,
-            subst(self.out, name, replacement),
-            self.body if name == self.idx_name
-            else subst(self.body, name, replacement),
-        )
-
-    def resolve_node(self, state, shadowed: frozenset, resolve) -> "QProjectInto":
-        inner = shadowed | {self.idx_name}
-        return QProjectInto(
-            self.idx_name,
-            resolve(state, self.out, shadowed),
-            resolve(state, self.body, inner),
-        )
 
     def eval_node(self, evaluator, env: dict, fx) -> list:
         out = evaluator._array(self.out, env, fx)
@@ -216,6 +161,9 @@ class QProjectInto(t.Term):
         return self.out
 
 
+@t.subterms(
+    "left_count", "right_count", "init", "body", body=("i_name", "j_name", "acc_name")
+)
 @dataclass(frozen=True)
 class QJoinAgg(t.Term):
     """Nested-loop equi-join folded straight into an accumulator.
@@ -237,12 +185,6 @@ class QJoinAgg(t.Term):
 
     statement_shape = True
 
-    def children(self) -> Tuple[t.Term, ...]:
-        return (self.left_count, self.right_count, self.init, self.body)
-
-    def binders(self) -> Tuple[str, ...]:
-        return (self.i_name, self.j_name, self.acc_name)
-
     def as_nested_ranged_for(self) -> t.RangedFor:
         """Outer loop over the left table, inner over the right.
 
@@ -260,39 +202,6 @@ class QJoinAgg(t.Term):
         )
 
     # -- core extension hooks -------------------------------------------------
-
-    def free_vars_node(self, free_vars) -> set:
-        bound = {self.i_name, self.j_name, self.acc_name}
-        return (
-            free_vars(self.left_count)
-            | free_vars(self.right_count)
-            | free_vars(self.init)
-            | (free_vars(self.body) - bound)
-        )
-
-    def subst_node(self, name: str, replacement: t.Term, subst) -> "QJoinAgg":
-        shadowed = name in (self.i_name, self.j_name, self.acc_name)
-        return QJoinAgg(
-            self.i_name,
-            self.j_name,
-            self.acc_name,
-            subst(self.left_count, name, replacement),
-            subst(self.right_count, name, replacement),
-            subst(self.init, name, replacement),
-            self.body if shadowed else subst(self.body, name, replacement),
-        )
-
-    def resolve_node(self, state, shadowed: frozenset, resolve) -> "QJoinAgg":
-        inner = shadowed | {self.i_name, self.j_name, self.acc_name}
-        return QJoinAgg(
-            self.i_name,
-            self.j_name,
-            self.acc_name,
-            resolve(state, self.left_count, shadowed),
-            resolve(state, self.right_count, shadowed),
-            resolve(state, self.init, shadowed),
-            resolve(state, self.body, inner),
-        )
 
     def eval_node(self, evaluator, env: dict, fx) -> object:
         left = int(evaluator._eval(self.left_count, env, fx))

@@ -16,8 +16,9 @@ engine, works by syntactic matching on these same nodes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.config import current_config
 from repro.source.types import SourceType
@@ -192,16 +193,27 @@ class _TermMeta(type):
 
 
 class Term(metaclass=_TermMeta):
-    """Base class of source terms."""
+    """Base class of source terms.
+
+    A head with ``Term``-valued fields declares where they are, and which
+    of its names each one is under, with :func:`subterms`.
+    """
 
     __slots__ = ()
 
     def children(self) -> Tuple["Term", ...]:
-        return ()
+        """The subterms, in declaration order, tuple fields spread."""
+        return _gather(self, _shape_of(self).children)
 
     def binders(self) -> Tuple[str, ...]:
-        """Names bound by this node in its (last) child."""
-        return ()
+        """Every name this node binds, in field order.
+
+        Each name is bound only in the subterms whose scope lists it:
+        ``ArrayFoldBreak`` binds ``acc_name`` in ``body`` and
+        ``break_pred`` but ``elem_name`` in ``body`` alone, and neither in
+        ``init`` or ``arr``.
+        """
+        return _gather(self, _shape_of(self).binders)
 
     def __getstate__(self):
         # The cached structural hash must never be pickled: str hashes
@@ -214,6 +226,131 @@ class Term(metaclass=_TermMeta):
         return state
 
 
+# -- Shape ----------------------------------------------------------------------------
+#
+# Which fields of which head hold subterms, and which binder fields scope
+# over which of them, is stated once per head with ``@subterms``.  Every
+# generic traversal -- ``children``/``binders``, ``free_vars``, ``subst``,
+# ``walk_terms``, ``map_term`` and the engine's ``resolve`` -- goes
+# through :func:`map_children`, which reads only that declaration.  Code
+# that gives a head its meaning (the evaluators, the printer, the type
+# checker, the lemmas) still spells out the fields it interprets.
+
+
+class _Slot(NamedTuple):
+    field: str  # the field holding the subterm(s)
+    position: int  # its index in the constructor's argument list
+    many: bool  # a tuple of terms rather than one term
+    scope: Tuple[Tuple[str, bool], ...]  # binder fields bound in it (many?)
+
+
+class _Shape(NamedTuple):
+    fields: Tuple[str, ...]  # every field, in constructor order
+    slots: Tuple[_Slot, ...]  # the subterm fields, in declaration order
+    children: Tuple[Tuple[str, bool], ...]  # the same, as (field, many?)
+    binders: Tuple[Tuple[str, bool], ...]  # every binder field, in field order
+
+
+_LEAF = _Shape((), (), (), ())
+_SHAPES: Dict[type, _Shape] = {}
+
+
+def subterms(*fields: str, **scopes: Tuple[str, ...]) -> Callable[[type], type]:
+    """Class decorator declaring a ``Term`` head's shape (apply it above
+    ``@dataclass``).
+
+    ``fields`` name the fields that hold subterms, in ``children()``
+    order; a leading ``*`` marks a field holding a tuple of terms.  Each
+    keyword is one of those fields and lists the binder fields whose
+    names are bound in it, ``*`` again marking a tuple of names.  A head
+    whose fields hold no terms declares ``@subterms()``; a head with no
+    fields at all is a leaf without a declaration.
+    """
+
+    def declare(cls: type) -> type:
+        names = [f.name for f in dataclasses.fields(cls)]
+
+        def field_of(spec: str) -> Tuple[str, bool]:
+            name = spec.lstrip("*")
+            if name not in names:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            return name, spec.startswith("*")
+
+        slots = []
+        for spec in fields:
+            name, many = field_of(spec)
+            scope = tuple(field_of(b) for b in scopes.get(name, ()))
+            slots.append(_Slot(name, names.index(name), many, scope))
+        unknown = set(scopes) - {slot.field for slot in slots}
+        if unknown:
+            raise TypeError(f"{cls.__name__}: scope of a non-subterm field {sorted(unknown)}")
+        binders = sorted(
+            {b for slot in slots for b in slot.scope}, key=lambda b: names.index(b[0])
+        )
+        children = tuple((slot.field, slot.many) for slot in slots)
+        _SHAPES[cls] = _Shape(tuple(names), tuple(slots), children, tuple(binders))
+        return cls
+
+    return declare
+
+
+def _shape_of(term: Term) -> _Shape:
+    cls = type(term)
+    shape = _SHAPES.get(cls)
+    if shape is not None:
+        return shape
+    if not dataclasses.is_dataclass(cls) or not dataclasses.fields(cls):
+        _SHAPES[cls] = _LEAF
+        return _LEAF
+    for f in dataclasses.fields(cls):
+        value = getattr(term, f.name)
+        if isinstance(value, Term) or (
+            isinstance(value, tuple) and any(isinstance(v, Term) for v in value)
+        ):
+            raise TypeError(
+                f"{cls.__name__} has Term-valued fields but declares no shape; "
+                f"decorate it with @subterms(...)"
+            )
+    return _LEAF
+
+
+def _gather(term: Term, fields: Tuple[Tuple[str, bool], ...]) -> tuple:
+    """The values of ``fields``, each tuple-valued one (``many``) spread."""
+    out: tuple = ()
+    for field, many in fields:
+        value = getattr(term, field)
+        out += value if many else (value,)
+    return out
+
+
+def map_children(term: Term, visit: Callable[[Term, Tuple[str, ...]], Term]) -> Term:
+    """``term`` with every subterm ``c`` replaced by ``visit(c, bound)``,
+    where ``bound`` names what ``term`` binds over ``c``.
+
+    Subterms are visited in ``children()`` order.  When every visit
+    returns its argument, ``term`` itself comes back; otherwise the head
+    is rebuilt by a positional constructor call, the form interning
+    answers from its table.
+    """
+    shape = _shape_of(term)
+    args = None
+    for slot in shape.slots:
+        bound = _gather(term, slot.scope)
+        old = getattr(term, slot.field)
+        if slot.many:
+            new = tuple(visit(child, bound) for child in old)
+            changed = any(a is not b for a, b in zip(new, old))
+        else:
+            new = visit(old, bound)
+            changed = new is not old
+        if changed:
+            if args is None:
+                args = [getattr(term, name) for name in shape.fields]
+            args[slot.position] = new
+    return term if args is None else type(term)(*args)
+
+
+@subterms()
 @dataclass(frozen=True)
 class Lit(Term):
     """A literal: int for word/byte/nat, bool for bool."""
@@ -225,6 +362,7 @@ class Lit(Term):
         return f"Lit({self.value!r}:{self.ty!r})"
 
 
+@subterms()
 @dataclass(frozen=True)
 class Var(Term):
     name: str
@@ -233,6 +371,7 @@ class Var(Term):
         return f"Var({self.name!r})"
 
 
+@subterms("*args")
 @dataclass(frozen=True)
 class Prim(Term):
     """Application of a primitive operation from :mod:`repro.source.ops`."""
@@ -240,10 +379,8 @@ class Prim(Term):
     op: str
     args: Tuple[Term, ...]
 
-    def children(self) -> Tuple[Term, ...]:
-        return self.args
 
-
+@subterms("value", "body", body=("name",))
 @dataclass(frozen=True)
 class Let(Term):
     """``let/n name := value in body`` -- the name-carrying binding.
@@ -257,13 +394,8 @@ class Let(Term):
     value: Term
     body: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value, self.body)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.name,)
-
-
+@subterms("value", "body", body=("*names",))
 @dataclass(frozen=True)
 class LetTuple(Term):
     """``let/n (a, b, ...) := value in body`` -- a multi-target binding.
@@ -277,44 +409,33 @@ class LetTuple(Term):
     value: Term
     body: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value, self.body)
 
-    def binders(self) -> Tuple[str, ...]:
-        return self.names
-
-
+@subterms("cond", "then_", "else_")
 @dataclass(frozen=True)
 class If(Term):
     cond: Term
     then_: Term
     else_: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.cond, self.then_, self.else_)
 
-
+@subterms("*items")
 @dataclass(frozen=True)
 class TupleTerm(Term):
     """A tuple of results (used for multi-target lets and returns)."""
 
     items: Tuple[Term, ...]
 
-    def children(self) -> Tuple[Term, ...]:
-        return self.items
-
 
 # -- Arrays (the ListArray module) ---------------------------------------------
 
 
+@subterms("arr")
 @dataclass(frozen=True)
 class ArrayLen(Term):
     arr: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.arr,)
 
-
+@subterms("arr", "index")
 @dataclass(frozen=True)
 class ArrayGet(Term):
     """``ListArray.get a i`` -- functionally ``nth i a``."""
@@ -322,10 +443,8 @@ class ArrayGet(Term):
     arr: Term
     index: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.arr, self.index)
 
-
+@subterms("arr", "index", "value")
 @dataclass(frozen=True)
 class ArrayPut(Term):
     """``ListArray.put a i v`` -- functionally ``a[i <- v]`` (a fresh list)."""
@@ -334,10 +453,8 @@ class ArrayPut(Term):
     index: Term
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.arr, self.index, self.value)
 
-
+@subterms("body", "arr", body=("elem_name",))
 @dataclass(frozen=True)
 class ArrayMap(Term):
     """``ListArray.map (fun elem => body) arr``."""
@@ -346,13 +463,8 @@ class ArrayMap(Term):
     body: Term
     arr: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.body, self.arr)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.elem_name,)
-
-
+@subterms("body", "init", "arr", body=("acc_name", "elem_name"))
 @dataclass(frozen=True)
 class ArrayFold(Term):
     """``List.fold_left (fun acc elem => body) arr init``."""
@@ -363,13 +475,11 @@ class ArrayFold(Term):
     init: Term
     arr: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.body, self.init, self.arr)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.acc_name, self.elem_name)
-
-
+@subterms(
+    "body", "init", "arr", "break_pred",
+    body=("acc_name", "elem_name"), break_pred=("acc_name",),
+)
 @dataclass(frozen=True)
 class ArrayFoldBreak(Term):
     """``fold_left`` with an early exit (§3: "folds, with and without
@@ -387,13 +497,8 @@ class ArrayFoldBreak(Term):
     arr: Term
     break_pred: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.body, self.init, self.arr, self.break_pred)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.acc_name, self.elem_name)
-
-
+@subterms("lo", "hi", "body", "init", body=("idx_name", "acc_name"))
 @dataclass(frozen=True)
 class RangedFor(Term):
     """``fold over i in [lo, hi) with acc := init`` -- the ranged for loop.
@@ -409,13 +514,8 @@ class RangedFor(Term):
     body: Term
     init: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.lo, self.hi, self.body, self.init)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.idx_name, self.acc_name)
-
-
+@subterms("count", "body", "init", body=("acc_name",))
 @dataclass(frozen=True)
 class NatIter(Term):
     """``Nat.iter count (fun acc => body) init`` (§3.4.2's example)."""
@@ -425,13 +525,8 @@ class NatIter(Term):
     body: Term
     init: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.count, self.body, self.init)
 
-    def binders(self) -> Tuple[str, ...]:
-        return (self.acc_name,)
-
-
+@subterms("count", "arr")
 @dataclass(frozen=True)
 class FirstN(Term):
     """``List.firstn n arr`` -- used in inferred loop invariants (§3.4.2)."""
@@ -439,10 +534,8 @@ class FirstN(Term):
     count: Term
     arr: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.count, self.arr)
 
-
+@subterms("count", "arr")
 @dataclass(frozen=True)
 class SkipN(Term):
     """``List.skipn n arr`` -- used in inferred loop invariants (§3.4.2)."""
@@ -450,10 +543,8 @@ class SkipN(Term):
     count: Term
     arr: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.count, self.arr)
 
-
+@subterms("first", "second")
 @dataclass(frozen=True)
 class Append(Term):
     """``a ++ b`` -- used in inferred loop invariants (§3.4.2)."""
@@ -461,13 +552,11 @@ class Append(Term):
     first: Term
     second: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.first, self.second)
-
 
 # -- Inline tables ----------------------------------------------------------------
 
 
+@subterms("index")
 @dataclass(frozen=True)
 class TableGet(Term):
     """``InlineTable.get table i`` -- functionally just ``nth`` (§4.1.2).
@@ -480,56 +569,46 @@ class TableGet(Term):
     elem_ty: SourceType
     index: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.index,)
-
 
 # -- Cells --------------------------------------------------------------------------
 
 
+@subterms("cell")
 @dataclass(frozen=True)
 class CellGet(Term):
     cell: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.cell,)
 
-
+@subterms("cell", "value")
 @dataclass(frozen=True)
 class CellPut(Term):
     cell: Term
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.cell, self.value)
-
 
 # -- Annotations (semantically transparent, §3.4.1) -----------------------------------
 
 
+@subterms("value")
 @dataclass(frozen=True)
 class Stack(Term):
     """``stack (term)``: allocate the bound object on the stack."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
 
-
+@subterms("value")
 @dataclass(frozen=True)
 class Copy(Term):
     """``copy (term)``: force a fresh allocation instead of mutation."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
-
 
 # -- External calls ------------------------------------------------------------------
 
 
+@subterms("*args")
 @dataclass(frozen=True)
 class Call(Term):
     """A call to a separately compiled (or handwritten) low-level function."""
@@ -537,23 +616,19 @@ class Call(Term):
     func: str
     args: Tuple[Term, ...]
 
-    def children(self) -> Tuple[Term, ...]:
-        return self.args
-
 
 # -- Monadic structure (extensional effects, §3.4.1) -----------------------------------
 
 
+@subterms("value")
 @dataclass(frozen=True)
 class MRet(Term):
     """``ret v`` in whatever ambient monad the program lives in."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
 
-
+@subterms("ma", "body", body=("name",))
 @dataclass(frozen=True)
 class MBind(Term):
     """``bind ma (fun name => body)`` with a name-carrying binder."""
@@ -562,38 +637,29 @@ class MBind(Term):
     ma: Term
     body: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.ma, self.body)
-
-    def binders(self) -> Tuple[str, ...]:
-        return (self.name,)
-
 
 @dataclass(frozen=True)
 class IORead(Term):
     """Read one word from the external world (I/O monad)."""
 
 
+@subterms("value")
 @dataclass(frozen=True)
 class IOWrite(Term):
     """Write one word to the external world (I/O monad)."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
 
-
+@subterms("value")
 @dataclass(frozen=True)
 class WriterTell(Term):
     """Append one word to the writer monad's output."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
 
-
+@subterms("cond")
 @dataclass(frozen=True)
 class ErrGuard(Term):
     """The error monad's ``guard``: fail the whole computation unless
@@ -603,10 +669,8 @@ class ErrGuard(Term):
 
     cond: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.cond,)
 
-
+@subterms()
 @dataclass(frozen=True)
 class NdAny(Term):
     """An unspecified scalar (nondeterminism monad's ``peek``)."""
@@ -614,6 +678,7 @@ class NdAny(Term):
     ty: SourceType
 
 
+@subterms()
 @dataclass(frozen=True)
 class NdAllocBytes(Term):
     """A fresh buffer of ``nbytes`` unspecified bytes (nondet ``alloc``)."""
@@ -626,69 +691,49 @@ class StGet(Term):
     """Read the state-monad state."""
 
 
+@subterms("value")
 @dataclass(frozen=True)
 class StPut(Term):
     """Replace the state-monad state."""
 
     value: Term
 
-    def children(self) -> Tuple[Term, ...]:
-        return (self.value,)
-
 
 # -- Generic helpers ---------------------------------------------------------------
 
 
+def walk_terms(term: Term) -> List[Term]:
+    """Every node under ``term``, itself included, in pre-order: a node
+    before its subterms, subterms in ``children()`` order."""
+    out: List[Term] = []
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += node.children()[::-1]
+    return out
+
+
+def map_term(term: Term, transform: Callable[[Term], Term]) -> Term:
+    """Rebuild ``term`` bottom-up, applying ``transform`` at every node:
+    subterms first, then the node rebuilt over their results.  Binders are
+    ignored, so ``transform`` sees bound and free occurrences alike."""
+    return transform(map_children(term, lambda child, _: map_term(child, transform)))
+
+
 def free_vars(term: Term) -> set:
     """Free variable names of ``term``."""
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Let):
-        return free_vars(term.value) | (free_vars(term.body) - {term.name})
-    if isinstance(term, LetTuple):
-        return free_vars(term.value) | (free_vars(term.body) - set(term.names))
-    if isinstance(term, MBind):
-        return free_vars(term.ma) | (free_vars(term.body) - {term.name})
-    if isinstance(term, ArrayMap):
-        return (free_vars(term.body) - {term.elem_name}) | free_vars(term.arr)
-    if isinstance(term, ArrayFold):
-        bound = {term.acc_name, term.elem_name}
-        return (
-            (free_vars(term.body) - bound)
-            | free_vars(term.init)
-            | free_vars(term.arr)
-        )
-    if isinstance(term, ArrayFoldBreak):
-        bound = {term.acc_name, term.elem_name}
-        return (
-            (free_vars(term.body) - bound)
-            | (free_vars(term.break_pred) - {term.acc_name})
-            | free_vars(term.init)
-            | free_vars(term.arr)
-        )
-    if isinstance(term, RangedFor):
-        bound = {term.idx_name, term.acc_name}
-        return (
-            free_vars(term.lo)
-            | free_vars(term.hi)
-            | (free_vars(term.body) - bound)
-            | free_vars(term.init)
-        )
-    if isinstance(term, NatIter):
-        return (
-            free_vars(term.count)
-            | (free_vars(term.body) - {term.acc_name})
-            | free_vars(term.init)
-        )
-    # Open extension point: a Term subclass defined outside this module
-    # (e.g. repro.query's plan combinators) that binds names implements
-    # ``free_vars_node`` instead of growing this isinstance chain.
-    hook = getattr(term, "free_vars_node", None)
-    if hook is not None:
-        return hook(free_vars)
     out: set = set()
-    for child in term.children():
-        out |= free_vars(child)
+
+    def visit(node: Term, bound: Tuple[str, ...]) -> Term:
+        if isinstance(node, Var):
+            if node.name not in bound:
+                out.add(node.name)
+        else:
+            map_children(node, lambda child, names: visit(child, bound + names))
+        return node
+
+    visit(term, ())
     return out
 
 
@@ -696,121 +741,9 @@ def subst(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding-enough substitution (binders shadow)."""
     if isinstance(term, Var):
         return replacement if term.name == name else term
-    if isinstance(term, Let):
-        value = subst(term.value, name, replacement)
-        body = term.body if term.name == name else subst(term.body, name, replacement)
-        return Let(term.name, value, body)
-    if isinstance(term, LetTuple):
-        value = subst(term.value, name, replacement)
-        body = term.body if name in term.names else subst(term.body, name, replacement)
-        return LetTuple(term.names, value, body)
-    if isinstance(term, MBind):
-        ma = subst(term.ma, name, replacement)
-        body = term.body if term.name == name else subst(term.body, name, replacement)
-        return MBind(term.name, ma, body)
-    if isinstance(term, ArrayMap):
-        body = term.body if term.elem_name == name else subst(term.body, name, replacement)
-        return ArrayMap(term.elem_name, body, subst(term.arr, name, replacement))
-    if isinstance(term, ArrayFold):
-        shadowed = name in (term.acc_name, term.elem_name)
-        body = term.body if shadowed else subst(term.body, name, replacement)
-        return ArrayFold(
-            term.acc_name,
-            term.elem_name,
-            body,
-            subst(term.init, name, replacement),
-            subst(term.arr, name, replacement),
-        )
-    if isinstance(term, ArrayFoldBreak):
-        shadowed = name in (term.acc_name, term.elem_name)
-        body = term.body if shadowed else subst(term.body, name, replacement)
-        pred = (
-            term.break_pred
-            if name == term.acc_name
-            else subst(term.break_pred, name, replacement)
-        )
-        return ArrayFoldBreak(
-            term.acc_name,
-            term.elem_name,
-            body,
-            subst(term.init, name, replacement),
-            subst(term.arr, name, replacement),
-            pred,
-        )
-    if isinstance(term, RangedFor):
-        shadowed = name in (term.idx_name, term.acc_name)
-        body = term.body if shadowed else subst(term.body, name, replacement)
-        return RangedFor(
-            subst(term.lo, name, replacement),
-            subst(term.hi, name, replacement),
-            term.idx_name,
-            term.acc_name,
-            body,
-            subst(term.init, name, replacement),
-        )
-    if isinstance(term, NatIter):
-        body = term.body if term.acc_name == name else subst(term.body, name, replacement)
-        return NatIter(
-            subst(term.count, name, replacement),
-            term.acc_name,
-            body,
-            subst(term.init, name, replacement),
-        )
-    # Generic congruence case for nodes without binders.
-    if isinstance(term, Prim):
-        return Prim(term.op, tuple(subst(a, name, replacement) for a in term.args))
-    if isinstance(term, If):
-        return If(
-            subst(term.cond, name, replacement),
-            subst(term.then_, name, replacement),
-            subst(term.else_, name, replacement),
-        )
-    if isinstance(term, TupleTerm):
-        return TupleTerm(tuple(subst(a, name, replacement) for a in term.items))
-    if isinstance(term, ArrayLen):
-        return ArrayLen(subst(term.arr, name, replacement))
-    if isinstance(term, ArrayGet):
-        return ArrayGet(subst(term.arr, name, replacement), subst(term.index, name, replacement))
-    if isinstance(term, ArrayPut):
-        return ArrayPut(
-            subst(term.arr, name, replacement),
-            subst(term.index, name, replacement),
-            subst(term.value, name, replacement),
-        )
-    if isinstance(term, FirstN):
-        return FirstN(subst(term.count, name, replacement), subst(term.arr, name, replacement))
-    if isinstance(term, SkipN):
-        return SkipN(subst(term.count, name, replacement), subst(term.arr, name, replacement))
-    if isinstance(term, Append):
-        return Append(subst(term.first, name, replacement), subst(term.second, name, replacement))
-    if isinstance(term, TableGet):
-        return TableGet(term.data, term.elem_ty, subst(term.index, name, replacement))
-    if isinstance(term, CellGet):
-        return CellGet(subst(term.cell, name, replacement))
-    if isinstance(term, CellPut):
-        return CellPut(subst(term.cell, name, replacement), subst(term.value, name, replacement))
-    if isinstance(term, Stack):
-        return Stack(subst(term.value, name, replacement))
-    if isinstance(term, Copy):
-        return Copy(subst(term.value, name, replacement))
-    if isinstance(term, Call):
-        return Call(term.func, tuple(subst(a, name, replacement) for a in term.args))
-    if isinstance(term, MRet):
-        return MRet(subst(term.value, name, replacement))
-    if isinstance(term, IOWrite):
-        return IOWrite(subst(term.value, name, replacement))
-    if isinstance(term, WriterTell):
-        return WriterTell(subst(term.value, name, replacement))
-    if isinstance(term, StPut):
-        return StPut(subst(term.value, name, replacement))
-    # Open extension point: external Term subclasses with children (and
-    # possibly binders) substitute through ``subst_node``; without it an
-    # unknown node would be returned unchanged, silently dropping the
-    # substitution inside its children.
-    hook = getattr(term, "subst_node", None)
-    if hook is not None:
-        return hook(name, replacement, subst)
-    return term
+    return map_children(
+        term, lambda child, bound: child if name in bound else subst(child, name, replacement)
+    )
 
 
 # Certificates record a pretty-printed copy of every discharged side
@@ -926,7 +859,7 @@ def _pretty_walk(term: Term, indent: int) -> str:
         return "st.get()"
     if isinstance(term, StPut):
         return f"st.put({pretty(term.value)})"
-    # Open extension point mirroring free_vars/subst: external nodes
+    # Open extension point (like ``eval_node``): external nodes
     # render themselves (stall reports stay readable for new domains).
     hook = getattr(term, "pretty_node", None)
     if hook is not None:

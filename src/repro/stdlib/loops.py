@@ -36,13 +36,6 @@ from repro.source import terms as t
 from repro.source.types import NAT, SourceType
 
 
-def _binder_names(term: t.Term) -> set:
-    names = set(term.binders())
-    for child in term.children():
-        names |= _binder_names(child)
-    return names
-
-
 def _has_statement_shape(term: t.Term) -> bool:
     """Does this term need statement-level compilation (vs one expression)?"""
     if isinstance(term, (t.If, t.Let, t.MBind, t.ArrayPut, t.CellPut)):
@@ -165,8 +158,9 @@ class _LoopLemma(BindingLemma):
     def _drop_body_binders(self, state: SymState, body: t.Term) -> None:
         """Loop-body ``let`` binders clobber same-named Bedrock2 locals at
         runtime, so their pre-loop symbolic bindings must not survive."""
-        for name in _binder_names(body):
-            state.locals.pop(name, None)
+        for node in t.walk_terms(body):
+            for name in node.binders():
+                state.locals.pop(name, None)
 
 
 class CompileArrayMapInPlace(_LoopLemma):

@@ -1,7 +1,7 @@
-"""The query term heads' extension hooks: binding structure, substitution,
-evaluation, and pretty-printing, exercised through the *core* entry
-points (free_vars/subst/pretty/Evaluator), which dispatch to the hooks
-without importing repro.query."""
+"""The query term heads' binding structure, substitution, evaluation, and
+pretty-printing, exercised through the *core* entry points: free_vars and
+subst read each head's declared scopes, pretty and Evaluator dispatch to
+its hooks, and none of them imports repro.query."""
 
 from repro.query.terms import QAggregate, QJoinAgg, QProjectInto
 from repro.source import terms as t

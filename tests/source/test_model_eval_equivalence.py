@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple
 from unittest import mock
 
 import pytest
@@ -185,14 +184,12 @@ def add(a, b):
     return t.Prim("word.add", (a, b))
 
 
+@t.subterms("value")
 @dataclass(frozen=True)
 class EvalOnly(t.Term):
     """An extension node with ``eval_node`` and no ``compile_node``."""
 
     value: t.Term
-
-    def children(self) -> Tuple[t.Term, ...]:
-        return (self.value,)
 
     def eval_node(self, evaluator, env, fx):
         return evaluator._eval(self.value, env, fx) + 1

@@ -1,5 +1,9 @@
 """Tests for the source term IR: free variables, substitution, printing."""
 
+from dataclasses import dataclass
+
+import pytest
+
 from repro.source import terms as t
 from repro.source.types import BYTE, WORD
 
@@ -85,6 +89,29 @@ class TestSubst:
         result = t.subst(t.subst(term, "i", w(0)), "v", w(1))
         assert result == t.ArrayPut(t.Var("a"), w(0), w(1))
 
+    def test_subst_under_err_guard(self):
+        # ``subst`` used to return an ``ErrGuard`` unchanged while
+        # ``free_vars`` of the same term reported the variable.
+        term = t.ErrGuard(t.Var("x"))
+        assert t.free_vars(term) == {"x"}
+        assert t.subst(term, "x", w(1)) == t.ErrGuard(w(1))
+
+    def test_fold_break_scopes(self):
+        # ``acc`` is bound in the body and the break predicate, ``b`` in
+        # the body alone, and neither in ``init`` or ``arr``.
+        pred = t.Prim("word.ltu", (t.Var("acc"), t.Var("b")))
+        term = t.ArrayFoldBreak("acc", "b", t.Var("b"), t.Var("acc"), t.Var("b"), pred)
+        assert t.free_vars(term) == {"acc", "b"}
+        result = t.subst(term, "b", w(4))
+        assert result.body == t.Var("b") and result.arr == w(4)
+        assert result.break_pred == t.Prim("word.ltu", (t.Var("acc"), w(4)))
+        assert t.subst(term, "acc", w(5)).break_pred == pred
+
+    def test_unchanged_term_is_returned_itself(self):
+        term = t.Let("x", w(0), t.Prim("word.add", (t.Var("x"), w(1))))
+        assert t.subst(term, "x", w(9)) is term
+        assert t.subst(term, "y", w(9)) is term
+
 
 class TestBindersAndChildren:
     def test_let_binders(self):
@@ -100,6 +127,75 @@ class TestBindersAndChildren:
     def test_prim_children(self):
         term = t.Prim("word.add", (w(1), w(2)))
         assert term.children() == (w(1), w(2))
+
+    def test_map_binders(self):
+        assert t.ArrayMap("b", t.Var("b"), t.Var("a")).binders() == ("b",)
+
+
+class TestWalkAndMap:
+    def test_walk_terms_is_pre_order(self):
+        term = t.Let("x", t.Prim("word.add", (w(1), w(2))), t.Var("x"))
+        assert t.walk_terms(term) == [
+            term, term.value, w(1), w(2), t.Var("x"),
+        ]
+
+    def test_map_term_is_bottom_up_and_binder_naive(self):
+        term = t.Let("x", t.Var("x"), t.Prim("word.add", (t.Var("x"), w(1))))
+        seen = []
+
+        def rename(node):
+            seen.append(type(node).__name__)
+            return t.Var("y") if node == t.Var("x") else node
+
+        result = t.map_term(term, rename)
+        assert result == t.Let("x", t.Var("y"), t.Prim("word.add", (t.Var("y"), w(1))))
+        assert seen == ["Var", "Var", "Lit", "Prim", "Let"]
+
+
+@dataclass(frozen=True)
+class Undeclared(t.Term):
+    """A head with a ``Term``-valued field and no ``@subterms``."""
+
+    value: t.Term
+
+
+@dataclass(frozen=True)
+class Fieldless(t.Term):
+    """A head without fields: a leaf, no declaration needed."""
+
+
+class TestUndeclaredHeads:
+    @pytest.mark.parametrize(
+        "traverse",
+        [
+            Undeclared.children,
+            Undeclared.binders,
+            t.free_vars,
+            lambda term: t.subst(term, "x", w(1)),
+            t.walk_terms,
+            lambda term: t.map_term(term, lambda node: node),
+        ],
+        ids=["children", "binders", "free_vars", "subst", "walk_terms", "map_term"],
+    )
+    def test_term_valued_fields_without_declaration_raise(self, traverse):
+        with pytest.raises(TypeError, match="Undeclared"):
+            traverse(Undeclared(t.Var("x")))
+        if traverse not in (Undeclared.children, Undeclared.binders):
+            with pytest.raises(TypeError, match="Undeclared"):
+                traverse(t.Let("y", w(0), Undeclared(t.Var("x"))))
+
+    def test_fieldless_head_is_a_leaf(self):
+        node = Fieldless()
+        assert node.children() == () and node.binders() == ()
+        assert t.free_vars(node) == set()
+        assert t.subst(node, "x", w(1)) is node
+        assert t.walk_terms(t.MRet(node)) == [t.MRet(node), node]
+
+    def test_declaration_names_real_fields(self):
+        with pytest.raises(TypeError, match="no field 'missing'"):
+            t.subterms("missing")(Undeclared)
+        with pytest.raises(TypeError, match="scope"):
+            t.subterms("value", other=("value",))(Undeclared)
 
 
 class TestPretty:
