@@ -12,7 +12,8 @@ I/O.  This package provides:
   (Bedrock2 semantics only give meaning to terminating programs, so
   executions are total-correctness witnesses), the reference tree-walker;
 - :mod:`repro.bedrock2.closures` -- the same semantics with each function
-  compiled once into closures over raw words, the interpreter's fast path;
+  compiled once into one generated Python function over raw words, the
+  interpreter's fast path;
 - :mod:`repro.bedrock2.c_printer` -- the small pretty-printer to C.
 """
 

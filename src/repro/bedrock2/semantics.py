@@ -14,13 +14,13 @@ into "cycles per byte"-shaped numbers under several weightings.
 
 ``exec_stmt``/``eval_expr`` below are the tree-walker, the reference
 semantics.  ``Interpreter.call_function`` runs whole function bodies on
-the closure executor of :mod:`repro.bedrock2.closures`, which compiles
-each function once and matches the tree-walker observably.
+the executor of :mod:`repro.bedrock2.closures`, which compiles each
+function once into a generated Python function and matches the
+tree-walker observably.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,46 +33,60 @@ class ExecutionError(Exception):
     """The program's behaviour is undefined (bad variable, bad access, ...)."""
 
 
-def _raw_ops(width: int) -> Dict[str, Callable[[int, int], int]]:
-    """Every binary operator on raw ``width``-bit unsigned ints.
+#: The comparisons as Python booleans; as operators their value is 1 or 0.
+OP_TESTS: Dict[str, str] = {
+    # flipping the sign bit maps signed order onto unsigned order
+    "lts": "{a} ^ {sign} < {b} ^ {sign}",
+    "ltu": "{a} < {b}",
+    "eq": "{a} == {b}",
+}
 
-    Operands are masked (``0 <= a, b < 2**width``) and so is each result.
-    Shift amounts are taken mod the width and division by zero follows
-    RISC-V, exactly as the :class:`Word` methods do.
-    """
+#: Each binary operator as a Python expression over masked ``width``-bit
+#: operands ``{a}`` and ``{b}`` (names or parenthesized expressions); the
+#: value is masked too.  ``{mask}``, ``{sign}`` and ``{width}`` are the
+#: width's constants.  Shift amounts are taken mod the width and division
+#: by zero follows RISC-V, exactly as the :class:`Word` methods do.
+OP_TEMPLATES: Dict[str, str] = {
+    "add": "({a} + {b}) & {mask}",
+    "sub": "({a} - {b}) & {mask}",
+    "mul": "({a} * {b}) & {mask}",
+    "mulhuu": "({a} * {b}) >> {width}",
+    "divu": "{a} // {b} if {b} else {mask}",
+    "remu": "{a} % {b} if {b} else {a}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "sru": "{a} >> ({b} % {width})",
+    "slu": "({a} << ({b} % {width})) & {mask}",
+    # (a ^ sign) - sign is a's two's-complement value
+    "srs": "((({a} ^ {sign}) - {sign}) >> ({b} % {width})) & {mask}",
+    **{op: f"1 if {test} else 0" for op, test in OP_TESTS.items()},
+}
+
+
+def render_op(op: str, lhs: str, rhs: str, width: int, test: bool = False) -> str:
+    """``op`` applied to the Python expressions ``lhs`` and ``rhs``, as a
+    parenthesized Python expression; with ``test``, a comparison renders
+    as a boolean instead of 1 or 0."""
+    template = OP_TESTS[op] if test else OP_TEMPLATES[op]
     mask = (1 << width) - 1
-    sign = 1 << (width - 1)
-
-    def srs(a: int, b: int) -> int:
-        signed = a - (1 << width) if a & sign else a
-        return (signed >> (b % width)) & mask
-
-    return {
-        "add": lambda a, b: (a + b) & mask,
-        "sub": lambda a, b: (a - b) & mask,
-        "mul": lambda a, b: (a * b) & mask,
-        "mulhuu": lambda a, b: (a * b) >> width,
-        "divu": lambda a, b: a // b if b else mask,
-        "remu": lambda a, b: a % b if b else a,
-        "and": operator.and_,
-        "or": operator.or_,
-        "xor": operator.xor,
-        "sru": lambda a, b: a >> (b % width),
-        "slu": lambda a, b: (a << (b % width)) & mask,
-        "srs": srs,
-        # flipping the sign bit maps signed order onto unsigned order
-        "lts": lambda a, b: 1 if a ^ sign < b ^ sign else 0,
-        "ltu": lambda a, b: 1 if a < b else 0,
-        "eq": lambda a, b: 1 if a == b else 0,
-    }
+    return "(" + template.format(
+        a=lhs, b=rhs, mask=mask, sign=1 << (width - 1), width=width
+    ) + ")"
 
 
 #: The single source of truth for operator semantics, per word width:
-#: ``RAW_OPS[width][op](a, b)`` on masked ints.  :func:`apply_op` (and so
-#: the tree-walker and the optimizer's constant folder) and the closure
-#: executor (:mod:`repro.bedrock2.closures`) all dispatch through it.
+#: ``RAW_OPS[width][op](a, b)`` on masked ints, each built from its
+#: template.  :func:`apply_op` (and so the tree-walker and the optimizer's
+#: constant folder) dispatches through it, and the executor
+#: (:mod:`repro.bedrock2.closures`) inlines the same templates.
 RAW_OPS: Dict[int, Dict[str, Callable[[int, int], int]]] = {
-    width: _raw_ops(width) for width in (8, 16, 32, 64)
+    width: {
+        # The templates are this module's own constants, not program text.
+        op: eval(f"lambda a, b: {render_op(op, 'a', 'b', width)}")
+        for op in OP_TEMPLATES
+    }
+    for width in (8, 16, 32, 64)
 }
 
 
@@ -81,8 +95,8 @@ def apply_op(op: str, lhs: Word, rhs: Word) -> Word:
 
     The tree-walker calls it per ``EOp`` and the optimizer's constant
     folder (:mod:`repro.opt.passes`) calls it at compile time; both go
-    through :data:`RAW_OPS`, as the closure executor does, so folded
-    literals are bit-exact by construction.
+    through :data:`RAW_OPS`, whose templates the executor inlines, so
+    folded literals are bit-exact by construction.
     """
     width = lhs.width
     raw = RAW_OPS[width].get(op)
@@ -182,7 +196,7 @@ class Interpreter:
 
     :meth:`exec_stmt` and :meth:`eval_expr` are the tree-walker, the
     reference semantics.  :meth:`call_function` (and so :meth:`run`)
-    executes a function body on the closure executor of
+    executes a function body on the generated executor of
     :mod:`repro.bedrock2.closures` instead, which matches the tree-walker
     on results, memory, trace, op counts, fuel and errors.  It falls back
     to the tree-walker for subclasses that override any of
@@ -397,5 +411,5 @@ class Interpreter:
         return rets, state
 
 
-# Imported last: the closure executor builds on the names defined above.
+# Imported last: the executor builds on the names defined above.
 from repro.bedrock2 import closures  # noqa: E402

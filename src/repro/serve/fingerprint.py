@@ -31,6 +31,7 @@ from repro.bedrock2.serial import AST_SCHEMA_VERSION
 from repro.config import current_config
 from repro.core.certificate import CERT_SCHEMA_VERSION
 from repro.core.spec import FnSpec, Model
+from repro.source.terms import register_node_memo
 
 # Version of the key derivation itself; bump to orphan every existing
 # cache entry at once (e.g. when a fingerprint input is added).
@@ -53,8 +54,9 @@ def _digest(*parts: str) -> str:
 # walk.  Keyed by *identity* -- structural keying would conflate
 # ``Lit(True)``/``Lit(1)``, which are ``==`` but repr differently -- and
 # only for interned nodes, whose table entry keeps them (and hence the
-# id) alive.
-_TERM_REPR_MEMO: dict = {}
+# id) alive.  Each entry holds its term too, so the memo is registered
+# with the intern table: ``clear_intern_table()`` empties it.
+_TERM_REPR_MEMO: dict = register_node_memo({})
 
 
 def _term_repr(term) -> str:

@@ -119,7 +119,7 @@ def run_function(
     the absint soundness suite passes one whose ``exec_stmt`` asserts
     every live local against the analyzer's per-statement ranges.  It
     also selects the executor: :class:`Interpreter` itself runs the body
-    on the closure executor, while a subclass overriding ``exec_stmt``,
+    on the generated executor, while a subclass overriding ``exec_stmt``,
     ``eval_expr``, ``_apply_op`` or ``call_function`` runs on the
     reference tree-walker, so it sees every statement.
     """

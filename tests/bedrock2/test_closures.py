@@ -1,4 +1,4 @@
-"""The closure executor's cache lifetime, its fallback rules, and stack reuse."""
+"""The executor's caches, its fallback rules, the operator table, and stack reuse."""
 
 from __future__ import annotations
 
@@ -63,15 +63,20 @@ def test_one_compile_serves_every_interpreter():
 
 
 def _reachable(obj, seen=None):
-    """Every object reachable through closure cells, tuples and slots."""
+    """Every object reachable through function namespaces and closure
+    cells, containers and slots (modules and classes excepted)."""
     seen = set() if seen is None else seen
-    if id(obj) in seen:
+    if id(obj) in seen or isinstance(obj, (types.ModuleType, type)):
         return
     seen.add(id(obj))
     yield obj
     if isinstance(obj, types.FunctionType):
-        for cell in obj.__closure__ or ():
-            yield from _reachable(cell.cell_contents, seen)
+        cells = [cell.cell_contents for cell in obj.__closure__ or ()]
+        for item in [obj.__globals__, obj.__defaults__, *cells]:
+            yield from _reachable(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _reachable(item, seen)
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from _reachable(item, seen)
@@ -80,14 +85,16 @@ def _reachable(obj, seen=None):
             yield from _reachable(getattr(obj, name), seen)
 
 
-def test_no_closure_references_the_ast():
+def test_generated_namespace_holds_no_ast_node():
     body = seq_of(
         SStackalloc("b", 8, store(8, var("b"), ast.EInlineTable(1, b"\x07", lit(0)))),
         SSet("r", add(var("x"), lit(1))),
     )
     fn = Function("f", ("x",), ("r",), body)
-    reached = list(_reachable(closures.compiled(fn, 64)))
-    assert len(reached) > 10
+    code = closures.compiled(fn, 64)
+    reached = list(_reachable(code))
+    assert code.run.__globals__ is not vars(closures)
+    assert b"\x07" in reached and len(reached) > 10
     assert not [o for o in reached if isinstance(o, (ast.Function, ast.Stmt, ast.Expr))]
 
 
@@ -98,6 +105,33 @@ def test_cache_stays_bounded_over_fresh_functions():
         assert _run(_counter(bound % 7)) == [bound % 7]
     gc.collect()
     assert len(closures._CACHE) <= before + 1
+
+
+def test_code_cache_stays_bounded_over_fresh_sources():
+    # Each bound is a distinct literal, so each function a distinct source.
+    capacity = closures.CODE_CACHE_SIZE
+    for bound in range(capacity + 40):
+        assert _run(_counter(1000 + bound)) == [1000 + bound]
+        assert len(closures._CODE) <= capacity
+    assert len(closures._CODE) == capacity
+    newest = closures.compiled(_counter(1000 + capacity + 39), 64).source
+    assert next(reversed(closures._CODE)) == newest
+
+
+def test_identical_structure_shares_one_code_object():
+    # Names, function names and table bytes are namespace constants, so
+    # these two compile to one source and CPython compiles it once.
+    def table_fn(name, var_name, data):
+        body = SSet(var_name, ast.EInlineTable(1, data, lit(1)))
+        return Function(name, (), (var_name,), body)
+
+    first = closures.compiled(table_fn("f", "x", b"\x01\x02"), 64)
+    second = closures.compiled(table_fn("g", "y", b"\x03\x04"), 64)
+    assert first.source == second.source
+    assert first.run.__code__ is second.run.__code__
+    assert first.run.__globals__ is not second.run.__globals__
+    interp = Interpreter(Program((table_fn("g", "y", b"\x03\x04"),)))
+    assert interp.run("g", [])[0] == [Word(64, 4)]
 
 
 # -- Fallback to the tree-walker -----------------------------------------------------

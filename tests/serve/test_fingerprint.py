@@ -1,6 +1,8 @@
 """Cache keys: stable across processes' inputs, moved by every input."""
 
 from repro.core.engine import Engine
+from repro.serve import fingerprint
+from repro.source import terms
 from repro.opt.manager import pipeline_fingerprint
 from repro.programs import get_program
 from repro.serve.fingerprint import compile_key, source_fingerprint, spec_fingerprint
@@ -67,3 +69,12 @@ def test_hintdb_fingerprint_sees_order_and_content():
     last = list(binding_db)[-1]
     reordered.register(last, priority=-1, replace=True)
     assert reordered.fingerprint() != base
+
+
+def test_clearing_the_intern_table_empties_the_term_repr_memo():
+    model, _ = _inputs()
+    first = source_fingerprint(model)
+    assert any(entry[0] is model.term for entry in fingerprint._TERM_REPR_MEMO.values())
+    terms.clear_intern_table()
+    assert not fingerprint._TERM_REPR_MEMO
+    assert source_fingerprint(_inputs()[0]) == first
