@@ -2,17 +2,17 @@
 
 E18: ``Interpreter.call_function`` runs Bedrock2 function bodies on the
 generated executor (:mod:`repro.bedrock2.closures`, one generated Python
-function per Bedrock2 function); a subclass that overrides ``exec_stmt``
-runs on the tree-walker alone.  This benchmark
-runs the ``-O1`` code of the 9 Table 2 programs on a seeded 16 KiB input
+function per Bedrock2 function); the tree-walker oracle
+(``tests/bedrock2/tree_walker.py``) walks the AST.  This benchmark runs
+the ``-O1`` code of the 9 Table 2 programs on a seeded 16 KiB input
 under both, driven per calling style as ``benchmarks/figure2.py`` does,
 and reports the min-of-3 wall time of each.
 
 E19: ``Evaluator.eval`` runs functional models compiled into closures
-(:mod:`repro.source.closures`); a subclass that overrides ``_eval`` runs
-on the tree-walker alone.  This benchmark evaluates the models of the 9
-Table 2 and 8 query programs on seeded validation inputs under both and
-reports the min-of-3 wall time of each.
+(:mod:`repro.source.closures`); the tree-walker oracle
+(``tests/source/tree_walker.py``) walks the term.  This benchmark
+evaluates the models of the 9 Table 2 and 8 query programs on seeded
+validation inputs under both and reports the min-of-3 wall time of each.
 
 The gate (``--check``) is a ratio, not raw milliseconds, as
 ``dispatch_baseline.json`` is: both sides run on the same host, so only
@@ -44,19 +44,14 @@ from repro.programs import all_programs
 from repro.query.programs import all_query_programs
 from repro.source.evaluator import EvalError, Evaluator
 from repro.validation.runners import make_inputs, run_function
+from tests.bedrock2.tree_walker import TreeWalker
+from tests.source.tree_walker import TreeWalker as TreeWalkerEvaluator
 
 EXECUTOR_FLOOR = 4.0
 EVALUATOR_FLOOR = 2.0
 DEFAULT_SIZE = 16 * 1024
 REPEATS = 3
 MODEL_INPUTS = 40  # seeded validation inputs per model
-
-
-class TreeWalker(Interpreter):
-    """Overrides ``exec_stmt``, so every body runs on the tree-walker."""
-
-    def exec_stmt(self, stmt, state, fuel):
-        return super().exec_stmt(stmt, state, fuel)
 
 
 def _driver(program, fn: b2.Function, spec, data: bytes) -> Callable[[type], Tuple]:
@@ -128,13 +123,6 @@ def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> 
         "geomean_speedup": round(geomean, 2),
         "identical": all(r["identical"] for r in rows),
     }
-
-
-class TreeWalkerEvaluator(Evaluator):
-    """Overrides ``_eval``, so every model runs on the tree-walker."""
-
-    def _eval(self, term, env, fx):
-        return super()._eval(term, env, fx)
 
 
 def _evaluate_all(term, inputs: List[Dict], cls: type) -> List[Tuple]:

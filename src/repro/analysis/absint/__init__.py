@@ -33,7 +33,7 @@ from repro.analysis.absint import bedrock, domain, terms
 from repro.analysis.absint.bedrock import (
     AbsintResult,
     analyze_function,
-    eval_expr_range,
+    expr_range,
     function_ranges,
     range_lint,
     refine_env,
@@ -56,7 +56,7 @@ __all__ = [
     "bedrock",
     "discharge_bounds",
     "domain",
-    "eval_expr_range",
+    "expr_range",
     "fact_ranges",
     "function_ranges",
     "range_lint",

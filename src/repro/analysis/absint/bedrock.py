@@ -14,7 +14,7 @@ Three consumers sit on top:
   wraparound, inline-table overrun, oversized shift amounts, feasible
   division by zero);
 - :class:`repro.opt.passes.RangeGuardElimination` shares
-  :func:`eval_expr_range` and :func:`refine_env` for its rewriting walk;
+  :func:`expr_range` and :func:`refine_env` for its rewriting walk;
 - ``repro lint --ranges`` reports :func:`function_ranges` per program.
 
 Transfer functions mirror :func:`repro.bedrock2.semantics.apply_op`
@@ -50,7 +50,7 @@ TABLE_ENUM_LIMIT = 4096
 # -- Expression ranges ------------------------------------------------------
 
 
-def eval_expr_range(expr: ast.Expr, env: Env, width: int) -> Range:
+def expr_range(expr: ast.Expr, env: Env, width: int) -> Range:
     """The range of ``expr``'s unsigned value under ``env``."""
     if isinstance(expr, ast.ELit):
         return domain.const(expr.value & ((1 << width) - 1))
@@ -59,10 +59,10 @@ def eval_expr_range(expr: ast.Expr, env: Env, width: int) -> Range:
     if isinstance(expr, ast.ELoad):
         return domain.make(0, min((1 << (8 * expr.size)), 1 << width) - 1)
     if isinstance(expr, ast.EInlineTable):
-        return _table_range(expr, eval_expr_range(expr.index, env, width), width)
+        return _table_range(expr, expr_range(expr.index, env, width), width)
     if isinstance(expr, ast.EOp):
-        lhs = eval_expr_range(expr.lhs, env, width)
-        rhs = eval_expr_range(expr.rhs, env, width)
+        lhs = expr_range(expr.lhs, env, width)
+        rhs = expr_range(expr.rhs, env, width)
         return _apply_op_range(expr.op, lhs, rhs, width)
     return domain.top(width)
 
@@ -190,8 +190,8 @@ def refine_env(env: Env, cond: ast.Expr, truth: bool, width: int) -> Env:
     if not isinstance(cond, ast.EOp):
         return env
     lhs, rhs = cond.lhs, cond.rhs
-    lrange = eval_expr_range(lhs, env, width)
-    rrange = eval_expr_range(rhs, env, width)
+    lrange = expr_range(lhs, env, width)
+    rrange = expr_range(rhs, env, width)
     if cond.op == "ltu":
         if truth:
             if isinstance(lhs, ast.EVar) and rrange.hi is not None:
@@ -247,7 +247,7 @@ class AbsintResult:
 def _transfer(node: Node, env: Env, width: int) -> Env:
     if node.kind == "set":
         out = dict(env)
-        out[node.stmt.lhs] = eval_expr_range(node.stmt.rhs, env, width)
+        out[node.stmt.lhs] = expr_range(node.stmt.rhs, env, width)
         return _norm(out, width)
     if node.kind in ("unset", "stackalloc", "call", "interact"):
         defs = {node.stmt.name} if node.kind == "unset" else set(node.defs)
@@ -352,7 +352,7 @@ def _check_expr(
         if found is not None:
             diags.insert(at, found)
         return _table_range(expr, index, width)
-    return eval_expr_range(expr, env, width)
+    return expr_range(expr, env, width)
 
 
 def _op_finding(

@@ -10,10 +10,10 @@ I/O.  This package provides:
 - :mod:`repro.bedrock2.memory` -- the flat memory model;
 - :mod:`repro.bedrock2.semantics` -- a fuel-based big-step interpreter
   (Bedrock2 semantics only give meaning to terminating programs, so
-  executions are total-correctness witnesses), the reference tree-walker;
-- :mod:`repro.bedrock2.closures` -- the same semantics with each function
-  compiled once into one generated Python function over raw words, the
-  interpreter's fast path;
+  executions are total-correctness witnesses): state, op counters and
+  the operator table;
+- :mod:`repro.bedrock2.closures` -- its executor, each function compiled
+  once into one generated Python function over raw words;
 - :mod:`repro.bedrock2.c_printer` -- the small pretty-printer to C.
 """
 

@@ -1,10 +1,9 @@
 """The Bedrock2 executor: each function compiled once into Python source.
 
-The tree-walker (:meth:`Interpreter.exec_stmt` and
-:meth:`Interpreter.eval_expr` in :mod:`repro.bedrock2.semantics`) is the
-reference semantics.  This module is its fast path.  For each
-``Function`` and word width it generates the source of one Python
-function, compiles it with :func:`compile` and loads it with ``exec``.
+This module is the executable semantics of Bedrock2 that every verdict
+rests on (DESIGN.md §7).  For each ``Function`` and word width it
+generates the source of one Python function, compiles it with
+:func:`compile` and loads it with ``exec``.
 In the generated function
 
 - Bedrock2 locals are Python locals holding masked ``int`` s, fuel is a
@@ -14,21 +13,23 @@ In the generated function
   :data:`~repro.bedrock2.semantics.OP_TEMPLATES`, the templates
   :data:`~repro.bedrock2.semantics.RAW_OPS` is built from;
 - ``Memory.load``/``store``, ``Interpreter.call_function`` and the
-  external handler are called as the tree-walker calls them.
+  external handler are called once per statement that reaches them.
 
-Every check of the tree-walker stays, in the tree-walker's order: the
-fuel check at each statement entry and the fuel charged where
-``exec_stmt`` charges it (``SCall`` passes ``fuel - 1`` to the callee and
-charges the caller one unit), the ``Memory`` region checks, inline-table
-bounds, and the unbound-local, arity and missing-return errors with the
-same messages.  Fuel and count updates of straight-line code are summed
-and written out where they can next be observed (before a call out, at a
-loop head, at the end of a branch), and every code path that raises
-writes them out first, so the counts an exception leaves behind are the
-tree-walker's.  ``tests/bedrock2/test_exec_equivalence.py`` holds the two
-to that contract.  A ``while`` or ``if`` nested deeper than CPython
-allows in one function moves into a helper function that takes and
-returns every local.
+The big-step rules of Box 2 are kept in order: the fuel check at each
+statement entry and one unit of fuel per executed statement (``SCall``
+passes ``fuel - 1`` to the callee and charges the caller one unit), the
+``Memory`` region checks, inline-table bounds, and the unbound-local,
+arity and missing-return errors.  Fuel and count updates of
+straight-line code are summed and written out where they can next be
+observed (before a call out, at a loop head, at the end of a branch),
+and every code path that raises writes them out first, so the counts an
+exception leaves behind are those of the statements executed so far.
+The tree-walker this executor replaced is kept as a test oracle,
+``tests/bedrock2/tree_walker.py``, and
+``tests/bedrock2/test_exec_equivalence.py`` holds the two to that
+contract.  A ``while`` or ``if`` nested deeper than CPython allows in
+one function moves into a helper function that takes and returns every
+local.
 
 No string of the AST is spliced into the source: Bedrock2 names map to
 identifiers the generator makes (``v0``, ``v1``, ...), function and
@@ -107,7 +108,7 @@ def _bad_rets(func: str, rets: Sequence, expected: int) -> ExecutionError:
 
 
 def _interact(external, state, width, action, args, names, values, extras, count):
-    """Run ``external`` on a frame of words, as the tree-walker does.
+    """Run ``external`` on a frame of words.
 
     The handler sees (and may edit) the bound locals, ``values`` in the
     order of ``names``, plus the ``extras`` it added earlier.  Returns the
@@ -209,7 +210,7 @@ def compiled(fn: ast.Function, width: int) -> CompiledFunction:
 def call(
     interp, fn: ast.Function, args: Sequence[Word], state: MachineState, fuel: int
 ) -> List[Word]:
-    """Run ``fn`` on ``args`` (already arity-checked, all of ``interp.width``)."""
+    """Run ``fn`` on ``args`` (checked by :meth:`Interpreter.function`)."""
     code = compiled(fn, interp.width)
     width = code.width
     rets = code.run(interp, state, fuel, *[arg.unsigned for arg in args])
@@ -415,8 +416,8 @@ class _Generator:
         return self.expr(e, bound, p, b)
 
     def memory_op(self, p: _Pending, b: _Body, line: str) -> None:
-        """``line``, a ``Memory`` call whose ``MemoryError_`` becomes the
-        tree-walker's ``ExecutionError``, with the counts written out."""
+        """``line``, a ``Memory`` call whose ``MemoryError_`` becomes an
+        ``ExecutionError``, with the counts written out."""
         b.emit(f"try: {line}")
         b.emit(
             f"except MemoryError_ as e: {self.counts_code(p, b)}"

@@ -12,11 +12,12 @@ it counts each primitive operation it executes (arithmetic, loads, stores,
 assignments, branches), and the benchmark harness turns those counters
 into "cycles per byte"-shaped numbers under several weightings.
 
-``exec_stmt``/``eval_expr`` below are the tree-walker, the reference
-semantics.  ``Interpreter.call_function`` runs whole function bodies on
-the executor of :mod:`repro.bedrock2.closures`, which compiles each
-function once into a generated Python function and matches the
-tree-walker observably.
+This module holds the state, the counters and the operator table;
+``Interpreter.call_function`` runs whole function bodies on the executor
+of :mod:`repro.bedrock2.closures`, which compiles each function once into
+a generated Python function.  That executor is the trusted semantics.
+The tree-walker it replaced, one ``isinstance`` case per AST form, is
+kept as a test oracle in ``tests/bedrock2/tree_walker.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bedrock2 import ast
-from repro.bedrock2.memory import Memory, MemoryError_
+from repro.bedrock2.memory import Memory
 from repro.bedrock2.word import Word
 
 
@@ -77,9 +78,9 @@ def render_op(op: str, lhs: str, rhs: str, width: int, test: bool = False) -> st
 
 #: The single source of truth for operator semantics, per word width:
 #: ``RAW_OPS[width][op](a, b)`` on masked ints, each built from its
-#: template.  :func:`apply_op` (and so the tree-walker and the optimizer's
-#: constant folder) dispatches through it, and the executor
-#: (:mod:`repro.bedrock2.closures`) inlines the same templates.
+#: template.  :func:`apply_op` (and so the optimizer's constant folder)
+#: dispatches through it, and the executor (:mod:`repro.bedrock2.closures`)
+#: inlines the same templates.
 RAW_OPS: Dict[int, Dict[str, Callable[[int, int], int]]] = {
     width: {
         # The templates are this module's own constants, not program text.
@@ -93,10 +94,10 @@ RAW_OPS: Dict[int, Dict[str, Callable[[int, int], int]]] = {
 def apply_op(op: str, lhs: Word, rhs: Word) -> Word:
     """Evaluate one Bedrock2 binary operator on machine words.
 
-    The tree-walker calls it per ``EOp`` and the optimizer's constant
-    folder (:mod:`repro.opt.passes`) calls it at compile time; both go
-    through :data:`RAW_OPS`, whose templates the executor inlines, so
-    folded literals are bit-exact by construction.
+    The optimizer's constant folder (:mod:`repro.opt.passes`) calls it
+    at compile time.  It goes through :data:`RAW_OPS`, whose templates
+    the executor inlines, so folded literals are bit-exact by
+    construction.
     """
     width = lhs.width
     raw = RAW_OPS[width].get(op)
@@ -185,23 +186,12 @@ def zero_stack_init(nbytes: int) -> bytes:
     return bytes(nbytes)
 
 
-#: The methods whose override makes an :class:`Interpreter` subclass run
-#: on the tree-walker alone (the absint soundness audit overrides
-#: ``exec_stmt`` to see every statement).
-REFERENCE_HOOKS = ("exec_stmt", "eval_expr", "_apply_op", "call_function")
-
-
 class Interpreter:
-    """Executes Bedrock2 statements against a :class:`MachineState`.
+    """Executes Bedrock2 functions against a :class:`MachineState`.
 
-    :meth:`exec_stmt` and :meth:`eval_expr` are the tree-walker, the
-    reference semantics.  :meth:`call_function` (and so :meth:`run`)
-    executes a function body on the generated executor of
-    :mod:`repro.bedrock2.closures` instead, which matches the tree-walker
-    on results, memory, trace, op counts, fuel and errors.  It falls back
-    to the tree-walker for subclasses that override any of
-    :data:`REFERENCE_HOOKS` and for argument words whose width is not the
-    interpreter's.
+    :meth:`call_function` (and so :meth:`run`) executes a function body
+    on the generated executor of :mod:`repro.bedrock2.closures`, the one
+    executable semantics of Bedrock2 in this package.
 
     Parameters
     ----------
@@ -233,139 +223,22 @@ class Interpreter:
         self.external = external
         self.stack_init = stack_init
         self.counts = OpCounts()
-        cls = type(self)
-        self._tree_walk = any(
-            getattr(cls, hook) is not getattr(Interpreter, hook) for hook in REFERENCE_HOOKS
-        )
 
-    # -- Expressions ----------------------------------------------------------
-
-    def eval_expr(self, expr: ast.Expr, state: MachineState) -> Word:
-        if isinstance(expr, ast.ELit):
-            return Word(self.width, expr.value)
-        if isinstance(expr, ast.EVar):
-            try:
-                return state.locals[expr.name]
-            except KeyError:
-                raise ExecutionError(f"unbound local variable {expr.name!r}") from None
-        if isinstance(expr, ast.ELoad):
-            addr = self.eval_expr(expr.addr, state)
-            self.counts.load += 1
-            try:
-                raw = state.memory.load(addr.unsigned, expr.size)
-            except MemoryError_ as exc:
-                raise ExecutionError(str(exc)) from None
-            return Word(self.width, raw)
-        if isinstance(expr, ast.EOp):
-            lhs = self.eval_expr(expr.lhs, state)
-            rhs = self.eval_expr(expr.rhs, state)
-            self.counts.arith += 1
-            return self._apply_op(expr.op, lhs, rhs)
-        if isinstance(expr, ast.EInlineTable):
-            index = self.eval_expr(expr.index, state)
-            self.counts.table += 1
-            offset = index.unsigned
-            if offset + expr.size > len(expr.data):
-                raise ExecutionError(
-                    f"inline-table read of {expr.size} byte(s) at offset {offset} "
-                    f"exceeds table length {len(expr.data)}"
-                )
-            raw = int.from_bytes(expr.data[offset : offset + expr.size], "little")
-            return Word(self.width, raw)
-        raise ExecutionError(f"unknown expression node {expr!r}")
-
-    def _apply_op(self, op: str, lhs: Word, rhs: Word) -> Word:
-        return apply_op(op, lhs, rhs)
-
-    # -- Statements -------------------------------------------------------------
-
-    def exec_stmt(self, stmt: ast.Stmt, state: MachineState, fuel: int) -> int:
-        """Execute ``stmt``; returns the remaining fuel."""
-        if fuel <= 0:
-            raise OutOfFuel("ran out of fuel (nonterminating loop?)")
-        if isinstance(stmt, ast.SSkip):
-            return fuel
-        if isinstance(stmt, ast.SSet):
-            value = self.eval_expr(stmt.rhs, state)
-            state.locals[stmt.lhs] = value
-            self.counts.assign += 1
-            return fuel - 1
-        if isinstance(stmt, ast.SUnset):
-            state.locals.pop(stmt.name, None)
-            return fuel - 1
-        if isinstance(stmt, ast.SStore):
-            addr = self.eval_expr(stmt.addr, state)
-            value = self.eval_expr(stmt.value, state)
-            self.counts.store += 1
-            try:
-                state.memory.store(addr.unsigned, stmt.size, value.unsigned)
-            except MemoryError_ as exc:
-                raise ExecutionError(str(exc)) from None
-            return fuel - 1
-        if isinstance(stmt, ast.SStackalloc):
-            self.counts.stackalloc += 1
-            try:
-                base = state.memory.allocate_stack(stmt.nbytes)
-            except MemoryError_ as exc:
-                raise ExecutionError(str(exc)) from None
-            state.memory.store_bytes(base, self.stack_init(stmt.nbytes))
-            state.locals[stmt.lhs] = Word(self.width, base)
-            fuel = self.exec_stmt(stmt.body, state, fuel - 1)
-            state.memory.free(base)
-            return fuel
-        if isinstance(stmt, ast.SCond):
-            cond = self.eval_expr(stmt.cond, state)
-            self.counts.branch += 1
-            branch = stmt.then_ if cond.unsigned != 0 else stmt.else_
-            return self.exec_stmt(branch, state, fuel - 1)
-        if isinstance(stmt, ast.SSeq):
-            fuel = self.exec_stmt(stmt.first, state, fuel)
-            return self.exec_stmt(stmt.second, state, fuel)
-        if isinstance(stmt, ast.SWhile):
-            while True:
-                if fuel <= 0:
-                    raise OutOfFuel("ran out of fuel (nonterminating loop?)")
-                cond = self.eval_expr(stmt.cond, state)
-                self.counts.branch += 1
-                fuel -= 1
-                if cond.unsigned == 0:
-                    return fuel
-                fuel = self.exec_stmt(stmt.body, state, fuel)
-        if isinstance(stmt, ast.SCall):
-            self.counts.call += 1
-            args = [self.eval_expr(arg, state) for arg in stmt.args]
-            rets = self.call_function(stmt.func, args, state, fuel - 1)
-            if len(rets) != len(stmt.lhss):
-                raise ExecutionError(
-                    f"{stmt.func} returned {len(rets)} values, expected {len(stmt.lhss)}"
-                )
-            for name, value in zip(stmt.lhss, rets):
-                state.locals[name] = value
-            return fuel - 1
-        if isinstance(stmt, ast.SInteract):
-            if self.external is None:
-                raise ExecutionError(f"no external handler for action {stmt.action!r}")
-            self.counts.interact += 1
-            args = [self.eval_expr(arg, state) for arg in stmt.args]
-            rets = list(self.external(stmt.action, args, state))
-            state.trace.append(
-                IOEvent(
-                    stmt.action,
-                    tuple(a.unsigned for a in args),
-                    tuple(r.unsigned for r in rets),
-                )
+    def function(self, name: str, args: Sequence[Word]) -> ast.Function:
+        """The function ``name`` resolves to, once ``args`` are checked to
+        be as many words of the interpreter's width as it takes."""
+        fn = self.program.function(name)
+        if len(args) != len(fn.args):
+            raise ExecutionError(
+                f"{name} takes {len(fn.args)} arguments, got {len(args)}"
             )
-            if len(rets) != len(stmt.lhss):
+        width = self.width
+        for index, arg in enumerate(args):
+            if not isinstance(arg, Word) or arg.width != width:
                 raise ExecutionError(
-                    f"action {stmt.action!r} returned {len(rets)} values, "
-                    f"expected {len(stmt.lhss)}"
+                    f"{name}: argument {index} is not a {width}-bit Word: {arg!r}"
                 )
-            for name, value in zip(stmt.lhss, rets):
-                state.locals[name] = value
-            return fuel - 1
-        raise ExecutionError(f"unknown statement node {stmt!r}")
-
-    # -- Functions ------------------------------------------------------------
+        return fn
 
     def call_function(
         self,
@@ -375,28 +248,7 @@ class Interpreter:
         fuel: int,
     ) -> List[Word]:
         """Call a Bedrock2 function with its own locals frame (memory is shared)."""
-        fn = self.program.function(name)
-        if len(args) != len(fn.args):
-            raise ExecutionError(
-                f"{name} takes {len(fn.args)} arguments, got {len(args)}"
-            )
-        width = self.width
-        if not self._tree_walk and all(
-            isinstance(arg, Word) and arg.width == width for arg in args
-        ):
-            return closures.call(self, fn, args, state, fuel)
-        frame = MachineState(
-            memory=state.memory,
-            locals=dict(zip(fn.args, args)),
-            trace=state.trace,
-        )
-        self.exec_stmt(fn.body, frame, fuel)
-        rets = []
-        for ret in fn.rets:
-            if ret not in frame.locals:
-                raise ExecutionError(f"{name} did not set return variable {ret!r}")
-            rets.append(frame.locals[ret])
-        return rets
+        return closures.call(self, self.function(name, args), args, state, fuel)
 
     def run(
         self,

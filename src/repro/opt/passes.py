@@ -734,9 +734,9 @@ class RangeGuardElimination(Pass):
     LOOP_ITER_CAP = 50
 
     def __init__(self, oracle=None):
-        from repro.analysis.absint.bedrock import eval_expr_range
+        from repro.analysis.absint.bedrock import expr_range
 
-        self.eval = oracle if oracle is not None else eval_expr_range
+        self.eval = oracle if oracle is not None else expr_range
 
     def run(self, fn: ast.Function, width: int) -> ast.Function:
         self.width = width

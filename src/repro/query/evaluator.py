@@ -33,15 +33,15 @@ Tables = Dict[str, Dict[str, List[int]]]
 Row = Dict[str, int]
 
 
-def eval_expr(expr: RowExpr, row: Row) -> int:
+def eval_row_expr(expr: RowExpr, row: Row) -> int:
     """One row expression; comparisons yield 0/1."""
     if isinstance(expr, ColRef):
         return row[expr.name] & MASK
     if isinstance(expr, IntLit):
         return expr.value
     if isinstance(expr, BinOp):
-        a = eval_expr(expr.lhs, row)
-        b = eval_expr(expr.rhs, row)
+        a = eval_row_expr(expr.lhs, row)
+        b = eval_row_expr(expr.rhs, row)
         if expr.op == "add":
             return (a + b) & MASK
         if expr.op == "sub":
@@ -55,8 +55,8 @@ def eval_expr(expr: RowExpr, row: Row) -> int:
         if expr.op == "xor":
             return a ^ b
     if isinstance(expr, Cmp):
-        a = eval_expr(expr.lhs, row)
-        b = eval_expr(expr.rhs, row)
+        a = eval_row_expr(expr.lhs, row)
+        b = eval_row_expr(expr.rhs, row)
         return int(
             {
                 "eq": a == b,
@@ -102,11 +102,11 @@ def eval_rows(plan: Plan, tables: Tables) -> List[Row]:
         return [
             row
             for row in eval_rows(plan.source, tables)
-            if eval_expr(plan.pred, row)
+            if eval_row_expr(plan.pred, row)
         ]
     if isinstance(plan, Project):
         return [
-            {name: eval_expr(expr, row) for name, expr in plan.cols}
+            {name: eval_row_expr(expr, row) for name, expr in plan.cols}
             for row in eval_rows(plan.source, tables)
         ]
     if isinstance(plan, EquiJoin):
@@ -144,14 +144,14 @@ def eval_plan(plan: Plan, tables: Tables, groups: int = 0):
     if plan.kind == "sum":
         total = 0
         for row in rows:
-            total = (total + eval_expr(plan.expr, row)) & MASK
+            total = (total + eval_row_expr(plan.expr, row)) & MASK
         return total
     if plan.kind == "count":
         return len(rows) & MASK
     if plan.kind == "any":
-        return int(any(eval_expr(plan.expr, row) for row in rows))
+        return int(any(eval_row_expr(plan.expr, row) for row in rows))
     if plan.kind == "min":
-        return min((eval_expr(plan.expr, row) for row in rows), default=MASK)
+        return min((eval_row_expr(plan.expr, row) for row in rows), default=MASK)
     if plan.kind == "max":
-        return max((eval_expr(plan.expr, row) for row in rows), default=0)
+        return max((eval_row_expr(plan.expr, row) for row in rows), default=0)
     raise PlanError(f"unknown aggregate kind {plan.kind!r}")

@@ -16,9 +16,8 @@ under -- and the core's generic traversals (``children``/``binders``,
 ``free_vars``, ``subst``, the engine's ``resolve``) read it from there.
 What remains per class is meaning: the duck-typed hooks the core
 consults on unknown heads -- ``pretty_node``
-(:mod:`repro.source.terms`), ``eval_node``
-(:mod:`repro.source.evaluator`), ``compile_node``
-(:mod:`repro.source.closures`), ``infer_type_node``
+(:mod:`repro.source.terms`), ``compile_node``
+(:mod:`repro.source.closures`, the one evaluation hook), ``infer_type_node``
 (:mod:`repro.core.typecheck`), and the solver's length hooks -- so
 ``repro.source``/``repro.core`` never import this package.
 """
@@ -59,16 +58,6 @@ class QAggregate(t.Term):
         )
 
     # -- core extension hooks -------------------------------------------------
-
-    def eval_node(self, evaluator, env: dict, fx) -> object:
-        count = int(evaluator._eval(self.count, env, fx))
-        acc = evaluator._eval(self.init, env, fx)
-        for index in range(count):
-            inner = dict(env)
-            inner[self.idx_name] = index
-            inner[self.acc_name] = acc
-            acc = evaluator._eval(self.body, inner, fx)
-        return acc
 
     def compile_node(self, compile):
         count, init, body = compile(self.count), compile(self.init), compile(self.body)
@@ -116,15 +105,6 @@ class QProjectInto(t.Term):
     statement_shape = True
 
     # -- core extension hooks -------------------------------------------------
-
-    def eval_node(self, evaluator, env: dict, fx) -> list:
-        out = evaluator._array(self.out, env, fx)
-        result = []
-        for index in range(len(out)):
-            inner = dict(env)
-            inner[self.idx_name] = index
-            result.append(evaluator._eval(self.body, inner, fx))
-        return result
 
     def compile_node(self, compile):
         out, body, idx_name = compile.array(self.out), compile(self.body), self.idx_name
@@ -202,19 +182,6 @@ class QJoinAgg(t.Term):
         )
 
     # -- core extension hooks -------------------------------------------------
-
-    def eval_node(self, evaluator, env: dict, fx) -> object:
-        left = int(evaluator._eval(self.left_count, env, fx))
-        right = int(evaluator._eval(self.right_count, env, fx))
-        acc = evaluator._eval(self.init, env, fx)
-        for i in range(left):
-            for j in range(right):
-                inner = dict(env)
-                inner[self.i_name] = i
-                inner[self.j_name] = j
-                inner[self.acc_name] = acc
-                acc = evaluator._eval(self.body, inner, fx)
-        return acc
 
     def compile_node(self, compile):
         left_count, right_count = compile(self.left_count), compile(self.right_count)

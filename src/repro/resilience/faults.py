@@ -388,7 +388,7 @@ def _lying_range_oracle(expr: b2.Expr, env: dict, width: int):
     honestly so the lie miscompiles guards without making candidate
     programs diverge."""
     from repro.analysis.absint import domain
-    from repro.analysis.absint.bedrock import eval_expr_range
+    from repro.analysis.absint.bedrock import expr_range
 
     if (
         isinstance(expr, b2.EOp)
@@ -396,7 +396,7 @@ def _lying_range_oracle(expr: b2.Expr, env: dict, width: int):
         and isinstance(expr.rhs, b2.ELit)
     ):
         return domain.const(1)
-    return eval_expr_range(expr, env, width)
+    return expr_range(expr, env, width)
 
 
 def _rangeguard_lie_target(name: str) -> FuzzCase:

@@ -1,10 +1,8 @@
 """The closure evaluator: each functional model compiled once into closures.
 
-The tree-walker (:meth:`Evaluator._eval
-<repro.source.evaluator.Evaluator._eval>`) is the reference semantics of
-source terms (DESIGN.md §7).  This module is its fast path, as
-:mod:`repro.bedrock2.closures` is the Bedrock2 interpreter's.  It compiles
-a ``Term`` into nested Python closures in which
+This module is the executable meaning of source terms that every verdict
+rests on (DESIGN.md §7), as :mod:`repro.bedrock2.closures` is Bedrock2's.
+It compiles a ``Term`` into nested Python closures in which
 
 - node-type dispatch happens once, at compile time, instead of walking an
   ``isinstance`` chain at every node of every run;
@@ -13,14 +11,16 @@ a ``Term`` into nested Python closures in which
 - a chain of ``let/n`` bindings copies the environment once, and a loop
   copies it once, not once per binding or per iteration.
 
-Every observable of the tree-walker stays, in the tree-walker's order:
-values, the effects in :class:`~repro.source.evaluator.EffectContext`, one
-fuel tick per node entry (so ``"evaluation fuel exhausted"`` fires at the
-same step), and the same ``EvalError``, ``TypeError`` and ``KeyError``
-messages, raised when the node is reached.  Compiling never raises: a
-stuck node (an unknown operation, a wrong arity, a node no evaluator
-knows) compiles to a closure that raises the tree-walker's error, and a
-term nested too deeply to compile runs on the tree-walker.
+What a run shows is fixed, in evaluation order: values, the effects in
+:class:`~repro.source.evaluator.EffectContext`, one fuel tick per node
+entry (``"evaluation fuel exhausted"`` once ``ev.fuel`` is spent), and the
+``EvalError``, ``TypeError`` and ``KeyError`` of a stuck node, raised when
+the node is reached.  A stuck node (an unknown operation, a wrong arity, a
+node with no ``compile_node``) compiles to a closure that raises its
+error.  Compiling raises only for a term nested deeper than
+:data:`MAX_DEPTH`, an ``EvalError`` naming the limit.  The tree-walker
+this module replaced is kept as a test oracle,
+``tests/source/tree_walker.py``, and
 ``tests/source/test_model_eval_equivalence.py`` holds the two to that
 contract.
 
@@ -34,11 +34,10 @@ keyed by ``Term`` identity and held through a weakref, so an entry dies
 with its model.
 
 Extension terms (``Term`` subclasses defined outside ``repro.source``)
-compile through a ``compile_node(compile)`` hook next to ``eval_node``.
-It returns a closure ``(ev, env, fx) -> value`` for the node's work after
-its fuel tick (the compiler adds the tick), built from ``compile(child)``
-and ``compile.array(child)``.  A node with only ``eval_node`` runs through
-that hook, on the same fuel counter.
+evaluate through one hook, ``compile_node(compile)``.  It returns a
+closure ``(ev, env, fx) -> value`` for the node's work after its fuel
+tick (the compiler adds the tick), built from ``compile(child)`` and
+``compile.array(child)``.
 """
 
 from __future__ import annotations
@@ -53,6 +52,11 @@ from repro.source.ops import REGISTRY, eval_op
 Code = Callable[[Evaluator, dict, EffectContext], object]
 
 _FUEL = "evaluation fuel exhausted"
+
+#: How deep a term may nest.  Compiling takes two to four Python frames
+#: per level, and running a compiled term up to as many, so a term within
+#: the limit stays well inside CPython's default recursion limit of 1000.
+MAX_DEPTH = 200
 
 
 # -- The cache ------------------------------------------------------------------
@@ -77,32 +81,13 @@ def compiled(term: t.Term, width: int) -> Code:
         try:
             ref = weakref.ref(term, _evictor(key))
         except TypeError:  # a slotted extension node without __weakref__
-            return _compile(term, width)
+            return Compiler(width)(term)
         entry = (ref, {})
         _CACHE[key] = entry
     code = entry[1].get(width)
     if code is None:
-        code = entry[1][width] = _compile(term, width)
+        code = entry[1][width] = Compiler(width)(term)
     return code
-
-
-def _compile(term: t.Term, width: int) -> Code:
-    try:
-        return Compiler(width)(term)
-    except RecursionError:
-        # Compiling recurses twice per nesting level to the tree-walker's
-        # once, so a term this deep may still run on the tree-walker.
-        held = _held(term)
-        return lambda ev, env, fx: ev._eval(held(), env, fx)
-
-
-def _held(term: t.Term) -> Callable[[], t.Term]:
-    """``term``, held weakly where it can be: it may be the cached model
-    itself, which its caller (or its parent) keeps alive while it runs."""
-    try:
-        return weakref.ref(term)
-    except TypeError:  # not weakly referenceable, so never a cache key
-        return lambda: term
 
 
 # -- The compiler -----------------------------------------------------------------
@@ -141,23 +126,28 @@ class Compiler:
     """Turns terms into closures for one word width.
 
     ``compiler(term)`` is the closure of ``term``: it ticks fuel on entry,
-    then does what ``Evaluator._eval`` does for that node.
-    ``compiler.array(term)`` also checks that the value is a list, as
-    ``Evaluator._array`` does.
+    then does that node's work.  ``compiler.array(term)`` also checks that
+    the value is a list.
     """
 
     def __init__(self, width: int):
         self.width = width
+        self.depth = 0
 
     def __call__(self, term: t.Term) -> Code:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise EvalError(
+                f"term nests deeper than the closure evaluator's limit of {MAX_DEPTH}"
+            )
         method = _DISPATCH.get(type(term))
         if method is None:
             method = next(
                 (m for cls, m in _DISPATCH.items() if isinstance(term, cls)), None
             )
-        if method is None:
-            return self.extension(term)
-        return method(self, term)
+        code = self.extension(term) if method is None else method(self, term)
+        self.depth -= 1
+        return code
 
     def array(self, term: t.Term) -> Code:
         code = self(term)
@@ -171,7 +161,7 @@ class Compiler:
         return array
 
     def index(self, term: t.Term, what: str) -> Callable:
-        """``(ev, env, fx, length) -> int``, bounds-checked like ``_index``."""
+        """``(ev, env, fx, length) -> int``, bounds-checked against ``length``."""
         code = self(term)
 
         def index(ev, env, fx, length):
@@ -222,7 +212,7 @@ class Compiler:
         args = tuple(self(a) for a in term.args)
         op = REGISTRY.get(term.op)
         if op is None or op.arity != len(args):
-            # Stuck: eval_op raises the tree-walker's KeyError or TypeError
+            # Stuck: eval_op raises its KeyError or TypeError
             # once the arguments have been evaluated.
             name, width = term.op, self.width
 
@@ -601,9 +591,6 @@ class Compiler:
         hook = getattr(term, "compile_node", None)
         if hook is not None:
             return _ticked(hook(self))
-        if getattr(term, "eval_node", None) is not None:
-            node = _held(term)
-            return _ticked(lambda ev, env, fx: node().eval_node(ev, env, fx))
         message = f"cannot evaluate {term!r}"
 
         def unknown(ev, env, fx):
@@ -612,8 +599,8 @@ class Compiler:
         return _ticked(unknown)
 
 
-# The tree-walker's isinstance chain, in its order; a subclass of a core
-# node that is not listed by its own type compiles as its first match.
+# The core heads, in a fixed order; a subclass of a core node that is not
+# listed by its own type compiles as its first match.
 _DISPATCH: Dict[type, Callable[[Compiler, t.Term], Code]] = {
     t.Lit: Compiler.lit,
     t.Var: Compiler.var,

@@ -859,7 +859,7 @@ def _pretty_walk(term: Term, indent: int) -> str:
         return "st.get()"
     if isinstance(term, StPut):
         return f"st.put({pretty(term.value)})"
-    # Open extension point (like ``eval_node``): external nodes
+    # Open extension point (like ``compile_node``): external nodes
     # render themselves (stall reports stay readable for new domains).
     hook = getattr(term, "pretty_node", None)
     if hook is not None:

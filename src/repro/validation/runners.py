@@ -115,13 +115,13 @@ def run_function(
 ) -> RunResult:
     """Run ``fn`` under the memory layout ``spec`` declares.
 
-    ``interpreter_cls`` substitutes an :class:`Interpreter` subclass --
-    the absint soundness suite passes one whose ``exec_stmt`` asserts
-    every live local against the analyzer's per-statement ranges.  It
-    also selects the executor: :class:`Interpreter` itself runs the body
-    on the generated executor, while a subclass overriding ``exec_stmt``,
-    ``eval_expr``, ``_apply_op`` or ``call_function`` runs on the
-    reference tree-walker, so it sees every statement.
+    ``interpreter_cls`` substitutes an :class:`Interpreter` subclass; the
+    run starts at its ``call_function``.  It is a test seam: the
+    equivalence suites pass the tree-walker oracle
+    (``tests/bedrock2/tree_walker.py``) to compare it with the generated
+    executor, and the absint soundness suite passes a subclass of that
+    oracle whose ``exec_stmt`` asserts every live local against the
+    analyzer's per-statement ranges.
     """
     memory = Memory(width)
     args, pointers = _place_args(spec, param_values, memory, width)

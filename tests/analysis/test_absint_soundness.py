@@ -21,26 +21,26 @@ import pytest
 
 from repro.analysis.absint import analyze_function, analyze_model
 from repro.bedrock2 import ast as b2
-from repro.bedrock2.semantics import Interpreter
 from repro.core.goals import CompileError
 from repro.programs.registry import all_programs
 from repro.resilience.generator import generate_case
 from repro.source.evaluator import CellV
 from repro.stdlib import default_engine
 from repro.validation.runners import eval_model, make_inputs, run_function
+from tests.bedrock2.tree_walker import TreeWalker
 
 FUZZ_COUNT = 110
 TRIALS_PER_PROGRAM = 3
 
 
 def _checking_interpreter(envs, failures, tally=None):
-    """An Interpreter that audits locals against per-statement ranges.
+    """A tree-walker that audits locals against per-statement ranges.
 
-    Overriding ``exec_stmt`` keeps it on the tree-walker, so it sees every
+    It overrides the Bedrock2 oracle's ``exec_stmt``, so it sees every
     statement executed; ``tally[0]`` counts them when given.
     """
 
-    class CheckingInterpreter(Interpreter):
+    class CheckingInterpreter(TreeWalker):
         def exec_stmt(self, stmt, state, fuel):
             if tally is not None:
                 tally[0] += 1
@@ -120,9 +120,9 @@ def test_registry_executions_stay_within_ranges(program):
 
 
 def test_audit_sees_every_executed_statement():
-    """The auditor runs on the tree-walker, not the closure executor: over
-    the registry at -O0 it visits as many statements as the tree-walker
-    executes (2885, counted before the closure executor existed)."""
+    """The auditor runs on the tree-walker oracle, not the generated
+    executor: over the registry at -O0 it visits every statement executed
+    (2885, counted before the generated executor existed)."""
     rng = random.Random(0xAB5)
     tally = [0]
     for program in all_programs():

@@ -1,4 +1,4 @@
-"""The executor's caches, its fallback rules, the operator table, and stack reuse."""
+"""The executor's caches, its argument checks, the operator table, and stack reuse."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from repro.bedrock2.ast import (
 from repro.bedrock2.memory import Memory
 from repro.bedrock2.semantics import RAW_OPS, ExecutionError, Interpreter, apply_op
 from repro.bedrock2.word import Word
+from tests.bedrock2.tree_walker import TreeWalker
 
 
 def _counter(bound: int) -> Function:
@@ -134,10 +135,10 @@ def test_identical_structure_shares_one_code_object():
     assert interp.run("g", [])[0] == [Word(64, 4)]
 
 
-# -- Fallback to the tree-walker -----------------------------------------------------
+# -- Statement hooks on the oracle ---------------------------------------------------
 
 
-class StatementCounter(Interpreter):
+class StatementCounter(TreeWalker):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.seen = 0
@@ -156,25 +157,21 @@ def test_exec_stmt_override_sees_every_statement():
     assert interp.seen == 8
 
 
-@pytest.mark.parametrize("hook", ["exec_stmt", "eval_expr", "_apply_op", "call_function"])
-def test_overriding_any_hook_selects_the_tree_walker(hook):
-    def passthrough(self, *args):
-        return getattr(super(cls, self), hook)(*args)
-
-    cls = type("Hooked", (Interpreter,), {hook: passthrough})
-    assert cls()._tree_walk
-    assert not Interpreter()._tree_walk
-    fn = _counter(2)
-    rets, _ = cls(Program((fn,))).run(fn.name, [])
-    assert [r.unsigned for r in rets] == [2]
+# -- Arguments the executor cannot take ------------------------------------------------
 
 
-def test_foreign_width_arguments_take_the_tree_walker():
-    # The tree-walker keeps the caller's Word objects; a pass-through
-    # function returns the 32-bit word it was given, width and all.
-    fn = Function("id", ("x",), ("x",), ast.SSkip())
-    rets, _ = Interpreter(Program((fn,))).run("id", [Word(32, 7)])
-    assert rets == [Word(32, 7)] and rets[0].width == 32
+@pytest.mark.parametrize("cls", [Interpreter, TreeWalker], ids=["closures", "tree"])
+def test_foreign_width_or_non_word_arguments_are_execution_errors(cls):
+    fn = Function("f", ("z", "x"), ("y",), SSet("y", add(var("x"), lit(1))))
+    interp = cls(Program((fn,)))
+    with pytest.raises(ExecutionError, match=r"^f: argument 1 is not a 64-bit Word: "):
+        interp.run("f", [Word(64, 0), Word(32, 0xFFFFFFFF)])
+    with pytest.raises(ExecutionError, match=r"^f: argument 0 is not a 64-bit Word: 5$"):
+        interp.run("f", [5, Word(64, 1)])
+    with pytest.raises(ExecutionError, match=r"^f: argument 1 is not a 32-bit Word: "):
+        cls(Program((fn,)), width=32).run("f", [Word(32, 0), Word(64, 1)])
+    assert interp.counts.total() == 0
+    assert interp.run("f", [Word(64, 0), Word(64, 6)])[0] == [Word(64, 7)]
 
 
 # -- The shared operator table -------------------------------------------------------
@@ -229,7 +226,7 @@ def _frame_loop(iterations: int, nbytes: int) -> Function:
     return Function("frames", (), ("i",), body)
 
 
-@pytest.mark.parametrize("cls", [Interpreter, StatementCounter], ids=["closures", "tree"])
+@pytest.mark.parametrize("cls", [Interpreter, TreeWalker], ids=["closures", "tree"])
 def test_stack_frames_in_a_loop_reuse_their_space(cls):
     memory = Memory(32)
     top = memory._stack_top
@@ -245,6 +242,6 @@ def test_stack_exhaustion_is_an_execution_error():
     memory = Memory(32)
     memory.allocate(16, label="heap", base=0xFFFFE000)
     fn = Function("big", (), (), SStackalloc("b", 4096, ast.SSkip()))
-    for cls in (Interpreter, StatementCounter):
+    for cls in (Interpreter, TreeWalker):
         with pytest.raises(ExecutionError, match="overlaps"):
             cls(Program((fn,)), width=32).run(fn.name, [], memory=memory)

@@ -40,7 +40,8 @@ from repro.bedrock2.ast import (
 )
 from repro.bedrock2.semantics import OutOfFuel
 from repro.bedrock2.word import Word
-from tests.bedrock2.test_exec_equivalence import TreeWalker, _memory, run_both, single
+from tests.bedrock2.test_exec_equivalence import _memory, run_both, single
+from tests.bedrock2.tree_walker import TreeWalker
 
 
 def _source(program: Program, name: str, width: int = 64) -> str:

@@ -1,11 +1,10 @@
-"""The closure executor agrees with the reference tree-walker.
+"""The generated executor agrees with the tree-walker oracle.
 
-``Interpreter.call_function`` runs function bodies on the closure
-executor (:mod:`repro.bedrock2.closures`).  A subclass that overrides
-``exec_stmt`` runs on the tree-walker alone -- the mechanism the absint
-soundness audit relies on -- so :class:`TreeWalker` below is the
-reference.  Over the Table 2, query and fuzz corpora, at widths 32 and
-64, both must produce the same rets, out-memory, trace, op counts and
+``Interpreter.call_function`` runs function bodies on the generated
+executor (:mod:`repro.bedrock2.closures`); :class:`TreeWalker`
+(``tests/bedrock2/tree_walker.py``) walks the AST instead, and is the
+reference here.  Over the Table 2, query and fuzz corpora, at widths 32
+and 64, both must produce the same rets, out-memory, trace, op counts and
 memory read/write counts; on hand-built failing programs, the same
 exception type and message; and under every fuel bound up to the exact
 requirement plus 2, the same ``OutOfFuel`` or the same result.
@@ -51,17 +50,11 @@ from repro.source.evaluator import CellV
 from repro.stdlib import default_engine
 from repro.validation import runners
 from repro.validation.runners import make_inputs, run_function
+from tests.bedrock2.tree_walker import TreeWalker
 
 WIDTHS = (32, 64)
 TRIALS = 4
 FUZZ_COUNT = 110
-
-
-class TreeWalker(Interpreter):
-    """Overrides ``exec_stmt``, so it never takes the closure executor."""
-
-    def exec_stmt(self, stmt, state, fuel):
-        return super().exec_stmt(stmt, state, fuel)
 
 
 class RecordingMemory(Memory):

@@ -1,4 +1,10 @@
-"""Tests for the Bedrock2 big-step interpreter."""
+"""Tests for the Bedrock2 big-step interpreter.
+
+Single expressions and statements run on the tree-walker oracle
+(``tests/bedrock2/tree_walker.py``), which ``test_exec_equivalence.py``
+holds the generated executor to; whole functions run on
+:class:`Interpreter` itself.
+"""
 
 import pytest
 from hypothesis import given
@@ -36,6 +42,7 @@ from repro.bedrock2.semantics import (
     OutOfFuel,
 )
 from repro.bedrock2.word import Word
+from tests.bedrock2.tree_walker import TreeWalker
 
 
 def fresh_state(width=64):
@@ -43,7 +50,7 @@ def fresh_state(width=64):
 
 
 def run_stmt(stmt, state=None, width=64, **kwargs):
-    interp = Interpreter(width=width, **kwargs)
+    interp = TreeWalker(width=width, **kwargs)
     state = state or fresh_state(width)
     interp.exec_stmt(stmt, state, fuel=100_000)
     return state, interp
@@ -51,7 +58,7 @@ def run_stmt(stmt, state=None, width=64, **kwargs):
 
 class TestExpressions:
     def eval(self, expr, state=None, width=64):
-        interp = Interpreter(width=width)
+        interp = TreeWalker(width=width)
         return interp.eval_expr(expr, state or fresh_state(width))
 
     def test_literal(self):

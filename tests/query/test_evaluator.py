@@ -30,20 +30,20 @@ def test_sum_wraps_at_word_width():
 
 def test_expr_arithmetic_masks():
     row = {"a": MASK, "b": 3}
-    assert qe.eval_expr(ir.BinOp("add", ir.ColRef("a"), ir.ColRef("b")), row) == 2
-    assert qe.eval_expr(ir.BinOp("mul", ir.ColRef("a"), ir.IntLit(2)), row) == MASK - 1
-    assert qe.eval_expr(ir.BinOp("sub", ir.IntLit(0), ir.IntLit(1)), row) == MASK
+    assert qe.eval_row_expr(ir.BinOp("add", ir.ColRef("a"), ir.ColRef("b")), row) == 2
+    assert qe.eval_row_expr(ir.BinOp("mul", ir.ColRef("a"), ir.IntLit(2)), row) == MASK - 1
+    assert qe.eval_row_expr(ir.BinOp("sub", ir.IntLit(0), ir.IntLit(1)), row) == MASK
 
 
 def test_comparison_table():
     row = {"a": 5, "b": 7}
     a, b = ir.ColRef("a"), ir.ColRef("b")
-    assert qe.eval_expr(ir.Cmp("lt", a, b), row) == 1
-    assert qe.eval_expr(ir.Cmp("ge", a, b), row) == 0
-    assert qe.eval_expr(ir.Cmp("ne", a, b), row) == 1
-    assert qe.eval_expr(ir.Cmp("eq", a, a), row) == 1
-    assert qe.eval_expr(ir.Cmp("le", a, a), row) == 1
-    assert qe.eval_expr(ir.Cmp("gt", b, a), row) == 1
+    assert qe.eval_row_expr(ir.Cmp("lt", a, b), row) == 1
+    assert qe.eval_row_expr(ir.Cmp("ge", a, b), row) == 0
+    assert qe.eval_row_expr(ir.Cmp("ne", a, b), row) == 1
+    assert qe.eval_row_expr(ir.Cmp("eq", a, a), row) == 1
+    assert qe.eval_row_expr(ir.Cmp("le", a, a), row) == 1
+    assert qe.eval_row_expr(ir.Cmp("gt", b, a), row) == 1
 
 
 def test_equi_join_rows():

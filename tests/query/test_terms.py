@@ -7,6 +7,7 @@ from repro.query.terms import QAggregate, QJoinAgg, QProjectInto
 from repro.source import terms as t
 from repro.source.evaluator import Evaluator
 from repro.source.types import NAT, WORD
+from tests.source.tree_walker import TreeWalker
 
 
 def _agg(count=t.ArrayLen(t.Var("a"))):
@@ -82,12 +83,17 @@ def test_eval_project_into():
     assert value == [2, 4, 6]
 
 
+def _agree(head, reduced, env):
+    """The head compiled, the model oracle's case for the head, and the
+    oracle on the core loop the lemma reduces the head to: one value."""
+    expected = TreeWalker().eval(reduced, env)
+    assert Evaluator().eval(head, env) == expected
+    assert TreeWalker().eval(head, env) == expected
+
+
 def test_as_ranged_for_agrees_with_eval_node():
     agg = _agg()
-    env = {"a": [5, 7, 9]}
-    assert Evaluator().eval(agg, dict(env)) == Evaluator().eval(
-        agg.as_ranged_for(), dict(env)
-    )
+    _agree(agg, agg.as_ranged_for(), {"a": [5, 7, 9]})
 
 
 def test_as_nested_ranged_for_agrees_with_eval_node():
@@ -105,10 +111,7 @@ def test_as_nested_ranged_for_agrees_with_eval_node():
         t.ArrayLen(t.Var("l")), t.ArrayLen(t.Var("r")),
         t.Lit(0, WORD), body,
     )
-    env = {"l": [1, 2, 3], "r": [4, 5]}
-    assert Evaluator().eval(join, dict(env)) == Evaluator().eval(
-        join.as_nested_ranged_for(), dict(env)
-    )
+    _agree(join, join.as_nested_ranged_for(), {"l": [1, 2, 3], "r": [4, 5]})
 
 
 def test_pretty_round_trip_mentions_structure():

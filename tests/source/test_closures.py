@@ -7,16 +7,14 @@ import sys
 import threading
 import types
 
+import pytest
+
 from repro.programs import get_program
 from repro.source import closures
 from repro.source import terms as t
 from repro.source.evaluator import EvalError, Evaluator
 from repro.source.types import ARRAY_WORD, WORD
-
-
-class TreeWalker(Evaluator):
-    def _eval(self, term, env, fx):
-        return super()._eval(term, env, fx)
+from tests.source.tree_walker import TreeWalker
 
 
 def _sum_model(tag: int) -> t.Term:
@@ -141,12 +139,25 @@ def test_threads_share_one_compiled_model_and_no_run_state():
         assert outcomes == [expected[index]] * 40
 
 
-def test_a_term_too_deep_to_compile_runs_on_the_tree_walker():
-    # Compiling takes two frames per level, the tree-walker one.
-    depth = sys.getrecursionlimit() * 2 // 3
+def _mret_nest(depth: int) -> t.Term:
     term = t.Lit(depth, WORD)
     for _ in range(depth):
         term = t.MRet(term)
+    return term
+
+
+def test_a_term_too_deep_to_compile_is_an_eval_error():
+    limit = closures.MAX_DEPTH
+    message = f"term nests deeper than the closure evaluator's limit of {limit}"
+    for depth in (sys.getrecursionlimit() * 2 // 3, sys.getrecursionlimit() * 3 // 2):
+        assert depth > limit
+        evaluator = Evaluator()
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            evaluator.eval(_mret_nest(depth))
+        assert evaluator._steps == 0
+    # The deepest term within the limit compiles and runs.
     evaluator = Evaluator()
-    assert evaluator.eval(term) == depth
-    assert evaluator._steps == depth + 1
+    assert evaluator.eval(_mret_nest(limit - 1)) == limit - 1
+    assert evaluator._steps == limit
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        Evaluator().eval(_mret_nest(limit))

@@ -1,8 +1,9 @@
-"""The closure evaluator agrees with the reference tree-walker.
+"""The closure evaluator agrees with the tree-walker oracle.
 
 ``Evaluator.eval`` runs functional models compiled into closures
-(:mod:`repro.source.closures`).  A subclass that overrides ``_eval`` runs
-on the tree-walker alone, so :class:`TreeWalker` below is the reference.
+(:mod:`repro.source.closures`); :class:`TreeWalker`
+(``tests/source/tree_walker.py``) walks the term instead, and is the
+reference here.
 Over the Table 2, query and fuzz models, at widths 32 and 64, on boundary
 inputs first and seeded random ones after, both must show the same value,
 step count, ``io_output``, ``writer_output``, ``state``, error flag and
@@ -27,22 +28,16 @@ from repro.query.terms import QAggregate, QJoinAgg, QProjectInto
 from repro.resilience.generator import generate_case
 from repro.source import closures
 from repro.source import terms as t
-from repro.source.evaluator import CellV, EffectContext, Evaluator
+from repro.source.evaluator import CellV, EffectContext, EvalError, Evaluator
 from repro.source.types import ARRAY_WORD, BOOL, BYTE, NAT, WORD, TypeKind
 from repro.validation.runners import make_inputs
+from tests.source.tree_walker import TreeWalker
 
 WIDTHS = (32, 64)
 TRIALS = 4
 FUZZ_COUNT = 110
 MAX_LEN = 47  # the longest array the validators' samplers draw
 FUEL = 100_000  # ends the boundary runs whose loop counts are 2^w - 1
-
-
-class TreeWalker(Evaluator):
-    """Overrides ``_eval``, so it never takes the closure evaluator."""
-
-    def _eval(self, term, env, fx):
-        return super()._eval(term, env, fx)
 
 
 def observe(term, params, width, evaluator_cls, seed, fuel=FUEL):
@@ -73,7 +68,7 @@ def observe(term, params, width, evaluator_cls, seed, fuel=FUEL):
 
 
 def assert_same(term, params, width, seed, fuel=FUEL):
-    reference = observe(term, params, width, TreeWalker, seed, fuel)
+    reference = observe(term, params, width, Reference, seed, fuel)
     fast = observe(term, params, width, Evaluator, seed, fuel)
     assert fast == reference
     return fast
@@ -186,13 +181,24 @@ def add(a, b):
 
 @t.subterms("value")
 @dataclass(frozen=True)
-class EvalOnly(t.Term):
-    """An extension node with ``eval_node`` and no ``compile_node``."""
+class PlusOne(t.Term):
+    """An extension head: its ``compile_node`` is all the core knows of it."""
 
     value: t.Term
 
-    def eval_node(self, evaluator, env, fx):
-        return evaluator._eval(self.value, env, fx) + 1
+    def compile_node(self, compile):
+        value = compile(self.value)
+        return lambda ev, env, fx: value(ev, env, fx) + 1
+
+
+class Reference(TreeWalker):
+    """The oracle, taught :class:`PlusOne` as a test's own head is taught."""
+
+    def _eval(self, term, env, fx):
+        if isinstance(term, PlusOne):
+            self._tick()
+            return self._eval(term.value, env, fx) + 1
+        return super()._eval(term, env, fx)
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,8 @@ class Opaque(t.Term):
     """A node no evaluator knows."""
 
 
-# One term that reaches every node form of the tree-walker, the three
-# query nodes and an eval_node-only extension node.
+# One term that reaches every core node form, the three query nodes and
+# an extension node of the test's own.
 KITCHEN = t.Let(
     "a", t.Copy(t.Stack(t.Append(t.Var("xs"), t.Lit((5, 6), ARRAY_WORD)))),
     t.LetTuple(
@@ -233,7 +239,7 @@ KITCHEN = t.Let(
                     QJoinAgg("i", "j", "acc", n(2), t.Var("p"), w(0),
                              add(t.Var("acc"), t.Prim("word.mul", (t.Var("i"), t.Var("j"))))),
                     QProjectInto("i", t.Var("a"), t.ArrayGet(t.Var("a"), t.Var("i"))),
-                    EvalOnly(t.Var("q")),
+                    PlusOne(t.Var("q")),
                 ))),
             ),
         ),
@@ -312,12 +318,22 @@ def test_compiling_never_raises():
             closures.Compiler(width)(term)
 
 
+def test_a_head_with_no_hook_is_stuck_when_reached():
+    # Opaque has no compile_node: it compiles, and raises once it runs.
+    harmless = t.If(t.Lit(False, BOOL), Opaque(), w(2))
+    assert Evaluator().eval(harmless) == 2
+    evaluator = Evaluator()
+    with pytest.raises(EvalError, match=r"^cannot evaluate Opaque\(\)$"):
+        evaluator.eval(add(w(1), Opaque()))
+    assert evaluator._steps == 3
+
+
 # -- Fuel ---------------------------------------------------------------------------
 
 
 def _sweep(term, params, width=64):
     """Fuel 0 .. exact + 2, where ``exact`` is what an unbounded run takes."""
-    unbounded = observe(term, params, width, TreeWalker, 0)
+    unbounded = observe(term, params, width, Reference, 0)
     exact = unbounded[2]
     assert exact > 0
     for fuel in range(exact + 3):
@@ -402,7 +418,7 @@ MUTANTS = {
 
 def _caught(corpus) -> bool:
     return any(
-        observe(term, params, width, Evaluator, 0) != observe(term, params, width, TreeWalker, 0)
+        observe(term, params, width, Evaluator, 0) != observe(term, params, width, Reference, 0)
         for term, params, width in corpus
     )
 
@@ -428,11 +444,3 @@ def test_comparator_catches_mutant(mutant):
     with mock.patch.dict(closures._DISPATCH, {node: compile_fn}), \
             mock.patch.dict(closures._CACHE, clear=True):
         assert _caught(corpus), f"mutant {mutant} survived"
-
-
-def test_tree_walker_subclass_never_compiles():
-    term = add(w(0x7EE_0000), w(2))  # a model no other test builds
-    assert TreeWalker().eval(term) == 0x7EE_0002
-    assert id(term) not in closures._CACHE
-    assert Evaluator().eval(term) == 0x7EE_0002
-    assert id(term) in closures._CACHE

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bedrock2 import ast as b2
-from repro.bedrock2.semantics import Interpreter, MachineState
-from repro.bedrock2.memory import Memory
+from repro.bedrock2.semantics import Interpreter
 from repro.source.ops import REGISTRY, eval_op
 from repro.source.types import BOOL, BYTE, NAT
 
@@ -92,10 +91,9 @@ def test_op_agrees_with_lowering(name, raw_a, raw_b):
         return
     source_result = eval_op(name, WIDTH, args)
 
-    interp = Interpreter(width=WIDTH)
     arg_exprs = [b2.ELit(encode(a, ty)) for a, ty in zip(args, op.arg_types)]
-    expr = lower_expr(op, arg_exprs)
-    target_word = interp.eval_expr(expr, MachineState(memory=Memory(WIDTH)))
+    fn = b2.Function("f", (), ("r",), b2.SSet("r", lower_expr(op, arg_exprs)))
+    (target_word,), _ = Interpreter(b2.Program((fn,)), width=WIDTH).run("f", [])
 
     assert target_word.unsigned == encode(source_result, op.result_type), (
         name,

@@ -27,11 +27,11 @@ from repro.resilience.generator import generate_case
 from repro.source import terms as t
 from repro.source.types import NAT, WORD
 from tests.source import term_oracle as oracle
-from tests.source.test_model_eval_equivalence import KITCHEN, EvalOnly
+from tests.source.test_model_eval_equivalence import KITCHEN, PlusOne
 
 FUZZ_COUNT = 110
 
-oracle.EXTENSIONS[EvalOnly] = (lambda n: (n.value,), lambda n, cs: EvalOnly(*cs))
+oracle.EXTENSIONS[PlusOne] = (lambda n: (n.value,), lambda n, cs: PlusOne(*cs))
 
 
 def _scope_probes():
