@@ -29,6 +29,7 @@ expensive supervised runs are not repeated per report build).
 """
 
 import json
+import math
 import shutil
 import statistics
 import tempfile
@@ -238,12 +239,43 @@ def test_warm_cache_suite(benchmark):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def main() -> None:
+#: The ``--check`` gate: geometric mean over the Table 2 programs of each
+#: one's cold/warm latency ratio at ``-O1``, re-validation on.
+WARM_SPEEDUP_FLOOR = 10.0
+
+
+def geomean_speedup(rows: List[Tuple[str, float, float]]) -> float:
+    return math.exp(statistics.fmean(math.log(cold / warm) for _, cold, warm in rows))
+
+
+def check() -> int:
+    """Print the per-program cold/warm table; 1 if below the floor."""
+    rows = cold_warm_latencies(opt_level=1)
+    for name, cold, warm in rows:
+        print(f"{name:8s} cold {cold:8.1f} ms  warm {warm:6.2f} ms  {cold / warm:6.1f}x")
+    ratio = geomean_speedup(rows)
+    ok = ratio >= WARM_SPEEDUP_FLOOR
+    print(
+        f"E12 gate: geomean cold/warm {ratio:.1f}x "
+        f"(floor {WARM_SPEEDUP_FLOOR:.0f}x): {'ok' if ok else 'FAIL'}"
+    )
+    return 0 if ok else 1
+
+
+def main() -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=BASELINE_PATH)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="gate: fail below the 10x geomean cold/warm speedup at -O1 "
+        "(cold/warm rows only; writes no baseline)",
+    )
     args = parser.parse_args()
+    if args.check:
+        return check()
     payload = write_baseline(args.out)
     for row in payload["supervised"]:
         print(
@@ -251,7 +283,8 @@ def main() -> None:
             f"p99 {row['p99_ms']:.1f}ms {row['throughput_rps']:.1f} req/s"
         )
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

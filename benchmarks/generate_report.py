@@ -663,7 +663,8 @@ def section_serving() -> str:
         "```",
         "",
         f"Suite-level warm speedup: **{speedup:.1f}x** (acceptance bar: >=5x",
-        "with re-validation on; `benchmarks/bench_serve.py` pins this in CI).",
+        "with re-validation on; `python -m benchmarks.bench_serve --check` gates",
+        "the geometric mean of the per-program ratios at >=10x in CI, E23).",
         "Warm results are byte-identical to cold compiles",
         "(`tests/serve/test_cache.py`), which is the determinism claim made",
         "checkable: same inputs, same derivation, down to the serialized",
@@ -746,8 +747,11 @@ def section_supervised() -> str:
         "pool, JSON-lines IPC, per-request deadlines, admission control,",
         "retry/backoff bookkeeping — prices in at low single-digit",
         "milliseconds per warm request, so fault tolerance is not in tension",
-        "with the E12 memoization win.  Workers hold warm lemma databases and",
-        "serve re-validated cache hits; every number below includes the full",
+        "with the E12 memoization win.  Workers build the lemma databases once",
+        "per process and each registry program's model, spec and compile key at",
+        "start-up (E23), and serve re-validated cache hits; a hit still pays the",
+        "entry read, digest, decode, well-formedness, certificate check, lint",
+        "and C printing.  Every number below includes the full",
         "parent→worker→parent round-trip.",
         "",
         f"**Measured** ({source}; warm compiles through a",

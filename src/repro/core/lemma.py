@@ -387,6 +387,12 @@ class HintDb:
         return missing_lemma_suggestions(head, present=set(self.lemma_names()))
 
     def copy(self, name: Optional[str] = None) -> "HintDb":
+        """An independent database with the same ordered contents.
+
+        The memos carry over: ``candidates()`` lists are copied per head,
+        and the fingerprint is kept unless the name changes, since the
+        digest covers the name.  Lemma objects are shared, not cloned.
+        """
         clone = HintDb(name or self.name)
         clone._entries = list(self._entries)
         clone._counter = self._counter
@@ -394,6 +400,11 @@ class HintDb:
         clone._head_buckets = {
             head: list(bucket) for head, bucket in self._head_buckets.items()
         }
+        clone._candidate_cache = {
+            head: list(found) for head, found in self._candidate_cache.items()
+        }
+        if clone.name == self.name:
+            clone._fingerprint_cache = self._fingerprint_cache
         return clone
 
     def extended(self, *lemmas: object, priority: int = 0, name: Optional[str] = None) -> "HintDb":

@@ -150,10 +150,14 @@ class PassManager:
         trace = tracer.enabled
         certificates: List[PassCertificate] = []
         baseline = self._lint_counts(fn) if self.lint else None
+        # The hash of ``fn``, carried forward: an accepted candidate's
+        # ``after_hash`` is the next pass's ``before_hash``.  Every
+        # candidate is still hashed, because ``candidate == fn`` does not
+        # imply equal reprs (``ELit(True) == ELit(1)``).
+        before_hash = ast.fingerprint(fn)
         for pass_ in self.passes:
             span = tracer.span("opt_pass", name=pass_.name) if trace else NULL_SPAN
             with span:
-                before_hash = ast.fingerprint(fn)
                 try:
                     candidate = pass_.run(fn, self.width)
                 except Exception as exc:  # noqa: BLE001 - a crashing pass is rejected
@@ -191,6 +195,7 @@ class PassManager:
                 )
                 self._trace_cert(tracer, certificates[-1])
                 fn = candidate
+                before_hash = after_hash
                 if baseline is not None:
                     baseline = candidate_counts
         return fn, certificates

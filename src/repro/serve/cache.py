@@ -191,6 +191,9 @@ class CompilationCache:
         self.root = root
         self.revalidate = revalidate
         self.stats = CacheStats()
+        # (program name, opt level) -> (program, engine fingerprint,
+        # model, spec, key): one entry per registry program and level.
+        self._program_inputs: dict = {}
         os.makedirs(root, exist_ok=True)
 
     # -- Addressing ------------------------------------------------------------
@@ -203,6 +206,27 @@ class CompilationCache:
 
             engine = default_engine()
         return compile_key(model, spec, engine, opt_level)
+
+    def program_inputs(
+        self, program, engine, opt_level: int = 0
+    ) -> Tuple[Model, FnSpec, str]:
+        """``(model, spec, key)`` for a registry program, built once per handle.
+
+        A registry program's model and spec never change, so the
+        reification and key digest are paid on the first request only.
+        The entry is rebuilt when the program object or the engine
+        fingerprint differs from the one it was built for.
+        """
+        fingerprint = engine.fingerprint()
+        slot = (program.name, opt_level)
+        entry = self._program_inputs.get(slot)
+        if entry is None or entry[0] is not program or entry[1] != fingerprint:
+            model = program.build_model()
+            spec = program.build_spec()
+            key = compile_key(model, spec, engine, opt_level)
+            entry = (program, fingerprint, model, spec, key)
+            self._program_inputs[slot] = entry
+        return entry[2:]
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
@@ -440,6 +464,11 @@ class CompilationCache:
 
             engine = default_engine()
         key = compile_key(model, spec, engine, opt_level)
+        return self._compile_keyed(key, model, spec, engine, opt_level, input_gen)
+
+    def _compile_keyed(
+        self, key: str, model: Model, spec: FnSpec, engine, opt_level: int, input_gen
+    ) -> Tuple[CompiledFunction, str]:
         bundle, outcome = self.lookup(key, model, spec)
         if bundle is not None:
             return bundle, outcome
@@ -451,16 +480,16 @@ class CompilationCache:
 
 
 def compile_program_cached(
-    cache: CompilationCache, program, opt_level: int = 0
+    cache: CompilationCache, program, opt_level: int = 0, engine=None
 ) -> Tuple[CompiledFunction, str]:
     """Compile a registry :class:`~repro.programs.registry.BenchProgram`
-    through ``cache`` with the default engine; returns (bundle, outcome)."""
-    from repro.stdlib import default_engine
+    through ``cache`` (with the default engine unless ``engine`` is
+    given); returns (bundle, outcome)."""
+    if engine is None:
+        from repro.stdlib import default_engine
 
-    return cache.compile(
-        program.build_model(),
-        program.build_spec(),
-        engine=default_engine(),
-        opt_level=opt_level,
-        input_gen=program.validation_input_gen(),
+        engine = default_engine()
+    model, spec, key = cache.program_inputs(program, engine, opt_level)
+    return cache._compile_keyed(
+        key, model, spec, engine, opt_level, program.validation_input_gen()
     )

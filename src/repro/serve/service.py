@@ -214,12 +214,8 @@ class CompileService:
             engine = default_engine()
             engine.budget = budget
             if self.cache is not None:
-                return self.cache.compile(
-                    program.build_model(),
-                    program.build_spec(),
-                    engine=engine,
-                    opt_level=opt_level,
-                    input_gen=program.validation_input_gen(),
+                return compile_program_cached(
+                    self.cache, program, opt_level=opt_level, engine=engine
                 )
             compiled = engine.compile_function(
                 program.build_model(), program.build_spec()

@@ -5,10 +5,10 @@ protocol as :mod:`repro.serve.service` over its stdin/stdout, plus a
 one-line ``{"ready": true, "pid": ...}`` handshake emitted after the
 warm-up so the supervisor can tell a slow import from a dead spawn.
 
-Warm state is the whole point of the pool: the worker pre-builds the
-standard lemma databases and touches the program registry at startup,
-so every request after the handshake pays proof search only, not
-import-and-construct.  The worker itself stays deliberately dumb --
+Warm state is the whole point of the pool: the worker builds the
+standard lemma databases and each registry program's model, spec and
+compile key at startup, so a cache hit after the handshake rebuilds
+none of them.  The worker itself stays deliberately dumb --
 timeouts, retries, backpressure, and degradation all live in the parent
 :class:`~repro.serve.supervisor.Supervisor`, which owns the process and
 is free to SIGKILL it at any moment.  Nothing the worker does between
@@ -28,13 +28,22 @@ import os
 import sys
 
 
-def warm_up() -> None:
-    """Build the warm per-process state one request should not pay for."""
-    from repro.programs.registry import all_programs
-    from repro.stdlib import default_databases
+def warm_up(service) -> None:
+    """Build the warm per-process state one request should not pay for.
 
-    default_databases()
-    all_programs()
+    That is the standard lemma databases and, when the service has a
+    cache, each registry program's model, spec and compile key at
+    ``-O0`` and ``-O1``.
+    """
+    from repro.programs.registry import all_programs
+    from repro.stdlib import default_engine
+
+    engine = default_engine()
+    programs = all_programs()
+    if service.cache is not None:
+        for program in programs:
+            for level in (0, 1):
+                service.cache.program_inputs(program, engine, level)
 
 
 def main(argv=None) -> int:
@@ -48,7 +57,7 @@ def main(argv=None) -> int:
     service = CompileService(
         cache_dir=args.cache, allow_test_ops=args.allow_test_ops
     )
-    warm_up()
+    warm_up(service)
     sys.stdout.write(json.dumps({"ready": True, "pid": os.getpid()}) + "\n")
     sys.stdout.flush()
     for line in sys.stdin:

@@ -30,6 +30,9 @@ exactly the way the paper's evaluation slices them (Table 1, §4.1.2):
 compiler by registering more lemmas -- see ``examples/extending.py``.
 """
 
+import threading
+from typing import Optional, Tuple
+
 from repro.core.engine import Engine
 from repro.core.lemma import HintDb
 from repro.core.solver import SolverBank
@@ -63,8 +66,12 @@ def load_extensions():
     )
 
 
-def default_databases():
-    """The standard binding/expression hint databases (all extensions loaded)."""
+_BUILD_LOCK = threading.Lock()
+_BUILT: Optional[Tuple[HintDb, HintDb]] = None
+
+
+def _build_databases() -> Tuple[HintDb, HintDb]:
+    """Assemble the standard binding/expression hint databases afresh."""
     from repro.stdlib import (
         bindings,
         calls,
@@ -99,7 +106,35 @@ def default_databases():
     errors.register(binding_db)
     calls.register(binding_db)
     bindings.register(binding_db)  # the generic scalar-set lemma goes last
+    # Warm the memos every copy inherits: the fingerprint and each
+    # indexed head's candidate list.
+    for db in (binding_db, expr_db):
+        db.fingerprint()
+        for head in db.indexed_heads():
+            db.candidates(head)
     return binding_db, expr_db
+
+
+def _standard_databases() -> Tuple[HintDb, HintDb]:
+    """The process's one build of the standard databases; never hand out."""
+    global _BUILT
+    if _BUILT is None:
+        with _BUILD_LOCK:
+            if _BUILT is None:
+                _BUILT = _build_databases()
+    return _BUILT
+
+
+def default_databases() -> Tuple[HintDb, HintDb]:
+    """The standard binding/expression hint databases (all extensions loaded).
+
+    A derivation is a pure function of the model, the spec and these
+    ordered databases (§3.2), so they are built once per process; each
+    call returns fresh copies, which callers may ``register`` into,
+    ``remove`` from or wrap without affecting any other caller.
+    """
+    binding_db, expr_db = _standard_databases()
+    return binding_db.copy(), expr_db.copy()
 
 
 def default_engine(width: int = 64, solvers: SolverBank = None) -> Engine:

@@ -268,3 +268,80 @@ def test_requests_are_traced():
     counters = tracer.metrics.to_dict()["counters"]
     assert counters["serve.requests"] == 2
     assert counters["serve.ok"] == 1 and counters["serve.error"] == 1
+
+
+def test_warm_requests_rebuild_no_per_process_constant(tmp_path, monkeypatch):
+    """A warm hit builds neither the databases nor a model, spec or key.
+
+    One round over the 18 served keys (Table 2 at -O0/-O1) fills the
+    cache and a second warms the process; a third must be all hits with
+    no database build and no ``build_model``/``build_spec`` call, serve
+    the in-process compile's C, and address the keys ``compile_key``
+    gives from scratch.
+    """
+    import repro.stdlib as stdlib
+    from repro.core.engine import Engine
+    from repro.programs import all_programs
+    from repro.serve.cache import CompilationCache
+    from repro.serve.fingerprint import compile_key
+
+    builds = []
+    build = stdlib._build_databases
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(stdlib, "_build_databases", counting_build)
+    monkeypatch.setattr(stdlib, "_BUILT", None)
+
+    programs = all_programs()
+    calls = []
+    for program in programs:
+        for attr in ("build_model", "build_spec"):
+            original = getattr(program, attr)
+
+            def counted(original=original, name=f"{program.name}.{attr}"):
+                calls.append(name)
+                return original()
+
+            monkeypatch.setattr(program, attr, counted)
+
+    keys = []
+    lookup = CompilationCache.lookup
+
+    def recording_lookup(self, key, model, spec):
+        keys.append(key)
+        return lookup(self, key, model, spec)
+
+    monkeypatch.setattr(CompilationCache, "lookup", recording_lookup)
+
+    service = CompileService(cache_dir=str(tmp_path))
+    served = [(program, level) for program in programs for level in (0, 1)]
+    assert len(served) == 18
+
+    def round_():
+        return [
+            service.handle(
+                {"op": "compile", "program": program.name, "opt_level": level}
+            )
+            for program, level in served
+        ]
+
+    round_()
+    assert {r["cache"] for r in round_()} == {"hit"}
+    assert len(builds) == 1
+    builds.clear()
+    calls.clear()
+    keys.clear()
+    warm = round_()
+    assert builds == [] and calls == []
+    assert [r["cache"] for r in warm] == ["hit"] * 18
+
+    engine = Engine(*build(), width=64)
+    for (program, level), response, key in zip(served, warm, keys):
+        fresh = program.compile(fresh=True, opt_level=level)
+        assert response["c"] == fresh.c_source()
+        assert key == compile_key(
+            program.build_model(), program.build_spec(), engine, level
+        )

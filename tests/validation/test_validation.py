@@ -162,6 +162,16 @@ class TestCertificateChecker:
         with pytest.raises(CertificateError):
             check_certificate(cert)
 
+    def test_bare_derivation_for_nonempty_code_rejected(self):
+        root = CertNode("derive", "goal", "<code>", children=[
+            CertNode("compile_done", "post", "<code>"),
+        ])
+        cert = Certificate("f", root)
+        with pytest.raises(CertificateError, match="2 nodes for 1 statements"):
+            check_certificate(cert, statement_count=1)
+        check_certificate(cert, statement_count=0)  # no code, nothing to derive
+        check_certificate(cert)  # size not asked about
+
     def test_validate_bundles_both(self):
         validate(compile_inc(), trials=5)
 
