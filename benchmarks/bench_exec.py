@@ -17,7 +17,7 @@ validation inputs under both and reports the min-of-3 wall time of each.
 The gate (``--check``) is a ratio, not raw milliseconds, as
 ``dispatch_baseline.json`` is: both sides run on the same host, so only
 their relative speed is compared.  It fails when the geometric mean of
-tree-walker ÷ fast-path time is below ``EXECUTOR_FLOOR`` (4×) in E18 or
+tree-walker ÷ fast-path time is below ``EXECUTOR_FLOOR`` (15×) in E18 or
 ``EVALUATOR_FLOOR`` (2×) in E19, or when the two sides disagree on any
 result (for E18 also on any op count; for E19 also on any step count).
 
@@ -47,7 +47,7 @@ from repro.validation.runners import make_inputs, run_function
 from tests.bedrock2.tree_walker import TreeWalker
 from tests.source.tree_walker import TreeWalker as TreeWalkerEvaluator
 
-EXECUTOR_FLOOR = 4.0
+EXECUTOR_FLOOR = 15.0
 EVALUATOR_FLOOR = 2.0
 DEFAULT_SIZE = 16 * 1024
 REPEATS = 3

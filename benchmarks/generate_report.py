@@ -2,14 +2,20 @@
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
 Run:  python benchmarks/generate_report.py [--size N] [--out PATH]
+
+The sections this script measures are rewritten; every other ``## E…``
+section already in ``PATH`` is kept as it is, placed after the last
+section numbered below it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
+from typing import List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -898,11 +904,41 @@ def section_lift() -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
+def _sections(text: str) -> List[str]:
+    """The ``## `` sections of a markdown text, each from its heading on."""
+    starts = [m.start() for m in re.finditer(r"^## ", text, re.M)]
+    return [text[a:b] for a, b in zip(starts, starts[1:] + [len(text)])]
+
+
+def _key(section: str) -> str:
+    """What a section reports: its heading up to the dash (``E3 (native)``)."""
+    return section.split("\n", 1)[0][3:].split(" — ")[0]
+
+
+def _number(section: str) -> Optional[int]:
+    match = re.match(r"## E(\d+)", section)
+    return int(match.group(1)) if match else None
+
+
+def keep_unmeasured(sections: List[str], existing: str) -> List[str]:
+    """``sections`` plus every ``## E…`` section of ``existing`` that none
+    of them replaces, in number order: each goes after the last section
+    numbered below it."""
+    keys = {_key(section) for section in sections}
+    kept = [s for s in _sections(existing) if _number(s) is not None and _key(s) not in keys]
+    merged = list(sections)
+    for section in sorted(kept, key=_number):
+        below = [i for i, s in enumerate(merged)
+                 if _number(s) is not None and _number(s) < _number(section)]
+        merged.insert(below[-1] + 1 if below else 0, section.rstrip("\n") + "\n")
+    return merged
+
+
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--size", type=int, default=2048)
     parser.add_argument("--out", default="EXPERIMENTS.md")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     header = [
         "# EXPERIMENTS — paper vs measured",
@@ -938,6 +974,9 @@ def main() -> None:
         section_supervised(),
         section_lift(),
     ]
+    if os.path.exists(args.out):
+        with open(args.out) as handle:
+            sections = keep_unmeasured(sections, handle.read())
     with open(args.out, "w") as handle:
         handle.write("\n".join(header) + "\n" + "\n".join(sections))
     print(f"wrote {args.out}")

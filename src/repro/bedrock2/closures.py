@@ -12,8 +12,16 @@ In the generated function
 - each ``EOp`` is inlined from its template in
   :data:`~repro.bedrock2.semantics.OP_TEMPLATES`, the templates
   :data:`~repro.bedrock2.semantics.RAW_OPS` is built from;
-- ``Memory.load``/``store``, ``Interpreter.call_function`` and the
-  external handler are called once per statement that reaches them.
+- loads and stores read and write a region's ``bytearray`` in place.
+  Accesses whose addresses are based on the same local (the first one
+  reached through additions) share a cache of the last region
+  ``Memory.region`` gave them, locals ``mb0``/``me0``/``mbuf0``, ...;
+  only an access outside it calls ``Memory.region`` again.  Every cache
+  is emptied after each ``mem.free``, call, external action and
+  outlined-helper call, the only code that can free a region, and
+  ``Memory``'s read and write counts are added in the ``finally``;
+- ``Interpreter.call_function`` and the external handler are called
+  once per statement that reaches them.
 
 The big-step rules of Box 2 are kept in order: the fuel check at each
 statement entry and one unit of fuel per executed statement (``SCall``
@@ -220,19 +228,37 @@ def call(
 # -- The generator ----------------------------------------------------------------
 
 
-def _local_names(fn: ast.Function) -> List[str]:
-    """Every local ``fn`` mentions: arguments first, then in pre-order."""
+def _root(addr: ast.Expr):
+    """The local ``addr`` is based on: the first reached through additions."""
+    todo = [addr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, ast.EVar):
+            return e.name
+        if isinstance(e, ast.EOp) and e.op == "add":
+            todo += (e.rhs, e.lhs)
+    return None
+
+
+def _scan(fn: ast.Function) -> Tuple[List[str], List[object]]:
+    """Every local ``fn`` mentions (arguments first, then in pre-order),
+    and the distinct roots of its load and store addresses."""
     names = dict.fromkeys(fn.args)
+    roots: Dict[object, None] = {}
     for stmt in ast.walk_stmts(fn.body):
         if isinstance(stmt, ast.SUnset):
             names[stmt.name] = None
+        elif isinstance(stmt, ast.SStore):
+            roots[_root(stmt.addr)] = None
         names.update(dict.fromkeys(ast.defined_names(stmt)))
         for root in ast.node_exprs(stmt):
             for expr in ast.walk_exprs(root):
                 if isinstance(expr, ast.EVar):
                     names[expr.name] = None
+                elif isinstance(expr, ast.ELoad):
+                    roots[_root(expr.addr)] = None
     names.update(dict.fromkeys(fn.rets))
-    return list(names)
+    return list(names), list(roots)
 
 
 def _atomic(code: str) -> bool:
@@ -274,6 +300,7 @@ class _Body:
         self.blocks = 1  # the ``try``
         self.counters: set = set()
         self.binds: set = set()  # runtime objects the prologue fetches
+        self.caches: set = set()  # region caches the body uses
 
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.indent + line)
@@ -282,12 +309,14 @@ class _Body:
 #: Prologue lines fetching the runtime objects a body uses.
 _BINDS = (
     ("mem", "mem = state.memory"),
-    ("ld", "ld = state.memory.load"),
-    ("st", "st = state.memory.store"),
     ("cf", "cf = interp.call_function"),
     ("ext", "ext = interp.external"),
     ("si", "si = interp.stack_init"),
 )
+
+
+#: The ``OpCounts`` field each ``Memory`` access counter follows.
+_ACCESS_COUNTS = (("load", "read_count"), ("store", "write_count"))
 
 
 class _Generator:
@@ -297,7 +326,7 @@ class _Generator:
         self.fn = fn
         self.width = width
         self.mask = (1 << width) - 1
-        names = _local_names(fn)
+        names, roots = _scan(fn)
         self.var = {name: f"v{index}" for index, name in enumerate(names)}
         self.entry, self.exit = wellformed.bound_at_entry(fn, names)
         self.namespace = dict(_RUNTIME)
@@ -305,6 +334,8 @@ class _Generator:
         self.helpers: List[str] = []
         self.guarded: set = set()  # locals some read checks, so must start unset
         self.interacts = any(isinstance(s, ast.SInteract) for s in ast.walk_stmts(fn.body))
+        # One region cache per address root, named by its suffix.
+        self.caches = {root: str(index) for index, root in enumerate(roots)}
         self.temps = 0
 
     # -- names and constants --
@@ -375,12 +406,16 @@ class _Generator:
         if isinstance(e, ast.EOp):
             return self.op(e, bound, p, b, test=False)
         if isinstance(e, ast.ELoad):
-            addr = self.expr(e.addr, bound, p, b)
+            addr = self.spill(self.expr(e.addr, bound, p, b), b)
             size = int(e.size)
             p.count("load")
-            b.binds.add("ld")
+            c = self.caches[_root(e.addr)]
+            offset = self.region(addr, size, c, "read_count", p, b)
             value = self.temp()
-            self.memory_op(p, b, f"{value} = ld({addr}, {size!r})")
+            if size == 1:
+                b.emit(f"{value} = mbuf{c}[{offset}]")
+            else:
+                b.emit(f"{value} = _fb(mbuf{c}[{offset}:{offset} + {size!r}], 'little')")
             return value if 8 * size <= self.width else f"({value} & {self.mask!r})"
         if isinstance(e, ast.EInlineTable):
             index = self.spill(self.expr(e.index, bound, p, b), b)
@@ -415,14 +450,40 @@ class _Generator:
             return self.op(e, bound, p, b, test=True)
         return self.expr(e, bound, p, b)
 
-    def memory_op(self, p: _Pending, b: _Body, line: str) -> None:
+    def memory_op(self, p: _Pending, b: _Body, line: str, undo: str = "") -> None:
         """``line``, a ``Memory`` call whose ``MemoryError_`` becomes an
-        ``ExecutionError``, with the counts written out."""
+        ``ExecutionError``, with the counts written out (and ``undo``
+        run first)."""
         b.emit(f"try: {line}")
         b.emit(
-            f"except MemoryError_ as e: {self.counts_code(p, b)}"
+            f"except MemoryError_ as e: {self.counts_code(p, b)}{undo}"
             "raise ExecutionError(str(e)) from None"
         )
+
+    def region(self, addr: str, size: int, c: str, counter: str, p: _Pending,
+               b: _Body) -> str:
+        """Make ``mbuf{c}`` the buffer holding ``[addr, addr + size)``;
+        returns ``addr``'s offset in it.
+
+        Cache ``c`` keeps the region ``[mb{c}, me{c})`` of its last miss;
+        an access outside it misses and asks ``Memory.region``, whose
+        ``MemoryError_`` is the access's.  ``me{c} = 0`` empties the cache
+        (every access has ``addr + size > 0``).  ``Memory``'s ``counter``
+        gets the function's ``c_load`` or ``c_store`` at its end, so a
+        failed access takes its count back here.
+        """
+        b.binds.add("mem")
+        b.caches.add(c)
+        end = f"{addr} >= me{c}" if size == 1 else f"{addr} + {size!r} > me{c}"
+        b.emit(f"if {addr} < mb{c} or {end}:")
+        b.indent += 1
+        self.memory_op(p, b, f"mb{c}, me{c}, mbuf{c} = mem.region({addr}, {size!r})",
+                       f"mem.{counter} -= 1; ")
+        b.indent -= 1
+        if size == 1:
+            return f"{addr} - mb{c}"
+        b.emit(f"o = {addr} - mb{c}")
+        return "o"
 
     # -- statements --
 
@@ -466,9 +527,20 @@ class _Generator:
         elif isinstance(s, ast.SStore):
             addr = self.expr(s.addr, bound, p, b)
             value = self.expr(s.value, bound, p, b)
+            size = int(s.size)
+            if 8 * size < self.width:
+                value = f"{value} & {(1 << 8 * size) - 1!r}"
+            # Loads in ``value`` move the cached region, so it is looked
+            # up after them.
+            addr = self.spill(addr, b)
             p.count("store")
-            b.binds.add("st")
-            self.memory_op(p, b, f"st({addr}, {int(s.size)!r}, {value})")
+            c = self.caches[_root(s.addr)]
+            offset = self.region(addr, size, c, "write_count", p, b)
+            if size == 1:
+                b.emit(f"mbuf{c}[{offset}] = {value}")
+            else:
+                b.emit(f"mbuf{c}[{offset}:{offset} + {size!r}] = ({value})"
+                       f".to_bytes({size!r}, 'little')")
             p.fuel += 1
         elif isinstance(s, ast.SCond):
             self.cond(s, bound, p, b, followed)
@@ -476,7 +548,7 @@ class _Generator:
             self.stackalloc(s, p, b)
         elif isinstance(s, ast.SCall):
             self.call(s, bound, p, b)
-        else:  # ``_local_names``'s walk raises on any other node
+        else:  # ``_scan``'s walk raises on any other node
             self.interact(s, bound, p, b)
 
     def cond(self, s: ast.SCond, bound, p: _Pending, b: _Body, followed: bool) -> None:
@@ -532,6 +604,12 @@ class _Generator:
         self.stmt(s.body, p, b)
         self.flush_counts(p, b)
         b.emit(f"mem.free({base})")
+        self.forget(b)
+
+    def forget(self, b: _Body) -> None:
+        """Drop the cached region after code that may have freed it."""
+        if self.caches:
+            b.emit(" = ".join(f"me{c}" for c in self.caches.values()) + " = 0")
 
     def arguments(self, args, bound, p: _Pending, b: _Body) -> List[str]:
         """The argument codes of a call out, with the counts written out."""
@@ -546,6 +624,7 @@ class _Generator:
         func, rets, n = self.const(s.func), self.temp(), len(s.lhss)
         words = "".join(f"Word({self.width!r}, {arg}), " for arg in args)
         b.emit(f"{rets} = cf({func}, [{words}], state, f - {p.fuel + 1})")
+        self.forget(b)
         b.emit(f"if len({rets}) != {n!r}: raise _bad_rets({func}, {rets}, {n!r})")
         for index, name in enumerate(s.lhss):
             b.emit(f"{self.var[name]} = {rets}[{index}].unsigned")
@@ -565,6 +644,7 @@ class _Generator:
             f"({''.join(f'{arg}, ' for arg in args)}), {names}, ({values}), xs, "
             f"{len(s.lhss)!r})"
         )
+        self.forget(b)
         if values:
             b.emit(f"{values}= {out}[0]")
         b.emit(f"xs = {out}[1]")
@@ -587,12 +667,15 @@ class _Generator:
             f"def {name}(interp, state, {state}):", body, [f"return {state}"]
         )
         b.emit(f"{state} = {name}(interp, state, {state})")
+        self.forget(b)
 
     # -- functions --
 
     def function(self, header: str, b: _Body, tail: List[str], init: str = "") -> str:
         lines = [header]
         lines += [" " + line for name, line in _BINDS if name in b.binds]
+        if b.caches:
+            lines.append(" " + "".join(f"mb{c} = me{c} = " for c in sorted(b.caches)) + "0")
         if init:
             lines.append(" " + init)
         counters = sorted(b.counters)
@@ -604,6 +687,9 @@ class _Generator:
         if counters:
             lines.append("  cn = interp.counts")
             lines += [f"  cn.{c} += c_{c}" for c in counters]
+            if b.caches:
+                lines += [f"  mem.{field} += c_{c}" for c, field in _ACCESS_COUNTS
+                          if c in b.counters]
         else:
             lines.append("  pass")
         lines += [" " + line for line in tail]

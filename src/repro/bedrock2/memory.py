@@ -59,6 +59,15 @@ class Memory:
     order).  Zero-size regions may share a base with a non-empty one; they
     sort before it, so the last region whose base is at or below an
     address is the only one that can contain an access there.
+
+    The invariant the generated executor's region cache rests on: live
+    regions are pairwise disjoint, ``allocate`` rejects a zero-size region
+    strictly inside another, and a region's ``bytearray`` is never
+    resized or replaced while the region lives.  So while a region stays
+    allocated, an access inside ``[base, end)`` of a ``region`` answer
+    is inside that region and no other, and its buffer is the one
+    ``load`` and ``store`` would use.  Only ``free`` ends a region; the
+    executor forgets its cached region wherever a ``free`` can have run.
     """
 
     def __init__(self, width: int = 64):
@@ -151,34 +160,38 @@ class Memory:
 
     # -- Access -------------------------------------------------------------
 
-    def _locate(self, addr: int, nbytes: int) -> Tuple[bytearray, int]:
-        """The buffer holding ``[addr, addr + nbytes)`` and ``addr``'s offset in it."""
+    def region(self, addr: int, nbytes: int) -> Tuple[int, int, bytearray]:
+        """The region holding ``[addr, addr + nbytes)``: its base, its end
+        and its buffer; raises on an access outside every region.
+
+        This is the one bounds check of every access.  The generated
+        executor keeps the last answer and reads and writes the buffer
+        itself while its accesses fall inside ``[base, end)``.
+        """
         index = bisect_right(self._bases, addr) - 1
         if index < 0 or addr + nbytes > self._ends[index]:
             raise _out_of_bounds(addr, nbytes)
-        return self._buffers[index], addr - self._bases[index]
+        return self._bases[index], self._ends[index], self._buffers[index]
 
-    # ``load`` and ``store`` inline ``_locate``: they run once per
-    # interpreted memory access.
+    def _locate(self, addr: int, nbytes: int) -> Tuple[bytearray, int]:
+        """The buffer holding ``[addr, addr + nbytes)`` and ``addr``'s offset in it."""
+        base, _, buffer = self.region(addr, nbytes)
+        return buffer, addr - base
 
     def load(self, addr: int, nbytes: int) -> int:
         """Load ``nbytes`` little-endian bytes; raises on unmapped access."""
-        index = bisect_right(self._bases, addr) - 1
-        if index < 0 or addr + nbytes > self._ends[index]:
-            raise _out_of_bounds(addr, nbytes)
+        base, _, buffer = self.region(addr, nbytes)
         self.read_count += 1
-        offset = addr - self._bases[index]
-        return int.from_bytes(self._buffers[index][offset : offset + nbytes], "little")
+        offset = addr - base
+        return int.from_bytes(buffer[offset : offset + nbytes], "little")
 
     def store(self, addr: int, nbytes: int, value: int) -> None:
         """Store the low ``nbytes`` bytes of ``value`` (two's complement),
         little-endian; raises on unmapped access."""
-        index = bisect_right(self._bases, addr) - 1
-        if index < 0 or addr + nbytes > self._ends[index]:
-            raise _out_of_bounds(addr, nbytes)
+        base, _, buffer = self.region(addr, nbytes)
         self.write_count += 1
-        offset = addr - self._bases[index]
-        self._buffers[index][offset : offset + nbytes] = (
+        offset = addr - base
+        buffer[offset : offset + nbytes] = (
             value & ((1 << 8 * nbytes) - 1)
         ).to_bytes(nbytes, "little")
 

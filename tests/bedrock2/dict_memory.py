@@ -98,6 +98,13 @@ class DictMemory:
                 return region
         raise MemoryError_(f"access of {nbytes} byte(s) at {addr:#x} is out of bounds")
 
+    def region(self, addr: int, nbytes: int) -> Tuple[int, int, bytearray]:
+        """The region holding ``[addr, addr + nbytes)``: its base, its end
+        and a copy of its bytes."""
+        region = self._region_for(addr, nbytes)
+        data = bytearray(self._bytes[region.base + offset] for offset in range(region.size))
+        return region.base, region.end, data
+
     def load(self, addr: int, nbytes: int) -> int:
         """Load ``nbytes`` little-endian bytes; raises on unmapped access."""
         self._region_for(addr, nbytes)

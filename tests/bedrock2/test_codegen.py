@@ -158,6 +158,156 @@ def test_skips_at_block_ends_keep_their_fuel_checks():
             assert kinds == {"OutOfFuel", "ok"}
 
 
+# -- The region cache ----------------------------------------------------------------
+#
+# Loads and stores keep the last region ``Memory.region`` gave them and
+# skip the lookup while they stay inside it.  These cases hit each way a
+# cached region can go stale or be left, at both widths; ``run_both``
+# compares results, errors, op counts, memory and read/write counts.
+
+WIDTHS = (32, 64)
+
+
+def _adjacent(width):
+    """``_memory`` plus a second 16-byte buffer right after the first."""
+    memory = _memory(width)
+    memory.allocate(16, label="next", base=0x1010)
+    return memory
+
+
+def _frame_loop():
+    """Three trips, each through a frame at the address the last one freed."""
+    body = seq_of(
+        SStackalloc("p", 8, seq_of(
+            SSet("r", add(var("r"), load(8, var("p")))),
+            store(8, var("p"), add(var("i"), lit(100))),
+        )),
+        SSet("i", add(var("i"), lit(1))),
+    )
+    return single(seq_of(SSet("r", lit(0)), SSet("i", lit(0)),
+                         SWhile(ltu(var("i"), lit(3)), body)))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_frame_pointer_used_after_the_frame_ends(width):
+    inside = seq_of(store(8, var("p"), lit(7)), SSet("r", load(8, var("p"))))
+    program = single(seq_of(SStackalloc("p", 8, inside), SSet("r", load(1, var("p")))))
+    outcome = run_both(program, "f", [], width=width)
+    assert outcome[:2] == ("error", "ExecutionError")
+    assert "out of bounds" in outcome[2]
+    assert run_both(_frame_loop(), "f", [], width=width)[:2] == ("ok", [0])
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_callee_frees_its_own_frame(width):
+    callee = Function("g", ("x",), ("y",), SStackalloc("p", 8, seq_of(
+        store(8, var("p"), var("x")), SSet("y", var("p")))))
+    escaped = Function("f", (), ("r",), seq_of(
+        SSet("r", load(8, lit(0x1000))),
+        SCall(("q",), "g", (lit(5),)),
+        SSet("r", load(8, var("q"))),
+    ))
+    outcome = run_both(Program((escaped, callee)), "f", [], width=width)
+    assert outcome[:2] == ("error", "ExecutionError")
+    assert "out of bounds" in outcome[2]
+    # The caller's own frame then takes the address the callee's had.
+    reused = Function("f", (), ("r",), seq_of(
+        SCall(("q",), "g", (lit(5),)),
+        SStackalloc("s", 8, seq_of(
+            SSet("r", load(8, var("q"))),
+            SCall(("t",), "g", (var("r"),)),
+            store(8, var("q"), add(var("r"), lit(1))),
+            SSet("r", add(load(8, var("s")), var("t"))),
+        )),
+    ))
+    assert run_both(Program((reused, callee)), "f", [], width=width)[0] == "ok"
+
+
+def _memory_handler(action, args, state):
+    """Edits the memory under the program: ``alloc`` maps a new region,
+    ``free`` unmaps the 0x1000 buffer, ``replace`` maps a zeroed one in
+    its place and ``shrink`` an 8-byte one."""
+    memory = state.memory
+    if action == "alloc":
+        memory.allocate(8, label="new", base=0x2000)
+    else:
+        memory.free(0x1000)
+        if action != "free":
+            memory.allocate(16 if action == "replace" else 8, label="new", base=0x1000)
+    return []
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("where", ["here", "callee", "helper"])
+@pytest.mark.parametrize("action", ["alloc", "free", "replace", "shrink"])
+def test_external_handler_edits_memory_between_accesses(action, where, width, monkeypatch):
+    edit = SInteract((), action, ())
+    functions = []
+    if where == "callee":
+        functions.append(Function("g", (), (), edit))
+        edit = SCall((), "g", ())
+    elif where == "helper":
+        # The branch nested in the loop moves into a helper function.
+        monkeypatch.setattr(closures, "MAX_INDENT", 3)
+        monkeypatch.setattr(closures, "MAX_BLOCKS", 2)
+        edit = seq_of(SSet("i", lit(0)), SWhile(ltu(var("i"), lit(1)), seq_of(
+            SCond(var("r"), edit, SSkip()), SSet("i", add(var("i"), lit(1))))))
+    body = seq_of(
+        store(8, lit(0x1008), lit(0x55)),
+        SSet("r", load(8, lit(0x1000))),
+        SSet("r", add(var("r"), lit(1))),
+        edit,
+        SSet("r", load(8, lit(0x1008))),
+        store(1, lit(0x1000), var("r")),
+    )
+    program = Program((Function("f", (), ("r",), body), *functions))
+    if where == "helper":
+        assert "def h0(" in _source(program, "f", width)
+    outcome = run_both(program, "f", [], width=width, external=_memory_handler)
+    expected = {"alloc": ("ok", [0x55]), "replace": ("ok", [0])}
+    assert outcome[:2] == expected.get(action, ("error", "ExecutionError"))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_access_straddling_a_region_end_after_a_hit(size, width):
+    end = 0x1010
+    for memory in (_memory, _adjacent):
+        for access in (SSet("r", load(size, lit(end - 1))),
+                       store(size, lit(end - 1), lit(0xFFFF))):
+            program = single(seq_of(
+                SSet("r", load(1, lit(end - 1))),
+                store(1, lit(end - 1), lit(9)),
+                access,
+            ))
+            outcome = run_both(program, "f", [], width=width, make_memory=memory)
+            assert outcome[:3] == (
+                "error", "ExecutionError",
+                f"access of {size} byte(s) at {end - 1:#x} is out of bounds",
+            )
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_two_regions_alternating_in_one_loop(width):
+    # ``x`` moves between the two buffers every trip; ``p`` and ``q``
+    # each stay in one.
+    body = seq_of(
+        SSet("x", add(lit(0x1000), EOp("mul", band(var("i"), lit(1)), lit(0x10)))),
+        store(1, add(var("x"), var("i")),
+              add(load(1, add(var("x"), EOp("xor", var("i"), lit(15)))), var("i"))),
+        SSet("r", add(var("r"), load(2, add(var("x"), band(var("i"), lit(14)))))),
+        store(2, add(var("q"), band(var("i"), lit(14))),
+              load(4, add(var("p"), band(var("i"), lit(12))))),
+        SSet("i", add(var("i"), lit(1))),
+    )
+    program = single(seq_of(SSet("r", lit(0)), SSet("i", lit(0)),
+                            SWhile(ltu(var("i"), lit(16)), body)), args=("p", "q"))
+    for args in ([0x1000, 0x1010], [0x1010, 0x1000], [0x1000, 0x1000]):
+        outcome = run_both(program, "f", args, width=width, make_memory=_adjacent)
+        assert outcome[0] == "ok"
+        assert outcome[-3:-1] == (16 * 3, 16 * 2)  # memory reads, writes
+
+
 # -- Unbound locals ---------------------------------------------------------------------
 
 

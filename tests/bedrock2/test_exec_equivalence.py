@@ -182,12 +182,14 @@ def test_fuzz_programs(fuzz_corpus):
 # -- Hand-built programs ----------------------------------------------------------
 
 
-def run_both(program, name, args, width=64, external=None, fuel=Interpreter.DEFAULT_FUEL):
-    """Run ``name`` on both executors via ``Interpreter.run``."""
+def run_both(program, name, args, width=64, external=None, fuel=Interpreter.DEFAULT_FUEL,
+             make_memory=None):
+    """Run ``name`` on both executors via ``Interpreter.run``, each on a
+    fresh ``make_memory(width)`` (default :func:`_memory`)."""
 
     def one(cls):
         interp = cls(program, width=width, external=external)
-        memory = _memory(width)
+        memory = (make_memory or _memory)(width)
         try:
             rets, state = interp.run(name, [Word(width, a) for a in args], memory, fuel)
         except Exception as error:  # noqa: BLE001 - compared, not swallowed

@@ -128,6 +128,17 @@ class TestIntrospection:
         with pytest.raises(MemoryError_):
             mem.region_at(base + 1)
 
+    def test_region_is_the_live_buffer(self):
+        mem = Memory()
+        base = mem.allocate(8)
+        start, end, buffer = mem.region(base + 2, 4)
+        assert (start, end) == (base, base + 8)
+        buffer[3] = 0xAB
+        assert mem.load(base + 3, 1) == 0xAB
+        assert (mem.read_count, mem.write_count) == (1, 0)  # ``region`` counts nothing
+        with pytest.raises(MemoryError_, match="access of 4 byte"):
+            mem.region(base + 6, 4)
+
     def test_counts(self):
         mem = Memory()
         base = mem.allocate(4)
@@ -192,7 +203,7 @@ def _operation(draw, ref):
     kind = draw(st.sampled_from((
         "allocate", "allocate_at", "allocate_stack", "free", "place_bytes",
         "store_bytes_at", "load", "store", "load_bytes", "store_bytes",
-        "region_at", "copy",
+        "region_at", "region", "copy",
     )))
     if kind == "allocate":
         return kind, (draw(size), draw(st.sampled_from(("", "a", "b"))))
@@ -211,6 +222,8 @@ def _operation(draw, ref):
     if kind == "store":
         value = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from((-1, -256, 256, 2**64)))
         return kind, (draw(address), draw(st.sampled_from((0, 1, 2, 4, 8))), draw(value))
+    if kind == "region":  # an empty access may touch two regions: none is *the* one
+        return kind, (draw(address), draw(st.sampled_from((1, 2, 4, 8))))
     if kind == "load_bytes":
         return kind, (draw(address), draw(st.integers(0, 12)))
     if kind == "store_bytes":
@@ -225,6 +238,9 @@ def _apply(mem, kind, args):
         return mem.allocate(args[0], label="x", base=args[1])
     if kind == "copy":
         return None
+    if kind == "region":
+        base, end, buffer = mem.region(*args)
+        return base, end, bytes(buffer)
     return getattr(mem, kind)(*args)
 
 
@@ -279,6 +295,9 @@ class TestOracleCorners:
             ("store", (0x2003, 2, 0xFFFF)),   # crosses the first region's end
             ("store", (0x1FFF, 2, 0xFFFF)),   # crosses its start
             ("load", (0x2002, 4)),
+            ("region", (0x2003, 1)),
+            ("region", (0x2003, 2)),          # crosses into the adjacent region
+            ("region", (0x2004, 4)),
             ("load_bytes", (0x2004, 4)),
             ("load_bytes", (0x2008, 0)),      # load_bytes(end, 0)
             ("load_bytes", (0x2009, 0)),
