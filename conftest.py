@@ -2,9 +2,9 @@
 
 Adds the ``--update-goldens`` flag used by the golden suites in
 ``tests/obs`` (traces), ``tests/analysis`` (lint output),
-``tests/resilience`` (campaign reports) and ``tests/bedrock2`` (emitted
-C and RISC-V digests): when a change is intentional, rerun the suite
-with, e.g.
+``tests/resilience`` (campaign reports), ``tests/bedrock2`` (emitted
+C and RISC-V digests) and ``tests/opt`` (rangeguard output): when a
+change is intentional, rerun the suite with, e.g.
 
     PYTHONPATH=src python -m pytest tests/obs --update-goldens
 

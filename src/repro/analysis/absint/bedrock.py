@@ -13,8 +13,8 @@ Three consumers sit on top:
 - :func:`range_lint` emits the RB3xx diagnostic family (provable
   wraparound, inline-table overrun, oversized shift amounts, feasible
   division by zero);
-- :class:`repro.opt.passes.RangeGuardElimination` shares
-  :func:`expr_range` and :func:`refine_env` for its rewriting walk;
+- :class:`repro.opt.passes.RangeGuardElimination` rewrites each
+  statement under :func:`analyze_function`'s environment at its node;
 - ``repro lint --ranges`` reports :func:`function_ranges` per program.
 
 Transfer functions mirror :func:`repro.bedrock2.semantics.apply_op`

@@ -459,10 +459,16 @@ def operands(expr: Expr) -> Tuple[Expr, ...]:
     return _OPERANDS[type(expr)](expr)
 
 
+def rebuild(stmt: Stmt, exprs: Sequence[Expr], blocks: Sequence[Stmt]) -> Stmt:
+    """``stmt`` with its own expressions and its nested statements
+    replaced, each in the order :func:`node_exprs` and
+    :func:`child_blocks` give them."""
+    return _STMT_SHAPES[type(stmt)].rebuild(stmt, exprs, blocks)
+
+
 def with_blocks(stmt: Stmt, blocks: Sequence[Stmt]) -> Stmt:
     """``stmt`` with its nested statements replaced, in field order."""
-    shape = _STMT_SHAPES[type(stmt)]
-    return shape.rebuild(stmt, shape.exprs(stmt), blocks)
+    return rebuild(stmt, node_exprs(stmt), blocks)
 
 
 def walk_stmts(stmt: Stmt) -> List[Stmt]:

@@ -703,35 +703,39 @@ class PointerStrengthReduction(Pass):
 class RangeGuardElimination(Pass):
     """Delete branches and bounds checks the range analysis proves dead.
 
-    The pass threads an abstract environment (variable -> value
-    :class:`~repro.analysis.absint.domain.Range`) through the function,
-    sharing the transfer functions and branch refinement of
-    :mod:`repro.analysis.absint.bedrock`.  Three rewrites fire, each only
-    when the deleted subtree is pure (a deleted load could hide a fault
-    the original program had):
+    The pass runs :func:`~repro.analysis.absint.bedrock.analyze_function`
+    once and rewrites each statement under that fixpoint's environment
+    (variable -> value :class:`~repro.analysis.absint.domain.Range`) at
+    the statement's CFG node -- the per-node environments the soundness
+    audit in ``tests/analysis/test_absint_soundness.py`` co-executes.
+    Three rewrites fire, each only when the deleted subtree is pure (a
+    deleted load could hide a fault the original program had):
 
     - a conditional whose test provably excludes zero (or is provably
       zero) collapses to the taken arm;
-    - a loop whose entry test is provably zero disappears;
+    - a loop whose test is provably zero on every edge entering it
+      disappears;
     - inside expressions, ``x & mask`` with ``x`` provably within the
       mask, ``x remu k`` with ``x`` provably below ``k``, and ``ltu``/
       ``eq`` comparisons the ranges decide fold away.
 
-    Loop bodies are rewritten under a *widened invariant* environment --
-    the fixpoint of joining each iteration's effect -- never under the
+    Loop bodies see the fixpoint's widened loop-head invariant, never the
     entry environment, which would be unsound for non-invariant facts.
 
-    The range oracle is untrusted like every pass: ``oracle`` exists so
-    the fault-injection campaign can substitute a lying one and watch
-    the per-pass differential certificate reject the rewrite.
+    The range oracle that decides each rewrite is untrusted like every
+    pass: ``oracle`` exists so the fault-injection campaign can
+    substitute a lying one and watch the per-pass differential
+    certificate reject the rewrite.
     """
 
     name = "rangeguard"
 
-    # Loop-invariant iterations: join this many times before widening,
-    # then give up precision rather than loop.
-    WIDEN_AFTER = 3
-    LOOP_ITER_CAP = 50
+    # The CFG's path suffix for each nested block (``CFG._build``).
+    BLOCK_PATHS = {
+        ast.SCond: (".then", ".else"),
+        ast.SWhile: (".body",),
+        ast.SStackalloc: (".body",),
+    }
 
     def __init__(self, oracle=None):
         from repro.analysis.absint.bedrock import expr_range
@@ -739,123 +743,72 @@ class RangeGuardElimination(Pass):
         self.eval = oracle if oracle is not None else expr_range
 
     def run(self, fn: ast.Function, width: int) -> ast.Function:
+        from repro.analysis.absint.bedrock import analyze_function
+
         self.width = width
-        body, _ = self._block(fn.body, {})
-        return self._with_body(fn, body)
+        self.analysis = analyze_function(fn, width)
+        self.nodes = {node.path: node for node in self.analysis.cfg.nodes}
+        return self._with_body(fn, self._block(fn.body, "body"))
 
-    # -- rewriting walk (returns the new statement and the out-env) --------
+    # -- rewriting walk (paths are the CFG's: ``body[i]``, ``.then``, ...) --
 
-    def _block(self, stmt: ast.Stmt, env: dict) -> Tuple[ast.Stmt, dict]:
-        out: List[ast.Stmt] = []
-        for s in ast.flatten(stmt):
-            rewritten, env = self._stmt(s, env)
-            out.append(rewritten)
-        return ast.seq_of(*out), env
+    def _env(self, path: str) -> dict:
+        # A node the fixpoint never reached is unreachable: assume nothing.
+        return self.analysis.env_in.get(self.nodes[path].id, {})
 
-    def _stmt(self, s: ast.Stmt, env: dict) -> Tuple[ast.Stmt, dict]:
-        from repro.analysis.absint.bedrock import join_envs, refine_env
+    def _entry_env(self, path: str) -> dict:
+        """The environment on the edges entering the loop at ``path`` from
+        outside its body (the loop-head invariant also joins the back
+        edges, which would keep a loop that is false on entry)."""
+        from repro.analysis.absint.bedrock import _edge_env, _transfer, join_envs
 
-        if isinstance(s, ast.SSet):
-            rhs = self._simplify(s.rhs, env)
-            env = dict(env)
-            env[s.lhs] = self.eval(rhs, env, self.width)
-            return ast.SSet(s.lhs, rhs), env
-        if isinstance(s, ast.SStore):
-            return (
-                ast.SStore(
-                    s.size,
-                    self._simplify(s.addr, env),
-                    self._simplify(s.value, env),
-                ),
-                env,
+        loop = self.nodes[path]
+        cfg, env_in = self.analysis.cfg, self.analysis.env_in
+        env = None
+        for pred_id in loop.preds:
+            pred = cfg.nodes[pred_id]
+            if (
+                pred_id == loop.id
+                or pred.path.startswith(path + ".body")
+                or pred_id not in env_in
+            ):
+                continue
+            out = _transfer(pred, env_in[pred_id], self.width)
+            edge = _edge_env(pred, loop, out, self.width)
+            env = edge if env is None else join_envs(env, edge, self.width)
+        return env or {}
+
+    def _block(self, stmt: ast.Stmt, path: str) -> ast.Stmt:
+        items = ast.flatten(stmt)
+        seq = isinstance(stmt, ast.SSeq)
+        return ast.seq_of(
+            *(
+                self._stmt(s, f"{path}[{index}]" if seq else path)
+                for index, s in enumerate(items)
             )
-        if isinstance(s, ast.SCond):
-            cond = self._simplify(s.cond, env)
-            crange = self.eval(cond, env, self.width)
-            if expr_is_pure(cond):
-                if crange.excludes_zero():
-                    return self._block(s.then_, refine_env(env, cond, True, self.width))
-                if crange.hi == 0:
-                    return self._block(s.else_, refine_env(env, cond, False, self.width))
-            then_, env_t = self._block(s.then_, refine_env(env, cond, True, self.width))
-            else_, env_e = self._block(s.else_, refine_env(env, cond, False, self.width))
-            return ast.SCond(cond, then_, else_), join_envs(env_t, env_e, self.width)
-        if isinstance(s, ast.SWhile):
-            entry = self.eval(s.cond, env, self.width)
-            if entry.hi == 0 and expr_is_pure(s.cond):
-                return ast.SSkip(), env
-            inv = self._loop_invariant(s, env)
-            cond = self._simplify(s.cond, inv)
-            body, _ = self._block(s.body, refine_env(inv, cond, True, self.width))
-            return ast.SWhile(cond, body), refine_env(inv, cond, False, self.width)
-        if isinstance(s, ast.SStackalloc):
-            inner = {k: v for k, v in env.items() if k != s.lhs}
-            body, out_env = self._block(s.body, inner)
-            return (
-                ast.SStackalloc(s.lhs, s.nbytes, body),
-                {k: v for k, v in out_env.items() if k != s.lhs},
-            )
-        if isinstance(s, (ast.SCall, ast.SInteract)):
-            args = tuple(self._simplify(a, env) for a in s.args)
-            env = {k: v for k, v in env.items() if k not in s.lhss}
-            if isinstance(s, ast.SCall):
-                return ast.SCall(s.lhss, s.func, args), env
-            return ast.SInteract(s.lhss, s.action, args), env
-        if isinstance(s, ast.SUnset):
-            return s, {k: v for k, v in env.items() if k != s.name}
-        return s, env
-
-    # -- pure (non-rewriting) abstract execution for loop invariants -------
-
-    def _loop_invariant(self, loop: ast.SWhile, env: dict) -> dict:
-        from repro.analysis.absint.bedrock import (
-            _widen_envs,
-            join_envs,
-            refine_env,
         )
 
-        inv = env
-        for iteration in range(self.LOOP_ITER_CAP):
-            body_in = refine_env(inv, loop.cond, True, self.width)
-            body_out = self._abstract_block(loop.body, body_in)
-            joined = join_envs(inv, body_out, self.width)
-            if joined == inv:
-                return inv
-            if iteration >= self.WIDEN_AFTER:
-                joined = _widen_envs(inv, joined, self.width)
-                if joined == inv:
-                    return inv
-            inv = joined
-        return {}
-
-    def _abstract_block(self, stmt: ast.Stmt, env: dict) -> dict:
-        for s in ast.flatten(stmt):
-            env = self._abstract_stmt(s, env)
-        return env
-
-    def _abstract_stmt(self, s: ast.Stmt, env: dict) -> dict:
-        from repro.analysis.absint.bedrock import join_envs, refine_env
-
-        if isinstance(s, ast.SSet):
-            env = dict(env)
-            env[s.lhs] = self.eval(s.rhs, env, self.width)
-            return env
-        if isinstance(s, ast.SCond):
-            env_t = self._abstract_block(s.then_, refine_env(env, s.cond, True, self.width))
-            env_e = self._abstract_block(s.else_, refine_env(env, s.cond, False, self.width))
-            return join_envs(env_t, env_e, self.width)
-        if isinstance(s, ast.SWhile):
-            inv = self._loop_invariant(s, env)
-            return refine_env(inv, s.cond, False, self.width)
-        if isinstance(s, ast.SStackalloc):
-            inner = {k: v for k, v in env.items() if k != s.lhs}
-            out = self._abstract_block(s.body, inner)
-            return {k: v for k, v in out.items() if k != s.lhs}
-        if isinstance(s, (ast.SCall, ast.SInteract)):
-            return {k: v for k, v in env.items() if k not in s.lhss}
-        if isinstance(s, ast.SUnset):
-            return {k: v for k, v in env.items() if k != s.name}
-        return env
+    def _stmt(self, s: ast.Stmt, path: str) -> ast.Stmt:
+        env = self._env(path)
+        exprs = [self._simplify(e, env) for e in ast.node_exprs(s)]
+        if isinstance(s, ast.SCond) and expr_is_pure(exprs[0]):
+            crange = self.eval(exprs[0], env, self.width)
+            if crange.excludes_zero():
+                return self._block(s.then_, path + ".then")
+            if crange.hi == 0:
+                return self._block(s.else_, path + ".else")
+        if (
+            isinstance(s, ast.SWhile)
+            and expr_is_pure(s.cond)
+            and self.eval(s.cond, self._entry_env(path), self.width).hi == 0
+        ):
+            return ast.SSkip()
+        suffixes = self.BLOCK_PATHS.get(type(s), ())
+        blocks = [
+            self._block(block, path + suffix)
+            for block, suffix in zip(ast.child_blocks(s), suffixes)
+        ]
+        return ast.rebuild(s, exprs, blocks)
 
     # -- expression simplification -----------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.bedrock2 import ast
 from repro.core.spec import CompiledFunction
-from repro.opt.manager import OptimizationReport, PassManager, pipeline_for
+from repro.opt.manager import OptimizationReport, optimize_function
 from repro.validation.differential import differential_check
 
 InputGen = Callable[[random.Random], Dict[str, object]]
@@ -92,20 +92,14 @@ def optimize_compiled(
     falls back to the unoptimized AST and the report carries a rejected
     ``lift-validate`` certificate.
     """
-    report = OptimizationReport(
-        function=compiled.name,
-        level=level,
-        stmts_before=compiled.statement_count(),
-    )
     validator = pass_validator(
         compiled, trials=trials, rng=rng, input_gen=input_gen, width=width
     )
-    manager = PassManager(pipeline_for(level), width=width, validator=validator)
-    fn, report.certificates = manager.run(compiled.bedrock_fn)
+    fn, report = optimize_function(compiled.bedrock_fn, level, width, validator)
     if lift_validate:
         cert, fn = _lift_validate_certificate(compiled, fn, width=width)
         report.certificates.append(cert)
-    report.stmts_after = ast.statement_count(fn.body)
+        report.stmts_after = ast.statement_count(fn.body)
     optimized = replace(compiled, bedrock_fn=fn, opt_report=report)
     return optimized, report
 

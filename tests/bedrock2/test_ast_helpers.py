@@ -157,6 +157,17 @@ class TestStatementShape:
         assert b2.child_blocks(replaced) == (b2.SUnset("q"),) * len(blocks)
 
     @stmt_kinds
+    def test_rebuild(self, kind):
+        stmt, exprs, blocks, _ = STMT_CASES[kind]
+        assert b2.rebuild(stmt, exprs, blocks) == stmt
+        new_exprs = [b2.ELit(9)] * len(exprs)
+        replaced = b2.rebuild(stmt, new_exprs, [b2.SUnset("q")] * len(blocks))
+        assert type(replaced) is type(stmt)
+        assert b2.node_exprs(replaced) == tuple(new_exprs)
+        assert b2.child_blocks(replaced) == (b2.SUnset("q"),) * len(blocks)
+        assert b2.defined_names(replaced) == b2.defined_names(stmt)
+
+    @stmt_kinds
     def test_walk_stmts_is_preorder(self, kind):
         stmt, _, blocks, _ = STMT_CASES[kind]
         assert list(b2.walk_stmts(stmt)) == [stmt, *blocks]

@@ -151,6 +151,35 @@ class TestDeadCodeElimination:
             b2.SStore(1, b2.EVar("x"), b2.ELit(2)), b2.SSet("r", b2.ELit(0))
         )
 
+    def test_dead_chain_through_branch_goes_in_one_run(self):
+        """``x2 = f(x1)`` is dead, so ``x1`` -- set in both arms of a pure
+        conditional -- dies with it, and the conditional goes too.  The
+        lint's ``CFG.live_out`` keeps ``x1`` live, because its only reader
+        is itself a dead assignment: DCE keeps its own backward walk,
+        which sees each deletion before it reaches the definitions above
+        (on the fuzz case ``fz_scalar_chain_133`` after the first ten
+        ``-O1`` passes, 2 statements are left against 5 with
+        ``live_out``)."""
+        from repro.analysis.dataflow import CFG
+
+        body = b2.seq_of(
+            b2.SCond(
+                b2.EOp("ltu", b2.EVar("x"), b2.ELit(3)),
+                b2.SSet("x1", b2.ELit(1)),
+                b2.SSet("x1", b2.EVar("x")),
+            ),
+            b2.SSet("x2", b2.EOp("add", b2.EVar("x1"), b2.ELit(1))),
+            b2.SSet("r", b2.ELit(0)),
+        )
+        out = DeadCodeElimination().run(_fn(body), 64).body
+        assert out == b2.SSet("r", b2.ELit(0))
+
+        cfg = CFG(_fn(body))
+        live = cfg.live_out()
+        sets = {n.stmt: n.id for n in cfg.nodes if n.kind == "set"}
+        assert "x2" not in live[sets[body.second.first]]
+        assert "x1" in live[sets[body.first.then_]]
+
     def test_loop_carried_var_is_live(self):
         body = b2.seq_of(
             b2.SSet("i", b2.ELit(0)),

@@ -7,14 +7,24 @@ The acceptance criteria pinned here:
   ``& 0xFF`` mask removed), with a *validated* per-pass certificate at
   ``-O1``;
 - under the seeded lying-range oracle the differential certificate
-  rejects the rewrite and the pre-pass AST is kept, deterministically.
+  rejects the rewrite and the pre-pass AST is kept, deterministically;
+- ``goldens/rangeguard.json`` pins the pass's output fingerprint on the
+  registry and query programs plus seeded fuzz functions, each taken at
+  the pass's place in the ``-O1`` pipeline (after ``normalize`` and
+  ``constfold``).  Intentional changes: rerun with ``--update-goldens``.
 """
 
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.bedrock2 import ast as b2
-from repro.opt.passes import NormalizeStmts, RangeGuardElimination
+from repro.opt.passes import ConstantFolding, NormalizeStmts, RangeGuardElimination
+from repro.programs import all_programs
 from repro.programs.registry import get_program
+from repro.query.programs import all_query_programs
 
 
 def _expr_ops(expr) -> int:
@@ -99,6 +109,53 @@ def test_existing_corpus_is_untouched():
         assert certs["rangeguard"].status != "rejected", name
 
 
+# -- output goldens ------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "goldens" / "rangeguard.json"
+FUZZ_CASES = 400
+
+
+def _golden_inputs():
+    """``name -> function`` as the ``-O1`` pipeline hands it to rangeguard."""
+    from repro.resilience.generator import generate_case
+    from repro.stdlib import default_engine
+
+    fns = [
+        p.compile(opt_level=0).bedrock_fn
+        for p in list(all_programs()) + list(all_query_programs())
+    ]
+    engine = default_engine()
+    for index in range(FUZZ_CASES):
+        case = generate_case(random.Random(7000 + index), index)
+        fns.append(engine.compile_function(case.model, case.spec).bedrock_fn)
+    return {
+        fn.name: ConstantFolding().run(NormalizeStmts().run(fn, 64), 64)
+        for fn in fns
+    }
+
+
+def test_output_matches_golden(request):
+    actual = {
+        name: b2.fingerprint(RangeGuardElimination().run(fn, 64))
+        for name, fn in _golden_inputs().items()
+    }
+    if request.config.getoption("--update-goldens"):
+        GOLDEN_PATH.parent.mkdir(exist_ok=True)
+        GOLDEN_PATH.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+        return
+    expected = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(actual) == sorted(expected), (
+        "function set changed; rerun with --update-goldens"
+    )
+    changed = [name for name in sorted(expected) if actual[name] != expected[name]]
+    if changed:
+        pytest.fail(
+            "rangeguard output diverged from goldens/rangeguard.json.  If "
+            "intentional, rerun with --update-goldens and commit.\n"
+            + "\n".join(changed)
+        )
+
+
 # -- unit rewrites -------------------------------------------------------------------
 
 
@@ -128,6 +185,42 @@ def test_provably_false_loop_disappears():
     )
     out = RangeGuardElimination().run(fn, 64)
     assert "SWhile" not in repr(out.body)
+
+
+def test_false_on_entry_loop_in_branch_arm_disappears():
+    """Only the else edge's refinement (``n >= 10``) decides ``n < 5``; the
+    loop-head invariant also joins the back edge and decides nothing."""
+    fn = _fn(
+        b2.SCond(
+            b2.EOp("ltu", b2.var("n"), b2.ELit(10)),
+            b2.SSet("x", b2.ELit(0)),
+            b2.SWhile(
+                b2.EOp("ltu", b2.var("n"), b2.ELit(5)),
+                b2.SSet("n", b2.add(b2.var("n"), b2.ELit(1))),
+            ),
+        ),
+        args=("n",),
+    )
+    out = RangeGuardElimination().run(fn, 64)
+    assert "SCond" in repr(out.body)
+    assert "SWhile" not in repr(out.body)
+
+
+def test_loop_decided_by_previous_loop_exit_disappears():
+    """The first loop exits with ``i >= 10``, so the second loop's test
+    ``i < 5`` is false on entry (its head invariant, joined with the
+    ``i = 0`` back edge, is not)."""
+    first = b2.SWhile(
+        b2.EOp("ltu", b2.var("i"), b2.ELit(10)),
+        b2.SSet("i", b2.add(b2.var("i"), b2.ELit(1))),
+    )
+    fn = _fn(
+        b2.SSet("i", b2.ELit(0)),
+        first,
+        b2.SWhile(b2.EOp("ltu", b2.var("i"), b2.ELit(5)), b2.SSet("i", b2.ELit(0))),
+    )
+    out = RangeGuardElimination().run(fn, 64)
+    assert out.body == b2.seq_of(b2.SSet("i", b2.ELit(0)), first)
 
 
 def test_redundant_mask_on_byte_load_is_dropped():
