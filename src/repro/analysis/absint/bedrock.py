@@ -1,12 +1,17 @@
 """Abstract interpretation of Bedrock2 functions.
 
-A classic forward dataflow fixpoint over the :class:`repro.analysis.dataflow.CFG`:
-each node carries an abstract environment (variable name -> :class:`Range`
-over the word's unsigned representative; absent = the full word), edges out
-of ``cond``/``while`` nodes refine the environment with what the branch
-condition being true/false implies, and back edges are *widened* at loop
-heads (``while`` nodes) after :data:`WIDEN_AFTER` growing visits, which
-bounds every chain.
+A forward dataflow fixpoint over the :class:`repro.analysis.dataflow.CFG`,
+run by :meth:`~repro.analysis.dataflow.CFG.solve` like every other CFG
+analysis: each node carries an abstract environment (variable name ->
+:class:`Range` over the word's unsigned representative; absent = the full
+word).  Every edge out of a ``cond``/``while`` node is labelled with the
+branch outcome it is taken on -- an empty arm's edge, which runs straight
+to the join, included -- and refines the environment with what that
+outcome implies.  Loop heads (``while`` nodes) are *widened* after
+:data:`WIDEN_AFTER` growing visits, which bounds every chain, and an
+iteration cap backstops the widening.  The worklist is FIFO, so the
+effort counters (``absint.fixpoint.iterations``, ``absint.widenings``)
+are deterministic.
 
 Three consumers sit on top:
 
@@ -14,7 +19,9 @@ Three consumers sit on top:
   wraparound, inline-table overrun, oversized shift amounts, feasible
   division by zero);
 - :class:`repro.opt.passes.RangeGuardElimination` rewrites each
-  statement under :func:`analyze_function`'s environment at its node;
+  statement under :func:`analyze_function`'s environment at its node
+  and decides a loop on the environments of its non-back in-edges
+  (:meth:`AbsintResult.edge_env`);
 - ``repro lint --ranges`` reports :func:`function_ranges` per program.
 
 Transfer functions mirror :func:`repro.bedrock2.semantics.apply_op`
@@ -25,12 +32,11 @@ interpreter against these environments.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.dataflow import CFG, Node
+from repro.analysis.dataflow import CFG, Edge, Node
 from repro.analysis.diagnostics import Diagnostic
 from repro.bedrock2 import ast
 from repro.analysis.absint import domain
@@ -243,32 +249,29 @@ class AbsintResult:
     def exit_env(self) -> Env:
         return self.env_in.get(self.cfg.exit, {})
 
+    def edge_env(self, edge: Edge) -> Env:
+        """The environment ``edge`` carries: its source's transfer, then
+        the edge's guard.  ``edge.src`` must have been reached."""
+        src = self.cfg.nodes[edge.src]
+        out = _transfer(src, self.env_in[edge.src], self.width)
+        return _edge_env(edge, out, self.width)
+
 
 def _transfer(node: Node, env: Env, width: int) -> Env:
     if node.kind == "set":
         out = dict(env)
         out[node.stmt.lhs] = expr_range(node.stmt.rhs, env, width)
         return _norm(out, width)
-    if node.kind in ("unset", "stackalloc", "call", "interact"):
-        defs = {node.stmt.name} if node.kind == "unset" else set(node.defs)
-        if node.kind == "stackalloc":
-            defs = {node.stmt.lhs}
-        return {k: v for k, v in env.items() if k not in defs}
-    return env
+    kills = node.kills
+    return {k: v for k, v in env.items() if k not in kills} if kills else env
 
 
-def _edge_env(node: Node, succ: Node, env: Env, width: int) -> Env:
-    if node.kind == "cond":
-        if succ.path.startswith(node.path + ".then"):
-            return refine_env(env, node.stmt.cond, True, width)
-        if succ.path.startswith(node.path + ".else"):
-            return refine_env(env, node.stmt.cond, False, width)
+def _edge_env(edge: Edge, env: Env, width: int) -> Env:
+    """``env`` refined with the branch outcome ``edge`` is taken on."""
+    if edge.guard is None:
         return env
-    if node.kind == "while":
-        if succ.id == node.id or succ.path.startswith(node.path + ".body"):
-            return refine_env(env, node.stmt.cond, True, width)
-        return refine_env(env, node.stmt.cond, False, width)
-    return env
+    cond, truth = edge.guard
+    return refine_env(env, cond, truth, width)
 
 
 def analyze_function(
@@ -285,36 +288,28 @@ def analyze_function(
     if cfg is None:
         cfg = CFG(fn)
     result = AbsintResult(cfg=cfg, width=width)
-    result.env_in[cfg.entry] = _norm(dict(seed_env or {}), width)
-    work = deque([cfg.entry])
-    queued = {cfg.entry}
-    updates: Dict[int, int] = {}
     cap = 1000 + 200 * len(cfg.nodes)  # backstop; widening bounds the chains
-    while work:
+
+    def transfer(node: Node, env: Env) -> Env:
         result.iterations += 1
-        force_top = result.iterations > cap
-        nid = work.popleft()
-        queued.discard(nid)
-        node = cfg.nodes[nid]
-        out = _transfer(node, result.env_in.get(nid, {}), width)
-        for succ_id in node.succs:
-            succ = cfg.nodes[succ_id]
-            edge = _edge_env(node, succ, out, width)
-            old = result.env_in.get(succ_id)
-            new = dict(edge) if old is None else join_envs(old, edge, width)
-            if old is not None and new != old:
-                count = updates.get(succ_id, 0)
-                if force_top:
-                    new = {}
-                elif succ.kind == "while" and count >= WIDEN_AFTER:
-                    new = _widen_envs(old, new, width)
-                    result.widenings += 1
-            if old is None or new != old:
-                result.env_in[succ_id] = new
-                updates[succ_id] = updates.get(succ_id, 0) + 1
-                if succ_id not in queued:
-                    work.append(succ_id)
-                    queued.add(succ_id)
+        return _transfer(node, env, width)
+
+    def widen(node: Node, old: Env, new: Env, updates: int) -> Env:
+        if result.iterations > cap:
+            return {}
+        if node.kind == "while" and updates >= WIDEN_AFTER:
+            result.widenings += 1
+            return _widen_envs(old, new, width)
+        return new
+
+    result.env_in = cfg.solve(
+        "forward",
+        {cfg.entry: _norm(dict(seed_env or {}), width)},
+        transfer,
+        lambda old, new: join_envs(old, new, width),
+        edge=lambda edge, env: _edge_env(edge, env, width),
+        widen=widen,
+    )
     tracer = current_tracer()
     tracer.inc("absint.fixpoint.iterations", result.iterations)
     if result.widenings:
@@ -429,10 +424,8 @@ def range_lint(
     result = analyze_function(fn, width, cfg=cfg)
     diags: List[Diagnostic] = []
     for node in result.cfg.nodes:
-        if node.id not in result.cfg.reachable or node.id not in result.env_in:
-            continue
-        env = result.env_in[node.id]
-        if node.stmt is None:
+        env = result.env_in.get(node.id)
+        if env is None or node.stmt is None:
             continue
         # Nested statements have their own CFG nodes.
         for expr in ast.node_exprs(node.stmt):

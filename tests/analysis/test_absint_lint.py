@@ -136,6 +136,22 @@ def test_rb304_near_miss_guarded_divisor_is_silent():
     assert "RB304" not in _codes(range_lint(fn))
 
 
+def test_rb304_near_miss_divisor_fixed_in_else_arm_is_silent():
+    """``if (0 < d) {} else { d = 1 }``: the empty then-arm's edge carries
+    ``d >= 1`` to the join, and the else-arm sets ``d`` to 1."""
+    fn = _fn(
+        "div_empty_arm",
+        ("x", "d"),
+        b2.SCond(
+            b2.EOp("ltu", b2.ELit(0), b2.var("d")),
+            b2.SSkip(),
+            b2.SSet("d", b2.ELit(1)),
+        ),
+        b2.SSet("r", b2.EOp("divu", b2.var("x"), b2.var("d"))),
+    )
+    assert "RB304" not in _codes(lint_function(fn))
+
+
 def test_rb304_near_miss_constant_divisor_is_silent():
     fn = _fn(
         "div_const",

@@ -7,6 +7,9 @@ checked by running each compiled program under an interpreter whose
 :meth:`AbsintResult.stmt_envs` before executing each statement.  The
 corpus is the full registry plus >= 100 generated fuzz programs.
 
+Hand-built empty-arm shapes -- an arm whose guarded edge runs straight
+to the join or the loop head -- are audited the same way, exit included.
+
 The model-side analyzer (:func:`analyze_model`) is checked the same way
 at the function boundary: evaluated outputs must lie inside the result
 range (per element, for arrays -- the element-range convention).
@@ -21,6 +24,7 @@ import pytest
 
 from repro.analysis.absint import analyze_function, analyze_model
 from repro.bedrock2 import ast as b2
+from repro.bedrock2.word import Word
 from repro.core.goals import CompileError
 from repro.programs.registry import all_programs
 from repro.resilience.generator import generate_case
@@ -226,3 +230,61 @@ def test_model_loop_accumulator_widening_terminates():
     program = get_program("fnv1a")
     ranges = analyze_model(program.build_model(), program.build_spec())
     assert ranges.result is not None
+
+
+# -- empty arms: guarded edges straight to the join ---------------------------------
+
+
+def _below(bound: int) -> b2.Expr:
+    return b2.EOp("ltu", b2.var("x"), b2.ELit(bound))
+
+
+# Each shape is the body before ``r = x``; ``x`` is the argument.
+EMPTY_ARM_SHAPES = {
+    "then_empty": b2.SCond(_below(10), b2.SSkip(), b2.SSet("x", b2.ELit(5))),
+    "else_empty": b2.SCond(_below(10), b2.SSet("x", b2.ELit(20)), b2.SSkip()),
+    "both_empty": b2.SCond(_below(10), b2.SSkip(), b2.SSkip()),
+    # The empty then-arm is the body's last statement: its edge is the
+    # loop's back edge.
+    "loop_tail": b2.SWhile(
+        _below(100),
+        b2.seq_of(
+            b2.SSet("x", b2.add(b2.var("x"), b2.ELit(1))),
+            b2.SCond(_below(50), b2.SSkip(), b2.SSet("x", b2.ELit(200))),
+        ),
+    ),
+    "if0_else_empty": b2.SCond(b2.ELit(0), b2.SSet("x", b2.ELit(5)), b2.SSkip()),
+    "if0_then_empty": b2.SCond(b2.ELit(0), b2.SSkip(), b2.SSet("x", b2.ELit(5))),
+    "if1_then_empty": b2.SCond(b2.ELit(1), b2.SSkip(), b2.SSet("x", b2.ELit(5))),
+}
+
+# The exit range of ``r`` each shape's facts give (absent: the full word).
+EMPTY_ARM_EXIT_RANGES = {
+    "then_empty": "[0, 9]",
+    "else_empty": f"[10, {(1 << 64) - 1}]",
+    "loop_tail": f"[100, {(1 << 64) - 1}]",
+    "if0_then_empty": "[5, 5]",
+}
+
+_ARGS = (0, 1, 5, 9, 10, 11, 49, 50, 99, 100, 101, 1 << 63, (1 << 64) - 1)
+
+
+@pytest.mark.parametrize("shape", sorted(EMPTY_ARM_SHAPES))
+def test_empty_arm_executions_stay_within_ranges(shape):
+    """An empty arm's guarded edge runs straight to the join (or the loop
+    head): every statement and the exit are audited over boundary
+    arguments, and the exit range is the one the arm's facts give."""
+    body = b2.seq_of(EMPTY_ARM_SHAPES[shape], b2.SSet("r", b2.var("x")))
+    fn = b2.Function(shape, ("x",), ("r",), body)
+    result = analyze_function(fn)
+    exit_r = result.exit_env().get("r")
+    failures: list = []
+    interpreter = _checking_interpreter(result.stmt_envs(), failures)(
+        b2.Program((fn,))
+    )
+    for x in _ARGS:
+        [r], _ = interpreter.run(shape, [Word(64, x)])
+        if exit_r is not None and not exit_r.contains(r.unsigned):
+            failures.append(f"x={x}: r={r.unsigned} outside {exit_r.pretty()} at exit")
+    assert not failures, failures[:5]
+    assert (exit_r.pretty() if exit_r else None) == EMPTY_ARM_EXIT_RANGES.get(shape)

@@ -22,9 +22,7 @@ import pytest
 
 from repro.bedrock2 import ast as b2
 from repro.opt.passes import ConstantFolding, NormalizeStmts, RangeGuardElimination
-from repro.programs import all_programs
 from repro.programs.registry import get_program
-from repro.query.programs import all_query_programs
 
 
 def _expr_ops(expr) -> int:
@@ -112,25 +110,15 @@ def test_existing_corpus_is_untouched():
 # -- output goldens ------------------------------------------------------------------
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "rangeguard.json"
-FUZZ_CASES = 400
 
 
 def _golden_inputs():
     """``name -> function`` as the ``-O1`` pipeline hands it to rangeguard."""
-    from repro.resilience.generator import generate_case
-    from repro.stdlib import default_engine
+    from tests.analysis.test_lint_corpus import corpus
 
-    fns = [
-        p.compile(opt_level=0).bedrock_fn
-        for p in list(all_programs()) + list(all_query_programs())
-    ]
-    engine = default_engine()
-    for index in range(FUZZ_CASES):
-        case = generate_case(random.Random(7000 + index), index)
-        fns.append(engine.compile_function(case.model, case.spec).bedrock_fn)
     return {
-        fn.name: ConstantFolding().run(NormalizeStmts().run(fn, 64), 64)
-        for fn in fns
+        name: ConstantFolding().run(NormalizeStmts().run(fn, 64), 64)
+        for name, (fn, _) in corpus().items()
     }
 
 
@@ -204,6 +192,28 @@ def test_false_on_entry_loop_in_branch_arm_disappears():
     out = RangeGuardElimination().run(fn, 64)
     assert "SCond" in repr(out.body)
     assert "SWhile" not in repr(out.body)
+
+
+def test_cond_decided_by_empty_arm_fact_folds():
+    """The empty then-arm's edge carries ``x < 10`` to the join and the
+    else-arm sets ``x = 5``, so ``x < 16`` holds after the first ``if``."""
+    fn = _fn(
+        b2.SCond(
+            b2.EOp("ltu", b2.var("x"), b2.ELit(10)),
+            b2.SSkip(),
+            b2.SSet("x", b2.ELit(5)),
+        ),
+        b2.SCond(
+            b2.EOp("ltu", b2.var("x"), b2.ELit(16)),
+            b2.SSet("r", b2.ELit(1)),
+            b2.SSet("r", b2.ELit(2)),
+        ),
+        args=("x",),
+    )
+    assert b2.statement_count(fn.body) == 5
+    out = RangeGuardElimination().run(fn, 64)
+    assert b2.statement_count(out.body) == 3
+    assert out.body.second == b2.SSet("r", b2.ELit(1))
 
 
 def test_loop_decided_by_previous_loop_exit_disappears():
