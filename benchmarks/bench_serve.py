@@ -6,8 +6,10 @@ this benchmark quantifies what that buys.  Two measurements:
 
 - **cold vs warm latency** per registry program: a cold compile runs the
   full proof search (and, at ``-O1``, the translation-validated
-  optimizer); a warm request decodes the stored entry, digest-checks it,
-  and re-runs the trusted structural checkers.  The acceptance bar from
+  optimizer); a first warm request decodes the stored entry,
+  digest-checks it, and re-runs the trusted checkers; a repeat request
+  on the same bytes reads and hashes the file and is served from the
+  handle's checked-entry table.  The acceptance bar from
   the issue is a >=5x suite-level speedup *with re-validation on* --
   memoization must not come at the price of trusting the disk.
 - **batch throughput** of a cold registry+fuzz manifest at ``--jobs``
@@ -45,13 +47,15 @@ from repro.serve.cache import CompilationCache, compile_program_cached
 from repro.stdlib import default_engine
 
 
-def cold_warm_latencies(opt_level: int = 1) -> List[Tuple[str, float, float]]:
-    """Per program: (name, cold_ms, warm_ms) through one fresh cache.
+def cold_warm_latencies(opt_level: int = 1) -> List[Tuple[str, float, float, float]]:
+    """Per program: (name, cold_ms, warm_ms, repeat_ms) through one fresh cache.
 
-    The per-process constants (lemma databases, each program's model,
-    spec and key) are built untimed first, as a serve worker's
-    ``warm_up`` builds them before its first request, so the first
-    program's cold time is its compile alone.
+    ``warm_ms`` is the first hit, which runs the whole load check;
+    ``repeat_ms`` is the second hit on the same bytes, which the handle
+    serves from its checked-entry table.  The per-process constants
+    (lemma databases, each program's model, spec and key) are built
+    untimed first, as a serve worker's ``warm_up`` builds them before its
+    first request, so the first program's cold time is its compile alone.
     """
     root = tempfile.mkdtemp(prefix="serve_bench_")
     try:
@@ -70,7 +74,11 @@ def cold_warm_latencies(opt_level: int = 1) -> List[Tuple[str, float, float]]:
             _, outcome = compile_program_cached(cache, program, opt_level=opt_level)
             warm_ms = (time.perf_counter() - start) * 1000
             assert outcome == "hit"
-            rows.append((program.name, cold_ms, warm_ms))
+            start = time.perf_counter()
+            _, outcome = compile_program_cached(cache, program, opt_level=opt_level)
+            repeat_ms = (time.perf_counter() - start) * 1000
+            assert outcome == "hit"
+            rows.append((program.name, cold_ms, warm_ms, repeat_ms))
         return rows
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -194,8 +202,13 @@ def write_baseline(path: str = BASELINE_PATH) -> dict:
     payload = {
         "schema": 1,
         "cold_warm": [
-            {"program": name, "cold_ms": round(c, 3), "warm_ms": round(w, 3)}
-            for name, c, w in cold_warm
+            {
+                "program": name,
+                "cold_ms": round(c, 3),
+                "warm_ms": round(w, 3),
+                "repeat_ms": round(r, 3),
+            }
+            for name, c, w, r in cold_warm
         ],
         "batch_throughput": {
             str(jobs): round(rate, 2)
@@ -251,19 +264,25 @@ def test_warm_cache_suite(benchmark):
 
 
 #: The ``--check`` gate: geometric mean over the Table 2 programs of each
-#: one's cold/warm latency ratio at ``-O1``, re-validation on.
+#: one's cold/first-warm-hit latency ratio at ``-O1``, re-validation on.
+#: The first hit runs the whole load check; the repeat hit is reported only.
 WARM_SPEEDUP_FLOOR = 10.0
 
 
-def geomean_speedup(rows: List[Tuple[str, float, float]]) -> float:
-    return math.exp(statistics.fmean(math.log(cold / warm) for _, cold, warm in rows))
+def geomean_speedup(rows: List[Tuple[str, float, float, float]]) -> float:
+    return math.exp(
+        statistics.fmean(math.log(cold / warm) for _, cold, warm, _repeat in rows)
+    )
 
 
 def check() -> int:
     """Print the per-program cold/warm table; 1 if below the floor."""
     rows = cold_warm_latencies(opt_level=1)
-    for name, cold, warm in rows:
-        print(f"{name:8s} cold {cold:8.1f} ms  warm {warm:6.2f} ms  {cold / warm:6.1f}x")
+    for name, cold, warm, repeat in rows:
+        print(
+            f"{name:8s} cold {cold:8.1f} ms  warm {warm:6.2f} ms  {cold / warm:6.1f}x"
+            f"  repeat {repeat:6.3f} ms"
+        )
     ratio = geomean_speedup(rows)
     ok = ratio >= WARM_SPEEDUP_FLOOR
     print(

@@ -63,15 +63,25 @@ def _pointerish_vars(expr: ast.Expr) -> Set[str]:
     return set()
 
 
-def _deref_vars(expr: ast.Expr) -> Set[str]:
-    """Variables used (pointerishly) inside some dereferenced address."""
+def _scan(expr: ast.Expr, uses: Set[str], deref: Set[str]) -> bool:
+    """Add the variables ``expr`` reads to ``uses`` and those used
+    (pointerishly) inside some dereferenced address to ``deref``; returns
+    whether ``expr`` reads an inline table.  One walk of the expression."""
+    if isinstance(expr, ast.EVar):
+        uses.add(expr.name)
+        return False
     if isinstance(expr, ast.ELoad):
-        return _pointerish_vars(expr.addr) | _deref_vars(expr.addr)
+        deref |= _pointerish_vars(expr.addr)
+        return _scan(expr.addr, uses, deref)
     if isinstance(expr, ast.EOp):
-        return _deref_vars(expr.lhs) | _deref_vars(expr.rhs)
+        lhs = _scan(expr.lhs, uses, deref)
+        return _scan(expr.rhs, uses, deref) or lhs
     if isinstance(expr, ast.EInlineTable):
-        return _deref_vars(expr.index)
-    return set()
+        _scan(expr.index, uses, deref)
+        return True
+    if isinstance(expr, ast.ELit):
+        return False
+    raise TypeError(f"unknown expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +152,8 @@ class CFG:
     def __init__(self, fn: ast.Function):
         self.fn = fn
         self.nodes: List[Node] = []
+        # Whether any expression of the function reads an inline table.
+        self.reads_table = False
         self.entry = self._new("entry", "entry", []).id
         exits = self._build(fn.body, [(self.entry, None)], "body", frozenset())
         self.exit = self._new("exit", "exit", exits, uses=set(fn.rets)).id
@@ -188,8 +200,8 @@ class CFG:
         uses: Set[str] = set()
         deref: Set[str] = set()
         for expr in ast.node_exprs(stmt):
-            uses |= ast.expr_vars(expr)
-            deref |= _deref_vars(expr)
+            if _scan(expr, uses, deref):
+                self.reads_table = True
         node = self._new(
             kind,
             path,
@@ -520,7 +532,7 @@ def lint_function(
     # (lazy import: repro.analysis.absint pulls in the solver machinery).
     from repro.analysis.absint import range_lint
 
-    if not errors_only or ast.inline_tables(fn.body):
+    if not errors_only or cfg.reads_table:
         diags.extend(range_lint(fn, cfg=cfg))
     return errors(diags) if errors_only else diags
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence
 
 # Version header of the canonical serialization.  Bump whenever the
 # shape of the serialized tree changes; deserialization refuses other
@@ -27,7 +27,13 @@ class CertificateDecodeError(Exception):
     """A serialized certificate is malformed or from another schema."""
 
 
-@dataclass
+# The three classes below are frozen, and ``from_dict`` builds their
+# sequences as tuples, so a decoded certificate cannot be changed at all:
+# the compilation cache hands one decoded certificate to every request
+# that hits the same checked entry (repro.serve.cache).
+
+
+@dataclass(frozen=True)
 class SideCondition:
     """A discharged obligation: what was proved, and by which solver."""
 
@@ -54,15 +60,15 @@ class SideCondition:
             raise CertificateDecodeError(f"bad side condition: {exc!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertNode:
     """One lemma application in the derivation tree."""
 
     lemma: str
     conclusion: str  # rendering of the goal this node solved
     code: str  # rendering of the code fragment this node contributed
-    side_conditions: List[SideCondition] = field(default_factory=list)
-    children: List["CertNode"] = field(default_factory=list)
+    side_conditions: Sequence[SideCondition] = field(default_factory=list)
+    children: Sequence["CertNode"] = field(default_factory=list)
 
     def size(self) -> int:
         return 1 + sum(child.size() for child in self.children)
@@ -101,10 +107,10 @@ class CertNode:
                 lemma=data["lemma"],
                 conclusion=data["conclusion"],
                 code=data["code"],
-                side_conditions=[
+                side_conditions=tuple(
                     SideCondition.from_dict(c) for c in data["side_conditions"]
-                ],
-                children=[CertNode.from_dict(c) for c in data["children"]],
+                ),
+                children=tuple(CertNode.from_dict(c) for c in data["children"]),
             )
         except CertificateDecodeError:
             raise
@@ -112,7 +118,7 @@ class CertNode:
             raise CertificateDecodeError(f"bad certificate node: {exc!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """The complete derivation for one compiled function."""
 

@@ -19,64 +19,54 @@ Layers:
 - :mod:`repro.lift.goals` -- the ``LiftStallReport`` taxonomy.
 """
 
-from repro.lift.engine import (
-    LiftResult,
-    clear_lift_memo,
-    lift_function,
-    lift_key,
-)
-from repro.lift.goals import (
-    LiftError,
-    LiftStallReport,
-    LiftStalled,
-    LiftValidationFailed,
-)
-from repro.lift.legacy import decode_bundle, encode_bundle, load_bundle
-from repro.lift.patterns import (
-    InversePattern,
-    all_inverse_patterns,
-    inverse_for_lemma,
-    lifted_lemma_names,
-    patterns_for_head,
-    register_inverse,
-    roster_fingerprint,
-)
-from repro.lift.validate import (
-    EXTENSIONAL,
-    RECOMPILE,
-    LiftCertificate,
-    boundary_input_gen,
-    certify,
-    extensional_certificate,
-    models_equivalent,
-    recompile_certificate,
-)
+import importlib
 
-__all__ = [
-    "EXTENSIONAL",
-    "RECOMPILE",
-    "InversePattern",
-    "LiftCertificate",
-    "LiftError",
-    "LiftResult",
-    "LiftStallReport",
-    "LiftStalled",
-    "LiftValidationFailed",
-    "all_inverse_patterns",
-    "boundary_input_gen",
-    "certify",
-    "clear_lift_memo",
-    "decode_bundle",
-    "encode_bundle",
-    "extensional_certificate",
-    "inverse_for_lemma",
-    "lift_function",
-    "lift_key",
-    "lifted_lemma_names",
-    "load_bundle",
-    "models_equivalent",
-    "patterns_for_head",
-    "recompile_certificate",
-    "register_inverse",
-    "roster_fingerprint",
-]
+# Each public name and the submodule that defines it.  The names load on
+# first use (PEP 562): every stdlib lemma module imports
+# ``repro.lift.patterns`` to register its inverse patterns, so without
+# this a process that never lifts -- a serve worker -- would also import
+# the backward engine, the validator and the legacy loader (about 1 MB
+# of RSS per worker).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.lift.engine": ("LiftResult", "clear_lift_memo", "lift_function", "lift_key"),
+        "repro.lift.goals": (
+            "LiftError",
+            "LiftStallReport",
+            "LiftStalled",
+            "LiftValidationFailed",
+        ),
+        "repro.lift.legacy": ("decode_bundle", "encode_bundle", "load_bundle"),
+        "repro.lift.patterns": (
+            "InversePattern",
+            "all_inverse_patterns",
+            "inverse_for_lemma",
+            "lifted_lemma_names",
+            "patterns_for_head",
+            "register_inverse",
+            "roster_fingerprint",
+        ),
+        "repro.lift.validate": (
+            "EXTENSIONAL",
+            "RECOMPILE",
+            "LiftCertificate",
+            "boundary_input_gen",
+            "certify",
+            "extensional_certificate",
+            "models_equivalent",
+            "recompile_certificate",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -19,7 +19,7 @@ unsound pass degrades optimization, never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.bedrock2 import ast
@@ -66,13 +66,16 @@ class PassCertificate:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationReport:
-    """Everything one ``optimize`` call did to one function."""
+    """Everything one ``optimize`` call did to one function.
+
+    Frozen, with ``from_dict`` building ``certificates`` as a tuple, so
+    the compilation cache can hand one decoded report to every hit."""
 
     function: str
     level: int
-    certificates: List[PassCertificate] = field(default_factory=list)
+    certificates: Sequence[PassCertificate] = ()
     stmts_before: int = 0
     stmts_after: int = 0
 
@@ -100,7 +103,9 @@ class OptimizationReport:
             level=data["level"],
             stmts_before=data["stmts_before"],
             stmts_after=data["stmts_after"],
-            certificates=[PassCertificate.from_dict(c) for c in data["certificates"]],
+            certificates=tuple(
+                PassCertificate.from_dict(c) for c in data["certificates"]
+            ),
         )
 
     def render(self) -> str:
@@ -298,10 +303,14 @@ def optimize_function(
     :meth:`repro.core.spec.CompiledFunction.optimize` to get differential
     validation against the functional model as well.
     """
-    report = OptimizationReport(
-        function=fn.name, level=level, stmts_before=ast.statement_count(fn.body)
-    )
+    stmts_before = ast.statement_count(fn.body)
     manager = PassManager(pipeline_for(level), width=width, validator=validator)
-    fn, report.certificates = manager.run(fn)
-    report.stmts_after = ast.statement_count(fn.body)
+    fn, certificates = manager.run(fn)
+    report = OptimizationReport(
+        function=fn.name,
+        level=level,
+        certificates=certificates,
+        stmts_before=stmts_before,
+        stmts_after=ast.statement_count(fn.body),
+    )
     return fn, report

@@ -11,51 +11,46 @@ lemma family, and a registry of end-to-end query programs
 (:mod:`repro.query.programs`) exercised by ``python -m repro query``.
 """
 
-from repro.query.evaluator import eval_plan, eval_rows
-from repro.query.ir import (
-    Aggregate,
-    BinOp,
-    Cmp,
-    Col,
-    ColRef,
-    EquiJoin,
-    Filter,
-    IntLit,
-    Plan,
-    PlanError,
-    Project,
-    Scan,
-    Schema,
-    check_plan,
-    explain,
-    schema,
-)
-from repro.query.reify import ReifiedQuery, reify
-from repro.query.terms import QUERY_TERM_HEADS, QAggregate, QJoinAgg, QProjectInto
+import importlib
 
-__all__ = [
-    "Aggregate",
-    "BinOp",
-    "Cmp",
-    "Col",
-    "ColRef",
-    "EquiJoin",
-    "Filter",
-    "IntLit",
-    "Plan",
-    "PlanError",
-    "Project",
-    "QUERY_TERM_HEADS",
-    "QAggregate",
-    "QJoinAgg",
-    "QProjectInto",
-    "ReifiedQuery",
-    "Scan",
-    "Schema",
-    "check_plan",
-    "eval_plan",
-    "eval_rows",
-    "explain",
-    "reify",
-    "schema",
-]
+# Each public name and the submodule that defines it, loaded on first use
+# (PEP 562): the stdlib's query lemmas import ``repro.query.terms``, and
+# a process that serves no query -- a serve worker -- need not import the
+# IR, the reifier and the reference evaluator with it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.query.evaluator": ("eval_plan", "eval_rows"),
+        "repro.query.ir": (
+            "Aggregate",
+            "BinOp",
+            "Cmp",
+            "Col",
+            "ColRef",
+            "EquiJoin",
+            "Filter",
+            "IntLit",
+            "Plan",
+            "PlanError",
+            "Project",
+            "Scan",
+            "Schema",
+            "check_plan",
+            "explain",
+            "schema",
+        ),
+        "repro.query.reify": ("ReifiedQuery", "reify"),
+        "repro.query.terms": ("QUERY_TERM_HEADS", "QAggregate", "QJoinAgg", "QProjectInto"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

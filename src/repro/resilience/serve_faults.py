@@ -133,13 +133,18 @@ def _corrupt_one_entry(cache_dir: str) -> Optional[str]:
 
 
 def _inject_cache_corruption(tmp: str, program: str = "fnv1a") -> Tuple[str, str]:
-    """Corrupt a published entry on disk between two warm requests: it
-    must be quarantined and recompiled byte-identically, never served."""
+    """Corrupt a published entry on disk after the worker has served it
+    as a hit: its checked-entry table already holds the clean bytes, yet
+    the garbage must be quarantined and recompiled byte-identically,
+    never served."""
     cache_dir = os.path.join(tmp, "cache")
     with _pool(tmp) as sup:
         cold = sup.submit({"op": "compile", "program": program})
         if not cold.get("ok"):
             return CRASH, f"priming failed: {cold!r}"
+        hit = sup.submit({"op": "compile", "program": program})
+        if hit.get("cache") != "hit" or hit.get("c") != cold.get("c"):
+            return CRASH, f"priming hit failed: {hit!r}"
         corrupted = _corrupt_one_entry(cache_dir)
         if corrupted is None:
             return HARMLESS, "no entry was published"
@@ -158,7 +163,8 @@ def _inject_cache_corruption(tmp: str, program: str = "fnv1a") -> Tuple[str, str
         return SILENT, "corrupt entry was not quarantined"
     return (
         RECOVERED,
-        f"entry quarantined ({len(held)} held), recompiled byte-identical",
+        f"entry quarantined ({len(held)} held) after a hit, "
+        "recompiled byte-identical",
     )
 
 

@@ -10,12 +10,24 @@ entries) the per-pass :class:`~repro.opt.manager.OptimizationReport`.
 search that fills it (the paper's §5 translation-validation stance):
 
 - a stored payload digest catches corruption and truncation;
-- every loaded entry is re-checked by the existing trusted checkers --
-  definite-assignment well-formedness on the decoded AST and the
-  structural certificate checker -- before it is served;
+- every byte string a handle loads is checked by the existing trusted
+  checkers -- definite-assignment well-formedness on the decoded AST,
+  the structural certificate checker and the errors-only dataflow lint
+  -- before it is served;
 - any failure (decode error, digest mismatch, schema drift, checker
-  rejection) demotes the entry to a cold compile.  A poisoned cache can
-  cost time, never correctness.
+  rejection) quarantines the entry and demotes the request to a cold
+  compile.  A poisoned cache can cost time, never correctness.
+
+**Checked once per handle.**  The outcome of that check is a pure
+function of the entry's bytes, the request's key and the process's
+trusted base, so each handle keeps a bounded LRU table
+(:data:`CHECKED_TABLE_SIZE` entries) from ``(sha256 of the bytes as
+read, compile key)`` to the checked, immutable AST, certificate and
+report.  A repeat hit reads the file, hashes it and serves the table's
+entry; its C text is rendered at most once per entry.  Any other bytes
+miss the table and run the whole check.  The entry's own
+``payload_sha`` never keys the table: whoever wrote the entry chose it.
+``repro cache verify`` (:mod:`repro.serve.admin`) keeps no table.
 
 **Invalidation** is purely content-addressed: editing a lemma database,
 flipping ``-O0``/``-O1``, changing the solver bank or word width, or
@@ -26,7 +38,8 @@ fallback compile's fresh result.
 
 All cache traffic is observable: ``cache_lookup`` / ``cache_store``
 events and ``cache.{hits,misses,invalidated,stores}`` counters flow to
-the active :mod:`repro.obs` tracer, and warm loads run under a
+the active :mod:`repro.obs` tracer (``cache.table_hits`` counts the
+hits served from the table without the check), and loads run under a
 ``cache_load`` span so traces show exactly which derivations were
 served from disk.
 """
@@ -38,9 +51,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.bedrock2.serial import (
     ASTDecodeError,
@@ -63,6 +78,10 @@ QUARANTINE_DIR = "quarantine"
 #: may be stolen.  Publishes are a single serialize + rename, so any
 #: live holder is done in milliseconds, not tens of seconds.
 LOCK_STALE_SECONDS = 30.0
+
+#: Checked entries one handle keeps, least recently used first out.  64
+#: holds all 34 registry and query keys at ``-O0`` and ``-O1``.
+CHECKED_TABLE_SIZE = 64
 
 
 @dataclass
@@ -104,6 +123,72 @@ def _payload_digest(entry: dict) -> str:
     body = {k: v for k, v in entry.items() if k != "payload_sha"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class _CheckedEntry:
+    """An entry whose bytes passed the whole load check on this handle.
+
+    The AST, certificate and report are immutable, so every hit on the
+    same bytes shares them.  The C text is rendered at most once, on the
+    first ``c_source()`` of a bundle served from this entry; the statement
+    count is kept the same way, without a lock (a racing thread can only
+    count the same number again).
+    """
+
+    __slots__ = ("fn", "certificate", "opt_report", "statements", "_c_text", "_c_lock")
+
+    def __init__(self, fn, certificate: Certificate, opt_report):
+        self.fn = fn
+        self.certificate = certificate
+        self.opt_report = opt_report
+        self.statements: Optional[int] = None
+        self._c_text: Optional[str] = None
+        self._c_lock = threading.Lock()
+
+    def bundle(self, spec: FnSpec, model: Model) -> "_CheckedBundle":
+        return _CheckedBundle(
+            bedrock_fn=self.fn,
+            certificate=self.certificate,
+            spec=spec,
+            model=model,
+            opt_report=self.opt_report,
+            checked=self,
+        )
+
+    def c_source(self, bundle: CompiledFunction) -> str:
+        # The one render goes through the base method, so whatever
+        # observes ``CompiledFunction.c_source`` still sees it.
+        text = self._c_text
+        if text is None:
+            with self._c_lock:
+                text = self._c_text
+                if text is None:
+                    text = self._c_text = CompiledFunction.c_source(bundle)
+        return text
+
+
+@dataclass
+class _CheckedBundle(CompiledFunction):
+    """A bundle served from a checked entry; it prints the entry's C."""
+
+    checked: Optional[_CheckedEntry] = field(default=None, repr=False, compare=False)
+
+    def _entry(self) -> Optional[_CheckedEntry]:
+        """The checked entry, unless ``replace`` gave this bundle other code."""
+        checked = self.checked
+        return checked if checked is not None and checked.fn is self.bedrock_fn else None
+
+    def c_source(self) -> str:
+        checked = self._entry()
+        return super().c_source() if checked is None else checked.c_source(self)
+
+    def statement_count(self) -> int:
+        checked = self._entry()
+        if checked is None:
+            return super().statement_count()
+        if checked.statements is None:
+            checked.statements = super().statement_count()
+        return checked.statements
 
 
 class CacheRejected(Exception):
@@ -194,6 +279,11 @@ class CompilationCache:
         # (program name, opt level) -> (program, engine fingerprint,
         # model, spec, key): one entry per registry program and level.
         self._program_inputs: dict = {}
+        # (sha256 of the entry's bytes as read, compile key) -> the
+        # _CheckedEntry those bytes decoded to; filled only by a
+        # successful check with ``revalidate`` on.
+        self._checked: "OrderedDict[Tuple[bytes, str], _CheckedEntry]" = OrderedDict()
+        self._checked_lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
 
     # -- Addressing ------------------------------------------------------------
@@ -285,7 +375,25 @@ class CompilationCache:
 
     # -- Load path -------------------------------------------------------------
 
-    def _decode_entry(self, key: str, raw: str) -> Tuple[object, Certificate, object]:
+    def _checked_entry(self, slot: Tuple[bytes, str]) -> Optional[_CheckedEntry]:
+        with self._checked_lock:
+            entry = self._checked.get(slot)
+            if entry is not None:
+                self._checked.move_to_end(slot)
+            return entry
+
+    def _remember(self, slot: Tuple[bytes, str], entry: _CheckedEntry) -> _CheckedEntry:
+        """Add a checked entry (or keep the one a concurrent hit added)."""
+        with self._checked_lock:
+            entry = self._checked.setdefault(slot, entry)
+            self._checked.move_to_end(slot)
+            if len(self._checked) > CHECKED_TABLE_SIZE:
+                self._checked.popitem(last=False)
+            return entry
+
+    def _decode_entry(
+        self, key: str, raw: Union[str, bytes]
+    ) -> Tuple[object, Certificate, object]:
         try:
             entry = json.loads(raw)
         except ValueError as exc:
@@ -342,7 +450,9 @@ class CompilationCache:
         """Serve ``key`` if present and re-validated; returns (bundle, outcome).
 
         Outcomes: :data:`HIT` (validated entry), :data:`MISS` (no entry),
-        :data:`INVALIDATED` (an entry existed but was rejected).
+        :data:`INVALIDATED` (an entry existed but was rejected).  Bytes
+        this handle has already checked under ``key`` are served from
+        the checked-entry table without decoding them again.
         """
         from repro.obs.trace import NULL_SPAN, current_tracer
 
@@ -354,12 +464,22 @@ class CompilationCache:
         )
         with span as handle:
             try:
-                with open(path) as fh:
+                with open(path, "rb") as fh:
                     raw = fh.read()
             except OSError:
                 self.stats.misses += 1
                 self._trace_lookup(tracer, key, MISS, spec.fname)
                 return None, MISS
+            # The bytes as read, never the entry's own payload_sha (its
+            # writer controls that), address the checked-entry table.
+            slot = (hashlib.sha256(raw).digest(), key)
+            checked = self._checked_entry(slot)
+            if checked is not None and checked.fn.name == spec.fname:
+                self.stats.hits += 1
+                if trace:
+                    tracer.inc("cache.table_hits")
+                self._trace_lookup(tracer, key, HIT, spec.fname)
+                return checked.bundle(spec, model), HIT
             try:
                 fn, certificate, opt_report = self._decode_entry(key, raw)
                 if self.revalidate:
@@ -380,16 +500,10 @@ class CompilationCache:
                 return None, INVALIDATED
             self.stats.hits += 1
             self._trace_lookup(tracer, key, HIT, spec.fname)
-            return (
-                CompiledFunction(
-                    bedrock_fn=fn,
-                    certificate=certificate,
-                    spec=spec,
-                    model=model,
-                    opt_report=opt_report,
-                ),
-                HIT,
-            )
+            if not self.revalidate:
+                return CompiledFunction(fn, certificate, spec, model, opt_report), HIT
+            checked = self._remember(slot, _CheckedEntry(fn, certificate, opt_report))
+            return checked.bundle(spec, model), HIT
 
     _OUTCOME_COUNTERS = {HIT: "cache.hits", MISS: "cache.misses", INVALIDATED: "cache.invalidated"}
 
@@ -455,9 +569,10 @@ class CompilationCache:
         """Compile through the cache; returns (bundle, outcome).
 
         A warm entry is decoded, digest-checked, and re-validated by the
-        trusted checkers; anything else falls back to a cold derivation
-        (and, for ``opt_level > 0``, the translation-validated
-        optimizer), whose result is stored for next time.
+        trusted checkers (once per byte string per handle); anything else
+        falls back to a cold derivation (and, for ``opt_level > 0``, the
+        translation-validated optimizer), whose result is stored for next
+        time.
         """
         if engine is None:
             from repro.stdlib import default_engine

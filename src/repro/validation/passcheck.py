@@ -98,8 +98,11 @@ def optimize_compiled(
     fn, report = optimize_function(compiled.bedrock_fn, level, width, validator)
     if lift_validate:
         cert, fn = _lift_validate_certificate(compiled, fn, width=width)
-        report.certificates.append(cert)
-        report.stmts_after = ast.statement_count(fn.body)
+        report = replace(
+            report,
+            certificates=[*report.certificates, cert],
+            stmts_after=ast.statement_count(fn.body),
+        )
     optimized = replace(compiled, bedrock_fn=fn, opt_report=report)
     return optimized, report
 
