@@ -138,14 +138,22 @@ def ordered_map(
     ``jobs <= 1`` calls ``fn`` lazily in this process, so whatever the
     caller does between items (trace events, progress lines) interleaves
     with ``fn``'s own spans exactly as in a plain loop.  ``jobs > 1``
-    submits the whole plan up front to one process pool whose workers
-    run with the null tracer; ``fn`` and the items must then pickle.
+    first builds the process constants here
+    (:func:`~repro.stdlib.warm_process_constants`), then submits the
+    plan to one process pool as contiguous chunks of
+    ``ceil(n / (8 * jobs))`` items, one future per chunk, each running
+    its items in order.  Workers run with the null tracer; ``fn`` and
+    the items must pickle.  Under the ``fork`` start method the workers
+    inherit the warm constants; under ``spawn`` or ``forkserver`` each
+    builds its own on first use, which is slower but gives the same
+    results.
 
     A worker that dies (``os._exit``, SIGKILL, OOM) breaks the pool: its
-    item and every item still unfinished fail.  Each of those is retried
-    once in its own single-worker pool (``on_retry`` hears the index),
-    so a deterministic killer cannot take bystanders down with it; an
-    item whose retry dies too comes back as a :class:`Lost` value.
+    chunk and every chunk still unfinished fail, including the items
+    those chunks had already run.  Every item of a failed chunk is
+    retried once in its own single-worker pool (``on_retry`` hears each
+    index), so a deterministic killer cannot take bystanders down with
+    it; an item whose retry dies too comes back as a :class:`Lost` value.
     """
     if jobs <= 1:
         for item in items:
@@ -155,18 +163,37 @@ def ordered_map(
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.obs.trace import reset_tracer
+    from repro.stdlib import warm_process_constants
 
     items = list(items)
+    size = max(1, -(-len(items) // (8 * jobs)))
+    starts = range(0, len(items), size)
+    warm_process_constants()
     with ProcessPoolExecutor(max_workers=jobs, initializer=reset_tracer) as pool:
-        futures = [pool.submit(fn, *item) for item in items]
-        for index, (item, future) in enumerate(zip(items, futures)):
+        futures = [pool.submit(_run_chunk, fn, items[i:i + size]) for i in starts]
+        for start, future in zip(starts, futures):
             try:
-                result = future.result()
+                results = future.result()
             except BrokenProcessPool:
-                if on_retry is not None:
-                    on_retry(index)
-                result = _retry_alone(fn, item)
-            yield result
+                chunk = range(start, min(start + size, len(items)))
+                results = _retry_each(fn, items, chunk, on_retry)
+            yield from results
+
+
+def _run_chunk(fn: Callable, chunk: List[tuple]) -> list:
+    return [fn(*item) for item in chunk]
+
+
+def _retry_each(
+    fn: Callable,
+    items: List[tuple],
+    indices: range,
+    on_retry: Optional[Callable[[int], None]],
+) -> Iterator:
+    for index in indices:
+        if on_retry is not None:
+            on_retry(index)
+        yield _retry_alone(fn, items[index])
 
 
 def _retry_alone(fn: Callable, item: tuple):

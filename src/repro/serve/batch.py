@@ -4,7 +4,7 @@ A batch is a manifest of :class:`BatchJob` descriptions -- registry
 programs and/or seeded fuzz-corpus cases -- each compiled (and, for
 ``opt_level > 0``, run through the translation-validated optimizer)
 under its own fuel/deadline :class:`~repro.resilience.budget.Budget`.
-With ``jobs_n > 1`` the batch fans out over a process pool
+With ``jobs_n > 1`` the batch fans out over a process pool in chunks
 (:func:`~repro.resilience.campaign.ordered_map`); every worker gets only
 picklable inputs (a frozen :class:`BatchJob` plus a
 :class:`~repro.resilience.budget.BudgetSpec`) and rebuilds models,
@@ -382,15 +382,17 @@ def run_batch(
 
     ``jobs_n <= 1`` runs in-process (one shared cache handle, jobs
     nested under the ambient tracer's ``batch_job`` spans).
-    ``jobs_n > 1`` fans out over a process pool and merges the workers'
-    cache counters.  Either way the parent emits one ``batch_job`` event
-    per result, in manifest order.
+    ``jobs_n > 1`` fans out over a process pool in chunks of contiguous
+    jobs (:func:`~repro.resilience.campaign.ordered_map`) and merges the
+    workers' cache counters.  Either way the parent emits one
+    ``batch_job`` event per result, in manifest order.
 
-    A worker that *dies* (SIGKILL, ``os._exit``, OOM) loses its job and
-    every job still queued behind it; each is retried exactly once in
-    its own single-worker pool (and marked ``retried``).  A job that
-    kills its worker *deterministically* fails the retry too and is
-    reported as a structured ``worker-lost`` row, never silently dropped.
+    A worker that *dies* (SIGKILL, ``os._exit``, OOM) loses its chunk
+    and every chunk still unfinished; each of their jobs is retried
+    exactly once in its own single-worker pool (and marked ``retried``).
+    A job that kills its worker *deterministically* fails the retry too
+    and is reported as a structured ``worker-lost`` row, never silently
+    dropped.
     """
     from repro.obs.trace import current_tracer
 

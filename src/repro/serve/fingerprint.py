@@ -99,6 +99,13 @@ def compile_key(model: Model, spec: FnSpec, engine, opt_level: int = 0) -> str:
     ``fingerprint()`` covers the ordered lemma databases, the solver
     bank, and the word width.
     """
+    return compile_key_for(model, spec, engine.fingerprint(), opt_level)
+
+
+def compile_key_for(
+    model: Model, spec: FnSpec, engine_fingerprint: str, opt_level: int = 0
+) -> str:
+    """:func:`compile_key` given the engine's ``fingerprint()`` instead."""
     from repro.opt.manager import pipeline_fingerprint
 
     return _digest(
@@ -107,7 +114,7 @@ def compile_key(model: Model, spec: FnSpec, engine, opt_level: int = 0) -> str:
         f"ast-schema:{AST_SCHEMA_VERSION}",
         source_fingerprint(model),
         spec_fingerprint(spec),
-        engine.fingerprint(),
+        engine_fingerprint,
         pipeline_fingerprint(opt_level),
     )[:32]
 

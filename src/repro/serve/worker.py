@@ -31,19 +31,20 @@ import sys
 def warm_up(service) -> None:
     """Build the warm per-process state one request should not pay for.
 
-    That is the standard lemma databases and, when the service has a
-    cache, each registry program's model, spec and compile key at
+    That is the process constants
+    (:func:`~repro.stdlib.warm_process_constants`) and, when the service
+    has a cache, each registry program's model, spec and compile key at
     ``-O0`` and ``-O1``.
     """
     from repro.programs.registry import all_programs
-    from repro.stdlib import default_engine
+    from repro.stdlib import warm_process_constants
 
-    engine = default_engine()
+    warm_process_constants()
     programs = all_programs()
     if service.cache is not None:
         for program in programs:
             for level in (0, 1):
-                service.cache.program_inputs(program, engine, level)
+                service.cache.program_inputs(program, opt_level=level)
 
 
 def main(argv=None) -> int:

@@ -31,6 +31,7 @@ compiler by registering more lemmas -- see ``examples/extending.py``.
 """
 
 import threading
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.core.engine import Engine
@@ -141,3 +142,35 @@ def default_engine(width: int = 64, solvers: SolverBank = None) -> Engine:
     """An engine with the full standard library loaded."""
     binding_db, expr_db = default_databases()
     return Engine(binding_db, expr_db, solvers=solvers or SolverBank(), width=width)
+
+
+@lru_cache(maxsize=None)
+def standard_fingerprint() -> str:
+    """``default_engine().fingerprint()``, a per-process constant.
+
+    The standard databases and the default solver bank never change in
+    a process, so a caller that would build a default engine only to
+    address the cache (a warm hit) can read this instead.
+    """
+    return default_engine().fingerprint()
+
+
+def warm_process_constants() -> None:
+    """Build every per-process constant a derivation or load check reads.
+
+    That is the standard databases, the set of their lemma names the
+    certificate checker consults, :func:`standard_fingerprint`, and the
+    modules the range solver, the load check's lint and the query
+    frontend import on first use.  A process forked after this call
+    inherits all of them instead of building them again; a process
+    started fresh (``spawn``, ``forkserver``) builds them on first use,
+    with the same result.
+    """
+    import repro.analysis.absint  # noqa: F401
+    import repro.analysis.dataflow  # noqa: F401
+    import repro.query.reify  # noqa: F401
+    from repro.validation.checker import _standard_lemma_names
+
+    _standard_databases()
+    _standard_lemma_names()
+    standard_fingerprint()

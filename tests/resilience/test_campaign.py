@@ -35,6 +35,15 @@ def _tracer_enabled() -> bool:
     return current_tracer().enabled
 
 
+def _double_where(log_path: str, value):
+    """``_double`` plus the pid of the process that ran it."""
+    return _double(log_path, value), os.getpid()
+
+
+#: 48 items at ``jobs=2`` make 16 chunks of ``ceil(48 / 16) = 3`` items.
+CHUNKED, CHUNK = 48, 3
+
+
 class TestOrderedMap:
     def test_in_process_results_are_in_plan_order(self, tmp_path):
         log = str(tmp_path / "log")
@@ -60,6 +69,40 @@ class TestOrderedMap:
         with open(killer_log) as fh:
             assert fh.read().count("attempt") == 2, "first attempt plus one retry"
         assert 1 in retried
+
+    def test_chunked_results_are_in_plan_order_and_equal_serial(self, tmp_path):
+        items = [(str(tmp_path / f"log{v}"), v) for v in range(CHUNKED)]
+        serial = list(ordered_map(_double, items, jobs=1))
+        placed = list(ordered_map(_double_where, items, jobs=2))
+        assert [value for value, _pid in placed] == serial == [2 * v for v in range(CHUNKED)]
+        pids = [pid for _value, pid in placed]
+        assert os.getpid() not in pids
+        for start in range(0, CHUNKED, CHUNK):
+            assert len(set(pids[start:start + CHUNK])) == 1, "a chunk runs in one worker"
+
+    def test_a_killer_mid_chunk_is_lost_after_one_isolated_retry(self, tmp_path):
+        killer = CHUNKED // 2 + 1  # the middle item of the chunk at 24..26
+        values = [v if v != killer else "killer" for v in range(CHUNKED)]
+        logs = [str(tmp_path / f"log{v}") for v in range(CHUNKED)]
+        retried = []
+        results = list(
+            ordered_map(_double, list(zip(logs, values)), jobs=2, on_retry=retried.append)
+        )
+        assert isinstance(results[killer], Lost) and results[killer].detail
+        serial = [2 * v for v in range(CHUNKED)]
+        for index, result in enumerate(results):
+            if index != killer:
+                assert result == serial[index], index
+        assert killer in retried
+        assert {killer - 1, killer + 1} <= set(retried), "the whole chunk is retried"
+        assert len(retried) == len(set(retried)) and retried == sorted(retried)
+        with open(logs[killer]) as fh:
+            assert fh.read().count("attempt") == 2, "first attempt plus one retry"
+        for index, log in enumerate(logs):
+            with open(log) as fh:
+                attempts = fh.read().count("attempt")
+            # A retried item ran at most once in the broken pool.
+            assert attempts in ({1, 2} if index in retried else {1}), (index, attempts)
 
     def test_pool_workers_run_with_the_null_tracer(self):
         with use_tracer(Tracer(name="parent")):

@@ -1,6 +1,8 @@
 """The batch compiler: manifests, worker-pool equivalence, budgets."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -65,6 +67,52 @@ def test_serial_and_parallel_batches_agree(tmp_path):
     assert sorted(map(key, serial.results)) == sorted(map(key, parallel.results))
     assert serial.ok_count == parallel.ok_count
     assert serial.cache_stats["stores"] == parallel.cache_stats["stores"]
+
+
+def test_chunked_fuzz_batches_agree_job_by_job(tmp_path):
+    """48 jobs at ``jobs_n=2`` run as 16 chunks of 3, cold then warm."""
+    jobs = fuzz_manifest(seed=11, count=48)
+    key = lambda r: (r["job"], r["outcome"], r["statements"], r["cache"])  # noqa: E731
+    passes = {}
+    for jobs_n in (1, 2):
+        cache_dir = str(tmp_path / f"j{jobs_n}")
+        passes[jobs_n] = [
+            [key(r) for r in run_batch(jobs, jobs_n=jobs_n, cache_dir=cache_dir).results]
+            for _pass in ("cold", "warm")
+        ]
+    assert passes[1] == passes[2]
+    cold, warm = passes[2]
+    assert [row[0] for row in cold] == [job.name for job in jobs]
+    assert {row[3] for row in warm if row[1] == "ok"} == {"hit"}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="pool workers inherit the parent's constants only when forked",
+)
+def test_pool_workers_inherit_the_databases(tmp_path, monkeypatch):
+    """A parent that has not built the databases builds them once before
+    its pool forks; no worker builds them again."""
+    import repro.stdlib as stdlib
+    import repro.validation.checker as checker
+
+    log = tmp_path / "builds"
+    build = stdlib._build_databases
+
+    def logged_build():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build()
+
+    monkeypatch.setattr(stdlib, "_BUILT", None)
+    monkeypatch.setattr(stdlib, "_build_databases", logged_build)
+    checker._standard_lemma_names.cache_clear()
+    stdlib.standard_fingerprint.cache_clear()
+    report = run_batch(
+        fuzz_manifest(seed=5, count=24), jobs_n=2, cache_dir=str(tmp_path / "cache")
+    )
+    assert len(report.results) == 24 and not report.crashes
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_warm_batch_is_all_hits(tmp_path):

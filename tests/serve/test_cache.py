@@ -246,6 +246,32 @@ def test_repeat_hit_is_served_from_the_table(tmp_path):
     assert second.certificate is first.certificate
 
 
+def test_repeat_hits_build_no_engine(tmp_path, monkeypatch):
+    """A hit reads the per-process engine fingerprint: no database copy."""
+    from repro.core.lemma import HintDb
+
+    cache = CompilationCache(str(tmp_path))
+    program = get_program("crc32")
+    for _ in range(2):
+        compile_program_cached(cache, program, opt_level=1)
+    copies = []
+    copy = HintDb.copy
+
+    def counting_copy(self):
+        copies.append(self.name)
+        return copy(self)
+
+    monkeypatch.setattr(HintDb, "copy", counting_copy)
+    for _ in range(3):
+        _bundle, outcome = compile_program_cached(cache, program, opt_level=1)
+        assert outcome == HIT
+    assert copies == []
+    _model, _spec, key = cache.program_inputs(program, opt_level=1)
+    assert key == compile_key(
+        program.build_model(), program.build_spec(), default_engine(), 1
+    )
+
+
 def test_c_text_is_rendered_once_per_table_entry(tmp_path, monkeypatch):
     cache = CompilationCache(str(tmp_path))
     program = get_program("crc32")

@@ -5,8 +5,13 @@ from repro.serve import fingerprint
 from repro.source import terms
 from repro.opt.manager import pipeline_fingerprint
 from repro.programs import get_program
-from repro.serve.fingerprint import compile_key, source_fingerprint, spec_fingerprint
-from repro.stdlib import default_databases, default_engine
+from repro.serve.fingerprint import (
+    compile_key,
+    compile_key_for,
+    source_fingerprint,
+    spec_fingerprint,
+)
+from repro.stdlib import default_databases, default_engine, standard_fingerprint
 
 
 def _inputs(name="crc32"):
@@ -22,6 +27,15 @@ def test_key_is_a_pure_function_of_its_inputs():
     k2 = compile_key(model2, spec2, default_engine(), opt_level=0)
     assert k1 == k2
     assert len(k1) == 32
+
+
+def test_standard_fingerprint_addresses_the_default_engines_keys():
+    model, spec = _inputs()
+    assert standard_fingerprint() == default_engine().fingerprint()
+    for level in (0, 1):
+        assert compile_key_for(model, spec, standard_fingerprint(), level) == (
+            compile_key(model, spec, default_engine(), level)
+        )
 
 
 def test_each_input_moves_the_key():
