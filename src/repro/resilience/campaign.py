@@ -2,18 +2,20 @@
 
 The fault campaigns (:mod:`~repro.resilience.faults`,
 :mod:`~repro.resilience.serve_faults`,
-:mod:`~repro.resilience.lift_faults`) each classify injections into an
-outcome :class:`Vocabulary` and aggregate the rows into one
-:class:`CampaignReport`.  Those three campaigns, the fuzzer and the
-batch compiler run their plans through :func:`ordered_map`, which yields
-results in plan order whether the plan runs in-process or over a
-process pool.
+:mod:`~repro.resilience.lift_faults`) each build a list of
+``(point, target, fn, args)`` rows, where ``fn(*args)`` injects one
+fault and returns an ``(outcome, detail)`` pair named in the campaign's
+:class:`Vocabulary`; :func:`run_campaign` runs the rows and aggregates
+them into one :class:`CampaignReport`.  The campaigns, the fuzzer and
+the batch compiler all fan their plans out through :func:`ordered_map`,
+which yields results in plan order whether the plan runs in-process or
+over a process pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Outcome names; campaigns share a name wherever the meaning is the same.
 DETECTED = "detected"  # a trusted checker (or the service) flagged the fault
@@ -207,3 +209,49 @@ def _retry_alone(fn: Callable, item: tuple):
             return pool.submit(fn, *item).result()
     except BrokenProcessPool as exc:
         return Lost(repr(exc))
+
+
+# -- The campaign driver -------------------------------------------------------------
+
+
+def run_campaign(
+    title: str,
+    seed: int,
+    vocabulary: Vocabulary,
+    rows: Sequence[tuple],
+    jobs: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
+) -> CampaignReport:
+    """Run every ``(point, target, fn, args)`` row into one report, in row order.
+
+    Each ``fn(*args)`` runs under one ``fault_injection`` span; an
+    exception that escapes it is a ``crash`` row whose detail is the
+    exception's ``repr``, and so is a row whose worker died twice
+    (:class:`Lost`).  ``jobs > 1`` fans the rows over
+    :func:`ordered_map`'s process pool, so ``fn`` and ``args`` must
+    pickle; the report is the same either way.
+    """
+    report = CampaignReport(title, seed, [], vocabulary)
+    results = ordered_map(_run_row, rows, jobs)
+    for index, ((point, target, _fn, _args), result) in enumerate(zip(rows, results)):
+        outcome, detail = (CRASH, result.detail) if isinstance(result, Lost) else result
+        if progress is not None:
+            progress(f"injected {point} into {target} ({index + 1}/{len(rows)})")
+        report.add(Outcome(point, target, outcome, detail))
+    return report
+
+
+def _run_row(point: str, target: str, fn: Callable, args: tuple) -> Tuple[str, str]:
+    from repro.obs.trace import NULL_SPAN, current_tracer
+
+    tracer = current_tracer()
+    span = (
+        tracer.span("fault_injection", name=point, program=target)
+        if tracer.enabled
+        else NULL_SPAN
+    )
+    with span:
+        try:
+            return fn(*args)
+        except Exception as exc:  # noqa: BLE001 - a leaky harness is a crash finding
+            return CRASH, repr(exc)

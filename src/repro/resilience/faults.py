@@ -5,8 +5,8 @@ compilation lemmas, side-condition solvers, optimizer passes -- and all
 trust in small checkers: the well-formedness check, the certificate
 checker (structural + determinism replay), and spec-driven differential
 validation.  This module turns that claim into an executable experiment:
-each :class:`InjectionPoint` corrupts one untrusted component in a
-targeted way, drives the pipeline, and classifies the outcome:
+each injection point corrupts one untrusted component in a targeted
+way, drives the pipeline, and returns an ``(outcome, detail)`` pair:
 
 - ``detected``  -- a trusted checker rejected the corrupted artifact;
 - ``rejected``  -- the corruption surfaced as a clean, typed
@@ -23,7 +23,8 @@ for every point, on every seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bedrock2 import ast as b2
 from repro.core.goals import CompileError
@@ -35,10 +36,8 @@ from repro.resilience.campaign import (
     REJECTED,
     SILENT,
     CampaignReport,
-    Lost,
-    Outcome,
     Vocabulary,
-    ordered_map,
+    run_campaign,
 )
 from repro.resilience.generator import (
     FuzzCase,
@@ -83,64 +82,52 @@ def corrupt_first_literal(stmt: b2.Stmt) -> b2.Stmt:
 # -- Corrupting lemma wrappers ------------------------------------------------------
 
 
-class _CorruptingBindingLemma:
-    """Wraps a real lemma; corrupts the statement of its n-th application."""
+class _CorruptingLemma:
+    """Wraps a real lemma; ``corrupt`` rewrites one of its results.
 
-    def __init__(self, inner, strike: int, counter: Dict[str, int]):
+    The first application at or after the ``strike``-th (counted across
+    every wrapper sharing ``counter``) whose result ``corrupt`` can
+    change is corrupted; ``corrupt`` returns None for a result it
+    leaves alone.
+    """
+
+    def __init__(self, inner, strike: int, counter: Dict[str, int], corrupt):
         self.inner = inner
         self.name = inner.name  # keep the name: the lie must look legitimate
         self.shapes = getattr(inner, "shapes", ())
         self._strike = strike
         self._counter = counter
+        self._corrupt = corrupt
 
     def matches(self, goal) -> bool:
         return self.inner.matches(goal)
 
     def apply(self, goal, engine):
-        stmt, state, children = self.inner.apply(goal, engine)
-        self._counter["applications"] += 1
-        # Strike at the first application (at or after the chosen strike
-        # point) whose statement actually contains a literal to flip.
-        if self._counter["applications"] >= self._strike and not self._counter["corrupted"]:
-            from repro.core.lemma import WrapStmt
-
-            if not isinstance(stmt, WrapStmt):
-                mutated = corrupt_first_literal(stmt)
-                if mutated != stmt:
-                    self._counter["corrupted"] += 1
-                    stmt = mutated
-        return stmt, state, children
-
-
-class _CorruptingExprLemma:
-    """Wraps a real expression lemma; adds 1 to its n-th emitted expression."""
-
-    def __init__(self, inner, strike: int, counter: Dict[str, int]):
-        self.inner = inner
-        self.name = inner.name
-        self.shapes = getattr(inner, "shapes", ())
-        self._strike = strike
-        self._counter = counter
-
-    def matches(self, goal) -> bool:
-        return self.inner.matches(goal)
-
-    def apply(self, goal, engine):
-        expr, children = self.inner.apply(goal, engine)
+        result = self.inner.apply(goal, engine)
         self._counter["applications"] += 1
         if self._counter["applications"] >= self._strike and not self._counter["corrupted"]:
-            self._counter["corrupted"] += 1
-            expr = b2.EOp("add", expr, b2.ELit(1))
-        return expr, children
+            corrupted = self._corrupt(result)
+            if corrupted is not None:
+                self._counter["corrupted"] += 1
+                result = corrupted
+        return result
 
 
-def _wrapped_db(db, wrapper_cls, strike: int, counter: Dict[str, int]):
-    from repro.core.lemma import HintDb
+def _corrupt_binding(result):
+    """Flip the first literal of a binding lemma's statement, if it has one."""
+    from repro.core.lemma import WrapStmt
 
-    clone = HintDb(db.name)
-    for lemma in db:
-        clone.register(wrapper_cls(lemma, strike, counter))
-    return clone
+    stmt, state, children = result
+    if isinstance(stmt, WrapStmt):
+        return None
+    mutated = corrupt_first_literal(stmt)
+    return None if mutated == stmt else (mutated, state, children)
+
+
+def _corrupt_expr(result):
+    """Add 1 to an expression lemma's emitted expression."""
+    expr, children = result
+    return b2.EOp("add", expr, b2.ELit(1)), children
 
 
 # -- Outcome classification ---------------------------------------------------------
@@ -184,19 +171,18 @@ def _compile_clean(case: FuzzCase, width: int = 64) -> CompiledFunction:
 
 
 def _classify_compiled_fault(
-    point: str,
     case: FuzzCase,
     bad: CompiledFunction,
     clean: CompiledFunction,
     rng: random.Random,
     width: int = 64,
-) -> Outcome:
+) -> Tuple[str, str]:
     if b2.fingerprint(bad.bedrock_fn) == b2.fingerprint(clean.bedrock_fn):
-        return Outcome(point, case.name, HARMLESS, "artifact unchanged")
+        return HARMLESS, "artifact unchanged"
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return Outcome(point, case.name, DETECTED, caught)
-    return Outcome(point, case.name, SILENT, "corrupted artifact validated")
+        return DETECTED, caught
+    return SILENT, "corrupted artifact validated"
 
 
 # -- Injection points ---------------------------------------------------------------
@@ -211,50 +197,27 @@ def _target_cases(rng: random.Random) -> List[FuzzCase]:
     ]
 
 
-def _inject_binding_lemma(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
+def _inject_lemma(
+    db_index: int, corrupt, case: FuzzCase, rng: random.Random, width: int
+) -> Tuple[str, str]:
+    """Compile with the ``db_index``-th default database's lemmas lying."""
     from repro.core.engine import Engine
+    from repro.core.lemma import HintDb
     from repro.stdlib import default_databases
 
     clean = _compile_clean(case, width)
-    binding_db, expr_db = default_databases()
+    databases = list(default_databases())
     counter = {"applications": 0, "corrupted": 0}
     strike = rng.randint(1, 3)
-    tampered = _wrapped_db(binding_db, _CorruptingBindingLemma, strike, counter)
+    tampered = HintDb(databases[db_index].name)
+    for lemma in databases[db_index]:
+        tampered.register(_CorruptingLemma(lemma, strike, counter, corrupt))
+    databases[db_index] = tampered
     try:
-        bad = Engine(tampered, expr_db, width=width).compile_function(
-            case.model, case.spec
-        )
+        bad = Engine(*databases, width=width).compile_function(case.model, case.spec)
     except CompileError as exc:
-        return Outcome(
-            "binding-lemma-corrupt", case.name, REJECTED, type(exc).__name__
-        )
-    except Exception as exc:  # noqa: BLE001
-        return Outcome("binding-lemma-corrupt", case.name, CRASH, repr(exc))
-    return _classify_compiled_fault(
-        "binding-lemma-corrupt", case, bad, clean, rng, width
-    )
-
-
-def _inject_expr_lemma(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
-    from repro.core.engine import Engine
-    from repro.stdlib import default_databases
-
-    clean = _compile_clean(case, width)
-    binding_db, expr_db = default_databases()
-    counter = {"applications": 0, "corrupted": 0}
-    strike = rng.randint(1, 3)
-    tampered = _wrapped_db(expr_db, _CorruptingExprLemma, strike, counter)
-    try:
-        bad = Engine(binding_db, tampered, width=width).compile_function(
-            case.model, case.spec
-        )
-    except CompileError as exc:
-        return Outcome(
-            "expr-lemma-corrupt", case.name, REJECTED, type(exc).__name__
-        )
-    except Exception as exc:  # noqa: BLE001
-        return Outcome("expr-lemma-corrupt", case.name, CRASH, repr(exc))
-    return _classify_compiled_fault("expr-lemma-corrupt", case, bad, clean, rng, width)
+        return REJECTED, type(exc).__name__
+    return _classify_compiled_fault(case, bad, clean, rng, width)
 
 
 def _solver_lie_target(name: str) -> FuzzCase:
@@ -280,12 +243,15 @@ def _solver_lie_target(name: str) -> FuzzCase:
     return FuzzCase(name, "solver_lie", model, spec, input_gen, "inplace")
 
 
-def _inject_lying_solver(_case: FuzzCase, rng: random.Random, width: int) -> Outcome:
+def _inject_lying_solver(
+    case: FuzzCase, rng: random.Random, width: int
+) -> Tuple[str, str]:
+    """Compile ``case`` (a :func:`_solver_lie_target`) with a solver that
+    proves everything."""
     from repro.core.engine import Engine
     from repro.core.solver import SolverBank
     from repro.stdlib import default_databases
 
-    case = _solver_lie_target("ft_solverlie")
     binding_db, expr_db = default_databases()
     bank = SolverBank()
 
@@ -298,19 +264,13 @@ def _inject_lying_solver(_case: FuzzCase, rng: random.Random, width: int) -> Out
             case.model, case.spec
         )
     except CompileError as exc:
-        return Outcome(
-            "solver-false-positive", case.name, REJECTED, type(exc).__name__
-        )
-    except Exception as exc:  # noqa: BLE001
-        return Outcome("solver-false-positive", case.name, CRASH, repr(exc))
+        return REJECTED, type(exc).__name__
     # There is no clean artifact to compare against (an honest compile
     # stalls), so classification rests entirely on the trusted checkers.
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return Outcome("solver-false-positive", case.name, DETECTED, caught)
-    return Outcome(
-        "solver-false-positive", case.name, SILENT, "unsound bound check validated"
-    )
+        return DETECTED, caught
+    return SILENT, "unsound bound check validated"
 
 
 class _RoguePass:
@@ -334,8 +294,10 @@ class _CrashingPass:
 
 
 def _inject_optimizer_pass(
-    case: FuzzCase, rng: random.Random, width: int, pass_obj, point: str
-) -> Outcome:
+    make_pass: Callable[[], object], case: FuzzCase, rng: random.Random, width: int
+) -> Tuple[str, str]:
+    """Run ``make_pass()`` over ``case``'s clean code under the per-pass
+    validator."""
     from repro.opt.manager import PassManager
     from repro.validation.passcheck import pass_validator
 
@@ -343,20 +305,15 @@ def _inject_optimizer_pass(
     validator = pass_validator(
         clean, trials=8, rng=random.Random(rng.getrandbits(32)), input_gen=case.input_gen
     )
-    manager = PassManager([pass_obj], width=width, validator=validator)
-    try:
-        fn, certificates = manager.run(clean.bedrock_fn)
-    except Exception as exc:  # noqa: BLE001
-        return Outcome(point, case.name, CRASH, repr(exc))
+    manager = PassManager([make_pass()], width=width, validator=validator)
+    fn, certificates = manager.run(clean.bedrock_fn)
     cert = certificates[0]
     if cert.status == "rejected":
         if b2.fingerprint(fn) == b2.fingerprint(clean.bedrock_fn):
-            return Outcome(point, case.name, DETECTED, f"rejected: {cert.detail}")
-        return Outcome(
-            point, case.name, SILENT, "pass rejected but artifact changed"
-        )
+            return DETECTED, f"rejected: {cert.detail}"
+        return SILENT, "pass rejected but artifact changed"
     if b2.fingerprint(fn) == b2.fingerprint(clean.bedrock_fn):
-        return Outcome(point, case.name, HARMLESS, "pass had no effect")
+        return HARMLESS, "pass had no effect"
     # The validator accepted a *changed* artifact.  Translation validation
     # legitimately accepts semantics-preserving rewrites (e.g. a mutated
     # literal in a dead binding), so ground-truth the acceptance with an
@@ -374,12 +331,8 @@ def _inject_optimizer_pass(
         width=width,
     )
     if recheck.ok:
-        return Outcome(
-            point, case.name, HARMLESS, "mutation was semantics-preserving"
-        )
-    return Outcome(
-        point, case.name, SILENT, f"validator accepted: {recheck.failures[0].kind}"
-    )
+        return HARMLESS, "mutation was semantics-preserving"
+    return SILENT, f"validator accepted: {recheck.failures[0].kind}"
 
 
 def _lying_range_oracle(expr: b2.Expr, env: dict, width: int):
@@ -433,100 +386,82 @@ def _rangeguard_lie_target(name: str) -> FuzzCase:
     return FuzzCase(name, "rangeguard_lie", model, spec, input_gen, "inplace")
 
 
-def _inject_lying_ranges(_case: FuzzCase, rng: random.Random, width: int) -> Outcome:
+def _lying_range_pass():
+    """Range-guard elimination driven by :func:`_lying_range_oracle`."""
     from repro.opt.passes import RangeGuardElimination
 
-    case = _rangeguard_lie_target("ft_rangelie")
-    return _inject_optimizer_pass(
-        case,
-        rng,
-        width,
-        RangeGuardElimination(oracle=_lying_range_oracle),
-        "optimizer-lying-ranges",
-    )
+    return RangeGuardElimination(oracle=_lying_range_oracle)
 
 
-def _inject_cert_phantom(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
-    from repro.core.certificate import Certificate, CertNode
-    from repro.validation.checker import CertificateError, check_certificate
-
-    clean = _compile_clean(case, width)
-
+def _phantom_lemma(root, rng: random.Random):
+    """Rename one randomly drawn node's lemma to one no database holds."""
     nodes = []
 
-    def collect(node: CertNode) -> None:
+    def collect(node) -> None:
         nodes.append(node)
         for child in node.children:
             collect(child)
 
-    collect(clean.certificate.root)
+    collect(root)
     victim = rng.choice(nodes)
-
-    def rewrite(node: CertNode) -> CertNode:
-        lemma = "phantom_lemma_3f2a" if node is victim else node.lemma
-        return CertNode(
-            lemma=lemma,
-            conclusion=node.conclusion,
-            code=node.code,
-            side_conditions=list(node.side_conditions),
-            children=[rewrite(c) for c in node.children],
-        )
-
-    tampered = Certificate(
-        function_name=clean.certificate.function_name,
-        root=rewrite(clean.certificate.root),
-        statements_compiled=clean.certificate.statements_compiled,
-    )
-    try:
-        check_certificate(tampered, statement_count=clean.statement_count())
-    except CertificateError as exc:
-        return Outcome("cert-phantom-lemma", case.name, DETECTED, str(exc))
-    except Exception as exc:  # noqa: BLE001
-        return Outcome("cert-phantom-lemma", case.name, CRASH, repr(exc))
-    return Outcome(
-        "cert-phantom-lemma", case.name, SILENT, "phantom lemma accepted"
+    return _copy_certificate(
+        root, rename=lambda node: "phantom_lemma_3f2a" if node is victim else node.lemma
     )
 
 
-def _inject_cert_drop_done(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
-    from repro.core.certificate import Certificate, CertNode
+def _drop_compile_done(root, rng: random.Random):
+    """Drop every ``compile_done`` node: the postcondition goes unchecked."""
+    return _copy_certificate(root, keep=lambda node: node.lemma != "compile_done")
+
+
+def _copy_certificate(node, rename=lambda node: node.lemma, keep=lambda node: True):
+    """Copy a certificate tree, renaming lemmas and keeping kept children."""
+    from repro.core.certificate import CertNode
+
+    return CertNode(
+        lemma=rename(node),
+        conclusion=node.conclusion,
+        code=node.code,
+        side_conditions=list(node.side_conditions),
+        children=[
+            _copy_certificate(child, rename, keep)
+            for child in node.children
+            if keep(child)
+        ],
+    )
+
+
+def _inject_cert_tamper(
+    tamper, missed: str, case: FuzzCase, rng: random.Random, width: int
+) -> Tuple[str, str]:
+    """Check the clean certificate with its tree rewritten by ``tamper``;
+    ``missed`` is the detail when the checker accepts it."""
+    from repro.core.certificate import Certificate
     from repro.validation.checker import CertificateError, check_certificate
 
     clean = _compile_clean(case, width)
-
-    def strip(node: CertNode) -> CertNode:
-        return CertNode(
-            lemma=node.lemma,
-            conclusion=node.conclusion,
-            code=node.code,
-            side_conditions=list(node.side_conditions),
-            children=[strip(c) for c in node.children if c.lemma != "compile_done"],
-        )
-
     tampered = Certificate(
         function_name=clean.certificate.function_name,
-        root=strip(clean.certificate.root),
+        root=tamper(clean.certificate.root, rng),
         statements_compiled=clean.certificate.statements_compiled,
     )
     try:
         check_certificate(tampered, statement_count=clean.statement_count())
     except CertificateError as exc:
-        return Outcome("cert-drop-compile-done", case.name, DETECTED, str(exc))
-    except Exception as exc:  # noqa: BLE001
-        return Outcome("cert-drop-compile-done", case.name, CRASH, repr(exc))
-    return Outcome(
-        "cert-drop-compile-done", case.name, SILENT, "postcondition check not required"
-    )
+        return DETECTED, str(exc)
+    return SILENT, missed
 
 
-def _inject_code_swap(case: FuzzCase, rng: random.Random, width: int) -> Outcome:
+def _inject_code_swap(
+    case: FuzzCase, rng: random.Random, width: int
+) -> Tuple[str, str]:
     """Mutate the code but keep the certificate: only replay can see this."""
     from dataclasses import replace
 
     clean = _compile_clean(case, width)
     mutated_body = corrupt_first_literal(clean.bedrock_fn.body)
     if mutated_body == clean.bedrock_fn.body:
-        return Outcome("cert-code-swap", case.name, HARMLESS, "no literal to flip")
+        return HARMLESS, "no literal to flip"
     bad = replace(
         clean,
         bedrock_fn=b2.Function(
@@ -538,33 +473,44 @@ def _inject_code_swap(case: FuzzCase, rng: random.Random, width: int) -> Outcome
     )
     caught = _run_trusted_checkers(bad, case, rng, width)
     if caught is not None:
-        return Outcome("cert-code-swap", case.name, DETECTED, caught)
-    return Outcome("cert-code-swap", case.name, SILENT, "swapped code validated")
+        return DETECTED, caught
+    return SILENT, "swapped code validated"
 
 
 # -- The campaign -------------------------------------------------------------------
 
 
+#: ``(point, inject, own target)``: each point runs ``inject(case, rng,
+#: width)`` against every planned target, or three times against its own
+#: fixed target where it needs one.
 INJECTION_POINTS = (
-    ("binding-lemma-corrupt", _inject_binding_lemma),
-    ("expr-lemma-corrupt", _inject_expr_lemma),
-    ("solver-false-positive", _inject_lying_solver),
+    ("binding-lemma-corrupt", partial(_inject_lemma, 0, _corrupt_binding), None),
+    ("expr-lemma-corrupt", partial(_inject_lemma, 1, _corrupt_expr), None),
     (
-        "optimizer-rogue-pass",
-        lambda case, rng, width: _inject_optimizer_pass(
-            case, rng, width, _RoguePass(), "optimizer-rogue-pass"
-        ),
+        "solver-false-positive",
+        _inject_lying_solver,
+        partial(_solver_lie_target, "ft_solverlie"),
+    ),
+    ("optimizer-rogue-pass", partial(_inject_optimizer_pass, _RoguePass), None),
+    ("optimizer-crashing-pass", partial(_inject_optimizer_pass, _CrashingPass), None),
+    (
+        "cert-phantom-lemma",
+        partial(_inject_cert_tamper, _phantom_lemma, "phantom lemma accepted"),
+        None,
     ),
     (
-        "optimizer-crashing-pass",
-        lambda case, rng, width: _inject_optimizer_pass(
-            case, rng, width, _CrashingPass(), "optimizer-crashing-pass"
+        "cert-drop-compile-done",
+        partial(
+            _inject_cert_tamper, _drop_compile_done, "postcondition check not required"
         ),
+        None,
     ),
-    ("cert-phantom-lemma", _inject_cert_phantom),
-    ("cert-drop-compile-done", _inject_cert_drop_done),
-    ("cert-code-swap", _inject_code_swap),
-    ("optimizer-lying-ranges", _inject_lying_ranges),
+    ("cert-code-swap", _inject_code_swap, None),
+    (
+        "optimizer-lying-ranges",
+        partial(_inject_optimizer_pass, _lying_range_pass),
+        partial(_rangeguard_lie_target, "ft_rangelie"),
+    ),
 )
 
 
@@ -577,30 +523,17 @@ def _plan(seed: int):
     """
     master = random.Random(seed)
     targets = _target_cases(master)
-    plan = [
-        (point_name, inject, target)
-        for point_name, inject in INJECTION_POINTS
-        for target in targets
-    ]
+    plan = []
+    for point, inject, own_target in INJECTION_POINTS:
+        cases = targets if own_target is None else [own_target()] * len(targets)
+        plan.extend((point, inject, case) for case in cases)
     return plan, [master.getrandbits(64) for _ in plan]
 
 
-def _inject_one(seed: int, index: int, width: int) -> Outcome:
-    from repro.obs.trace import NULL_SPAN, current_tracer
-
+def _inject_one(seed: int, index: int, width: int) -> Tuple[str, str]:
     plan, rng_seeds = _plan(seed)
-    point_name, inject, target = plan[index]
-    tracer = current_tracer()
-    span = (
-        tracer.span("fault_injection", name=point_name, program=target.name)
-        if tracer.enabled
-        else NULL_SPAN
-    )
-    with span:
-        try:
-            return inject(target, random.Random(rng_seeds[index]), width)
-        except Exception as exc:  # noqa: BLE001 - a leaky harness is a crash finding
-            return Outcome(point_name, target.name, CRASH, repr(exc))
+    _point, inject, target = plan[index]
+    return inject(target, random.Random(rng_seeds[index]), width)
 
 
 def run_faults(
@@ -619,16 +552,8 @@ def run_faults(
     ``fault_injection`` span.
     """
     plan, _ = _plan(seed)
-    plan = plan[:budget]
-    report = CampaignReport("fault campaign", seed, [], VOCABULARY)
-    items = [(seed, index, width) for index in range(len(plan))]
-    for index, outcome in enumerate(ordered_map(_inject_one, items, jobs)):
-        point_name, _, target = plan[index]
-        if isinstance(outcome, Lost):
-            outcome = Outcome(point_name, target.name, CRASH, outcome.detail)
-        if progress is not None:
-            progress(
-                f"injected {point_name} into {target.name} ({index + 1}/{len(plan)})"
-            )
-        report.add(outcome)
-    return report
+    rows = [
+        (point, target.name, _inject_one, (seed, index, width))
+        for index, (point, _inject, target) in enumerate(plan[:budget])
+    ]
+    return run_campaign("fault campaign", seed, VOCABULARY, rows, jobs, progress)

@@ -1,6 +1,6 @@
 """The lift fault campaign: drift that only ``--lift-validate`` catches.
 
-The 8-point campaign in :mod:`repro.resilience.faults` establishes that
+The 9-point campaign in :mod:`repro.resilience.faults` establishes that
 the per-artifact checkers catch *structural* lies.  This campaign
 targets the blind spot the lift-based cross-check exists for: an
 optimizer pass that changes semantics only on inputs the per-pass
@@ -45,10 +45,8 @@ from repro.resilience.campaign import (
     HARMLESS,
     SILENT,
     CampaignReport,
-    Lost,
-    Outcome,
     Vocabulary,
-    ordered_map,
+    run_campaign,
 )
 
 # Row outcomes beyond the shared ones.  HARMLESS: the target has no loop
@@ -136,24 +134,10 @@ def _inject_peel(prog, rng: random.Random, width: int) -> Tuple[str, str]:
     return SILENT, f"lift-validate returned {lift_cert.status!r} on drifted code"
 
 
-def _peel_one(name: str, rng_seed: int, width: int) -> Outcome:
-    from repro.obs.trace import NULL_SPAN, current_tracer
+def _peel_one(name: str, rng_seed: int, width: int) -> Tuple[str, str]:
     from repro.programs.registry import get_program
 
-    tracer = current_tracer()
-    span = (
-        tracer.span("fault_injection", name=POINT, program=name)
-        if tracer.enabled
-        else NULL_SPAN
-    )
-    with span:
-        try:
-            outcome, detail = _inject_peel(
-                get_program(name), random.Random(rng_seed), width
-            )
-        except Exception as exc:  # noqa: BLE001 - a leaky harness is a finding
-            outcome, detail = CRASH, repr(exc)
-    return Outcome(POINT, name, outcome, detail)
+    return _inject_peel(get_program(name), random.Random(rng_seed), width)
 
 
 def run_lift_faults(
@@ -172,7 +156,6 @@ def run_lift_faults(
     from repro.programs.registry import all_programs
 
     master = random.Random(seed)
-    report = CampaignReport("lift fault campaign", seed, [], VOCABULARY)
     eligible = [
         prog.name
         for prog in all_programs()
@@ -186,12 +169,8 @@ def run_lift_faults(
                 f"(eligible: {sorted(eligible)})"
             )
     names = [name for name in eligible if targets is None or name in targets]
-    names = names[:budget]
-    items = [(name, master.getrandbits(64), width) for name in names]
-    for index, outcome in enumerate(ordered_map(_peel_one, items, jobs)):
-        if isinstance(outcome, Lost):
-            outcome = Outcome(POINT, names[index], CRASH, outcome.detail)
-        if progress is not None:
-            progress(f"peeled {names[index]} ({index + 1}/{len(names)})")
-        report.add(outcome)
-    return report
+    rows = [
+        (POINT, name, _peel_one, (name, master.getrandbits(64), width))
+        for name in names[:budget]
+    ]
+    return run_campaign("lift fault campaign", seed, VOCABULARY, rows, jobs, progress)

@@ -38,10 +38,8 @@ from repro.resilience.campaign import (
     RECOVERED,
     SILENT,
     CampaignReport,
-    Lost,
-    Outcome,
     Vocabulary,
-    ordered_map,
+    run_campaign,
 )
 
 VOCABULARY = Vocabulary(
@@ -57,7 +55,7 @@ VOCABULARY = Vocabulary(
 # one ``(outcome, detail)`` pair and always tears its pool down.
 
 
-def _pool(tmp, **overrides):
+def _pool(tmp, worker_command: Optional[List[str]] = None, **overrides):
     from repro.serve.supervisor import Supervisor, SupervisorConfig
 
     defaults = dict(
@@ -75,7 +73,10 @@ def _pool(tmp, **overrides):
     defaults.update(overrides)
     cache_dir = os.path.join(tmp, "cache")
     return Supervisor(
-        SupervisorConfig(**defaults), cache_dir=cache_dir, allow_test_ops=True
+        SupervisorConfig(**defaults),
+        cache_dir=cache_dir,
+        allow_test_ops=True,
+        worker_command=worker_command,
     )
 
 
@@ -210,20 +211,15 @@ def _inject_crash_loop(tmp: str) -> Tuple[str, str]:
     it into 'unavailable' responses, not an infinite respawn loop."""
     import sys
 
-    from repro.serve.supervisor import Supervisor, SupervisorConfig
-
-    config = SupervisorConfig(
-        workers=1,
+    broken = [sys.executable, "-c", "import sys; sys.exit(3)"]
+    with _pool(
+        tmp,
+        worker_command=broken,
         request_timeout=5.0,
-        max_retries=1,
-        backoff_base=0.01,
         backoff_cap=0.05,
-        restart_window=60.0,
         max_restarts_in_window=2,
         spawn_timeout=10.0,
-    )
-    broken = [sys.executable, "-c", "import sys; sys.exit(3)"]
-    with Supervisor(config, worker_command=broken) as sup:
+    ) as sup:
         responses = [sup.submit({"op": "ping"}) for _ in range(4)]
         stats = sup.stats()
     if any(r.get("ok") for r in responses):
@@ -247,17 +243,13 @@ INJECTION_POINTS = (
 )
 
 
-def _run_point(index: int) -> Outcome:
-    """One injection point against a fresh pool in a fresh scratch dir."""
-    point, inject = INJECTION_POINTS[index]
-    tmp = tempfile.mkdtemp(prefix=f"serve-fault-{index}-")
+def _in_scratch(inject) -> Tuple[str, str]:
+    """Run one injection point in a fresh scratch directory."""
+    tmp = tempfile.mkdtemp(prefix=f"serve-fault-{inject.__name__}-")
     try:
-        outcome, detail = inject(tmp)
-    except Exception as exc:  # noqa: BLE001 - a leaky pool is the finding
-        outcome, detail = CRASH, repr(exc)
+        return inject(tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return Outcome(point, "serve", outcome, detail)
 
 
 def run_serve_faults(
@@ -272,14 +264,8 @@ def run_serve_faults(
     assertion: any exception escaping a point is a ``crash`` outcome,
     not an abort.
     """
-    report = CampaignReport("serve fault campaign", seed, [], VOCABULARY)
-    indices = range(len(INJECTION_POINTS))[:budget]
-    items = [(index,) for index in indices]
-    for index, outcome in enumerate(ordered_map(_run_point, items, jobs)):
-        point = INJECTION_POINTS[index][0]
-        if isinstance(outcome, Lost):
-            outcome = Outcome(point, "serve", CRASH, outcome.detail)
-        if progress is not None:
-            progress(f"injected {point} ({index + 1}/{len(items)})")
-        report.add(outcome)
-    return report
+    rows = [
+        (point, "serve", _in_scratch, (inject,))
+        for point, inject in INJECTION_POINTS[:budget]
+    ]
+    return run_campaign("serve fault campaign", seed, VOCABULARY, rows, jobs, progress)

@@ -131,7 +131,7 @@ def _check_entry(cache: CompilationCache, key: str, path: str) -> Optional[str]:
 
 def verify_cache(root: str, quarantine: bool = False) -> SweepReport:
     """Re-check every entry offline; optionally quarantine the corrupt ones."""
-    cache = CompilationCache(root, revalidate=True)
+    cache = CompilationCache(root)
     report = SweepReport(action="verify", root=root)
     for key, path in _iter_entries(root):
         report.scanned += 1
@@ -181,7 +181,7 @@ def repair_cache(root: str) -> SweepReport:
     """
     report = verify_cache(root, quarantine=True)
     report.action = "repair"
-    cache = CompilationCache(root, revalidate=True)
+    cache = CompilationCache(root)
 
     from repro.programs.registry import get_program
     from repro.serve.cache import compile_program_cached

@@ -272,16 +272,15 @@ class PublishLock:
 class CompilationCache:
     """A directory of re-validated, content-addressed derivations."""
 
-    def __init__(self, root: str, revalidate: bool = True):
+    def __init__(self, root: str):
         self.root = root
-        self.revalidate = revalidate
         self.stats = CacheStats()
         # (program name, opt level) -> (program, engine fingerprint,
         # model, spec, key): one entry per registry program and level.
         self._program_inputs: dict = {}
         # (sha256 of the entry's bytes as read, compile key) -> the
         # _CheckedEntry those bytes decoded to; filled only by a
-        # successful check with ``revalidate`` on.
+        # successful check.
         self._checked: "OrderedDict[Tuple[bytes, str], _CheckedEntry]" = OrderedDict()
         self._checked_lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
@@ -490,8 +489,7 @@ class CompilationCache:
                 return checked.bundle(spec, model), HIT
             try:
                 fn, certificate, opt_report = self._decode_entry(key, raw)
-                if self.revalidate:
-                    self._revalidate(fn, certificate, spec)
+                self._revalidate(fn, certificate, spec)
             except CacheRejected as rejection:
                 self.stats.invalidated += 1
                 reason = rejection.reason.split(":", 1)[0]
@@ -508,8 +506,6 @@ class CompilationCache:
                 return None, INVALIDATED
             self.stats.hits += 1
             self._trace_lookup(tracer, key, HIT, spec.fname)
-            if not self.revalidate:
-                return CompiledFunction(fn, certificate, spec, model, opt_report), HIT
             checked = self._remember(slot, _CheckedEntry(fn, certificate, opt_report))
             return checked.bundle(spec, model), HIT
 

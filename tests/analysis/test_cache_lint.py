@@ -85,8 +85,8 @@ def test_redirected_store_is_caught_by_lint_on_load(tmp_path):
 
 
 def test_tamper_is_invisible_to_the_other_checks(tmp_path):
-    """Control: with revalidation disabled the forged entry is served,
-    proving the lint (not an earlier layer) is what rejects it."""
+    """Control: the digest and decode accept the forged entry, proving
+    the lint (not an earlier layer) is what rejects it."""
     cache = CompilationCache(str(tmp_path))
     model, spec = copy_inputs()
     engine = default_engine()
@@ -101,12 +101,13 @@ def test_tamper_is_invisible_to_the_other_checks(tmp_path):
     )
     entry.pop("payload_sha")
     entry["payload_sha"] = _payload_digest(entry)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    raw = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(raw)
 
-    trusting = CompilationCache(str(tmp_path), revalidate=False)
-    bundle, outcome = trusting.lookup(key, model, spec)
-    assert outcome == HIT  # digest and decode alone accept the forgery
+    # The digest and decode alone accept the forgery.
+    fn, _certificate, _opt_report = cache._decode_entry(key, raw)
+    assert encode_function(fn) == entry["function"]
 
     honest = CompilationCache(str(tmp_path))
     bundle, outcome = honest.lookup(key, model, spec)

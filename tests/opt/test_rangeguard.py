@@ -297,12 +297,20 @@ def test_lying_oracle_is_rejected_and_reverted():
     """Deterministic end-to-end: a lying range oracle deletes a live
     guard; the per-pass differential certificate rejects the candidate
     and the pre-pass AST is kept, on every seed."""
-    from repro.resilience.faults import DETECTED, _inject_lying_ranges
+    from repro.resilience.faults import (
+        DETECTED,
+        _inject_optimizer_pass,
+        _lying_range_pass,
+        _rangeguard_lie_target,
+    )
 
+    case = _rangeguard_lie_target("ft_rangelie")
     for seed in (0, 1, 2):
-        outcome = _inject_lying_ranges(None, random.Random(seed), 64)
-        assert outcome.outcome == DETECTED, outcome
-        assert "rejected" in outcome.detail
+        outcome, detail = _inject_optimizer_pass(
+            _lying_range_pass, case, random.Random(seed), 64
+        )
+        assert outcome == DETECTED, detail
+        assert "rejected" in detail
 
 
 def test_lying_oracle_rejection_keeps_prepass_ast():

@@ -18,6 +18,7 @@ from repro.resilience.campaign import (
     Outcome,
     Vocabulary,
     ordered_map,
+    run_campaign,
 )
 from repro.resilience.lift_faults import run_lift_faults
 
@@ -29,6 +30,13 @@ def _double(log_path: str, value):
     if value == "killer":
         os._exit(3)
     return value * 2
+
+
+def _inject(log_path: str, value):
+    """A campaign row: ``"raise"`` escapes, ``"killer"`` kills its worker."""
+    if value == "raise":
+        raise ValueError("injected harness bug")
+    return DETECTED, str(_double(log_path, value))
 
 
 def _tracer_enabled() -> bool:
@@ -146,6 +154,53 @@ class TestCampaignReport:
         counters = tracer.metrics.to_dict()["counters"]
         assert counters["faults.injected"] == 1
         assert counters["faults.outcome.detected"] == 1
+
+
+class TestRunCampaign:
+    VOCABULARY = TestCampaignReport.VOCABULARY
+
+    def test_an_escaping_exception_is_a_crash_row(self, tmp_path):
+        log = str(tmp_path / "log")
+        rows = [
+            ("p0", "t0", _inject, (log, 1)),
+            ("p1", "t1", _inject, (log, "raise")),
+            ("p2", "t2", _inject, (log, 2)),
+        ]
+        lines = []
+        tracer = Tracer(name="campaign")
+        with use_tracer(tracer):
+            report = run_campaign(
+                "test campaign", 3, self.VOCABULARY, rows, progress=lines.append
+            )
+        assert report.outcomes == [
+            Outcome("p0", "t0", DETECTED, "2"),
+            Outcome("p1", "t1", CRASH, repr(ValueError("injected harness bug"))),
+            Outcome("p2", "t2", DETECTED, "4"),
+        ]
+        assert not report.ok and report.seed == 3
+        assert lines == [f"injected p{i} into t{i} ({i + 1}/3)" for i in range(3)]
+        spans = [
+            (event["name"], event["program"])
+            for event in tracer.events_by_type("span_open")
+            if event["kind"] == "fault_injection"
+        ]
+        assert spans == [("p0", "t0"), ("p1", "t1"), ("p2", "t2")]
+
+    def test_a_worker_death_is_a_crash_row_after_one_isolated_retry(self, tmp_path):
+        killer_log = str(tmp_path / "killer")
+        rows = [
+            ("p0", "t0", _inject, (str(tmp_path / "before"), 10)),
+            ("p1", "t1", _inject, (killer_log, "killer")),
+            ("p2", "t2", _inject, (str(tmp_path / "after"), 21)),
+        ]
+        report = run_campaign("test campaign", 0, self.VOCABULARY, rows, jobs=2)
+        assert [(o.point, o.target, o.outcome) for o in report.outcomes] == [
+            ("p0", "t0", DETECTED), ("p1", "t1", CRASH), ("p2", "t2", DETECTED),
+        ]
+        assert "BrokenProcessPool" in report.outcomes[1].detail
+        with open(killer_log) as fh:
+            assert fh.read().count("attempt") == 2, "first attempt plus one retry"
+        assert not report.ok
 
 
 class TestSerialParallelEquivalence:

@@ -23,6 +23,7 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 CAMPAIGNS = {
     "faults_seed0": ["faults", "--seed", "0", "--json"],
+    "lift_faults_seed0": ["faults", "--lift", "--seed", "0", "--json"],
     "fuzz_seed0_budget40": [
         "fuzz", "--seed", "0", "--budget", "40", "--trials", "4", "--json",
     ],

@@ -443,16 +443,6 @@ def test_table_stays_at_its_bound(tmp_path):
     assert len(cache._checked) == CHECKED_TABLE_SIZE
 
 
-def test_revalidate_off_never_fills_the_table(tmp_path):
-    cache = CompilationCache(str(tmp_path), revalidate=False)
-    program = get_program("xorsum")
-    compile_program_cached(cache, program)
-    for _ in range(3):
-        _bundle, outcome = compile_program_cached(cache, program)
-        assert outcome == HIT
-    assert len(cache._checked) == 0
-
-
 def test_verify_rechecks_entries_a_warm_handle_served(tmp_path, monkeypatch):
     """``repro cache verify`` is an uncached audit: it runs the chain on
     an entry that a warm handle has already checked and served."""
