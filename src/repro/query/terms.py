@@ -17,7 +17,8 @@ under -- and the core's generic traversals (``children``/``binders``,
 What remains per class is meaning: the duck-typed hooks the core
 consults on unknown heads -- ``pretty_node``
 (:mod:`repro.source.terms`), ``compile_node``
-(:mod:`repro.source.closures`, the one evaluation hook), ``infer_type_node``
+(:mod:`repro.source.closures`, the one evaluation hook: it emits the
+head's loop into the model's generated function), ``infer_type_node``
 (:mod:`repro.core.typecheck`), and the solver's length hooks -- so
 ``repro.source``/``repro.core`` never import this package.
 """
@@ -59,21 +60,12 @@ class QAggregate(t.Term):
 
     # -- core extension hooks -------------------------------------------------
 
-    def compile_node(self, compile):
-        count, init, body = compile(self.count), compile(self.init), compile(self.body)
-        idx_name, acc_name = self.idx_name, self.acc_name
-
-        def aggregate(ev, env, fx):
-            n = int(count(ev, env, fx))
-            acc = init(ev, env, fx)
-            inner = dict(env)
-            for index in range(n):
-                inner[idx_name] = index
-                inner[acc_name] = acc
-                acc = body(ev, inner, fx)
-            return acc
-
-        return aggregate
+    def compile_node(self, g):
+        count = g.int(self.count)
+        acc = g.local(g(self.init))
+        with g.range(count) as index, g.bind({self.idx_name: index, self.acc_name: acc}):
+            g.assign(acc, g(self.body))
+        return acc
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)
@@ -106,19 +98,12 @@ class QProjectInto(t.Term):
 
     # -- core extension hooks -------------------------------------------------
 
-    def compile_node(self, compile):
-        out, body, idx_name = compile.array(self.out), compile(self.body), self.idx_name
-
-        def project(ev, env, fx):
-            target = out(ev, env, fx)
-            inner = dict(env)
-            result = []
-            for index in range(len(target)):
-                inner[idx_name] = index
-                result.append(body(ev, inner, fx))
-            return result
-
-        return project
+    def compile_node(self, g):
+        out = g.array(self.out)
+        result = g.let("[]")
+        with g.range(f"len({out})") as index, g.bind({self.idx_name: index}):
+            g.emit(f"{result}.append({g(self.body)})")
+        return result
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.out)
@@ -183,25 +168,13 @@ class QJoinAgg(t.Term):
 
     # -- core extension hooks -------------------------------------------------
 
-    def compile_node(self, compile):
-        left_count, right_count = compile(self.left_count), compile(self.right_count)
-        init, body = compile(self.init), compile(self.body)
-        i_name, j_name, acc_name = self.i_name, self.j_name, self.acc_name
-
-        def join_agg(ev, env, fx):
-            left = int(left_count(ev, env, fx))
-            right = int(right_count(ev, env, fx))
-            acc = init(ev, env, fx)
-            inner = dict(env)
-            for i in range(left):
-                for j in range(right):
-                    inner[i_name] = i
-                    inner[j_name] = j
-                    inner[acc_name] = acc
-                    acc = body(ev, inner, fx)
-            return acc
-
-        return join_agg
+    def compile_node(self, g):
+        left, right = g.int(self.left_count), g.int(self.right_count)
+        acc = g.local(g(self.init))
+        with g.range(left) as i, g.range(right) as j, \
+                g.bind({self.i_name: i, self.j_name: j, self.acc_name: acc}):
+            g.assign(acc, g(self.body))
+        return acc
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)

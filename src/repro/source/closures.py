@@ -1,67 +1,176 @@
-"""The closure evaluator: each functional model compiled once into closures.
+"""The model evaluator: each functional model compiled once into Python source.
 
 This module is the executable meaning of source terms that every verdict
 rests on (DESIGN.md §7), as :mod:`repro.bedrock2.closures` is Bedrock2's.
-It compiles a ``Term`` into nested Python closures in which
+For each model ``Term`` and word width it generates the source of one
+Python function, compiles it with :func:`compile` and loads it with
+``exec``.  In the generated function
 
-- node-type dispatch happens once, at compile time, instead of walking an
-  ``isinstance`` chain at every node of every run;
-- each ``Prim`` is bound to its ``Op.impl`` at compile time, so a call no
-  longer looks the operation up or checks its arity;
-- a chain of ``let/n`` bindings copies the environment once, and a loop
-  copies it once, not once per binding or per iteration.
+- every node is one statement into a temporary (``t0``, ``t1``, ...), and
+  let-, loop- and parameter-bound names are Python locals (``v0``, ...):
+  a ``let/n`` binds its name to its value's local, so a binding chain or
+  a loop copies no environment;
+- each ``Prim`` is inlined from its template in :mod:`repro.source.ops`,
+  the template ``Op.impl`` is built from;
+- fuel is a local ``f``.  Nodes charge their tick at generation time, and
+  the ticks are added to ``f`` and checked against ``fuel`` where they can
+  next be observed: before an effect or a call out, before a loop and at
+  the end of each iteration, and at the return (a branch arm that spent
+  more than its twin adds the difference unchecked).
 
-What a run shows is fixed, in evaluation order: values, the effects in
+What a run shows is fixed, in evaluation order: values (a ``bool`` stays a
+``bool``, a ``CellV`` a ``CellV``), the effects in
 :class:`~repro.source.evaluator.EffectContext`, one fuel tick per node
-entry (``"evaluation fuel exhausted"`` once ``ev.fuel`` is spent), and the
-``EvalError``, ``TypeError`` and ``KeyError`` of a stuck node, raised when
-the node is reached.  A stuck node (an unknown operation, a wrong arity, a
-node with no ``compile_node``) compiles to a closure that raises its
-error.  Compiling raises only for a term nested deeper than
-:data:`MAX_DEPTH`, an ``EvalError`` naming the limit.  The tree-walker
-this module replaced is kept as a test oracle,
-``tests/source/tree_walker.py``, and
+entry (``"evaluation fuel exhausted"`` once ``ev.fuel`` is spent, with
+``ev._steps`` left at ``fuel + 1``), and the ``EvalError``, ``TypeError``
+and ``KeyError`` of a stuck node, raised when the node is reached.  A
+stuck node (an unknown operation, a wrong arity, a node with no
+``compile_node``) compiles to a statement that raises its error.  The
+generator records, for every line, how many ticks are still pending when
+it runs; an exception that reaches a function's handler adds those of its
+line (``_P``), and raises the fuel error instead when they pass the fuel,
+since the tree-walker would have stopped there first.  Before a call out
+(``Call``, the oracle, io, a helper) the pending ticks are checked and
+written back to ``ev._steps``, and its line is marked settled.  Compiling
+raises only for a term nested deeper than :data:`MAX_DEPTH`, an
+``EvalError`` naming the limit.  The tree-walker this module replaced is
+kept as a test oracle, ``tests/source/tree_walker.py``, and
 ``tests/source/test_model_eval_equivalence.py`` holds the two to that
 contract.
 
-A compiled closure is called as ``code(ev, env, fx)``.  The evaluator
-``ev`` carries the fuel counter (``ev._steps`` against ``ev.fuel``),
-``env`` the bindings and ``fx`` the effects; closures capture none of
-them, so one compiled model serves concurrent runs.  No closure mutates
-the ``env`` it is passed, which is what lets a binding chain or a loop
-extend one private copy.  Compiled forms live in a process-wide cache
-keyed by ``Term`` identity and held through a weakref, so an entry dies
-with its model.
+No string of a ``Term`` is spliced into the source: names map to
+identifiers the generator makes, operation and function names, messages,
+tables and non-int literals are constants (``k0``, ...) in the ``exec``
+namespace, and only ints are rendered, with ``repr(int(...))``.  A node
+that would open a block deeper than CPython allows in one function moves
+into a helper function (``h0``, ...) that takes the locals in scope and
+returns the node's value.
+
+The generated ``run(ev, env, fx)`` reads the free variables from ``env``
+once, at entry, and keeps no state between runs, so one compiled model
+serves concurrent runs.  Two caches: compiled models live in a
+process-wide cache keyed by ``Term`` identity and held through a weakref,
+so an entry dies with its model; behind it, code objects live in a
+bounded LRU keyed by the generated source.
 
 Extension terms (``Term`` subclasses defined outside ``repro.source``)
-evaluate through one hook, ``compile_node(compile)``.  It returns a
-closure ``(ev, env, fx) -> value`` for the node's work after its fuel
-tick (the compiler adds the tick), built from ``compile(child)`` and
-``compile.array(child)``.
+evaluate through one hook, ``compile_node(g)``.  After the node's tick it
+emits the node's work through the :class:`Generator` ``g`` and returns
+the Python expression of its value: ``g(child)`` and ``g.array(child)``
+evaluate a child, ``g.let``/``g.local``/``g.assign``/``g.emit`` write
+statements, ``g.range``/``g.each`` open loops and ``g.bind`` binds names
+(``docs/query.md`` walks through the query heads' hooks).
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
-from typing import Callable, Dict, List, Tuple
+from collections import OrderedDict
+from contextlib import contextmanager
+from types import CodeType
+from typing import ContextManager, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.source import terms as t
-from repro.source.evaluator import CellV, EffectContext, EvalError, Evaluator
-from repro.source.ops import REGISTRY, eval_op
-
-Code = Callable[[Evaluator, dict, EffectContext], object]
+from repro.source.evaluator import CellV, EvalError
+from repro.source.ops import REGISTRY, eval_op, render
 
 _FUEL = "evaluation fuel exhausted"
 
-#: How deep a term may nest.  Compiling takes two to four Python frames
-#: per level, and running a compiled term up to as many, so a term within
-#: the limit stays well inside CPython's default recursion limit of 1000.
+#: How deep a term may nest.  Generating takes two or three Python frames
+#: per level, so a term within the limit stays well inside CPython's
+#: default recursion limit of 1000.
 MAX_DEPTH = 200
 
+#: Generated code nests at most this deep (indentation levels, and
+#: ``for``/``try`` blocks) before a node moves into a helper function;
+#: CPython allows 100 and 20.
+MAX_INDENT = 48
+MAX_BLOCKS = 12
 
-# -- The cache ------------------------------------------------------------------
+#: Code objects kept by the source-keyed cache.
+CODE_CACHE_SIZE = 256
 
-_CACHE: Dict[int, Tuple["weakref.ref[t.Term]", Dict[int, Code]]] = {}
+
+def _settle(ev, fuel: int, steps: int, pending: Optional[int]) -> None:
+    """Write the steps of a run that raised, or raise the fuel error.
+
+    ``pending`` is what the raising line had not yet added to ``steps``;
+    ``None`` marks a call out, which wrote its steps back before it ran.
+    """
+    if pending is None:
+        return
+    steps += pending
+    if steps > fuel:
+        ev._steps = fuel + 1
+        raise EvalError(_FUEL) from None
+    ev._steps = steps
+
+
+def _not_array(value) -> EvalError:
+    return EvalError(f"expected an array, got {value!r}")
+
+
+def _out_of_bounds(what: str, index: int, length: int) -> EvalError:
+    return EvalError(f"{what}: index {index} out of bounds (length {length})")
+
+
+def _bad_let_tuple(count: int, value) -> EvalError:
+    return EvalError(f"let-tuple of {count} names got {value!r}")
+
+
+def _non_cell(what: str, value) -> EvalError:
+    return EvalError(f"{what} of non-cell value {value!r}")
+
+
+def _read(fx):
+    try:
+        return next(fx.io_input)
+    except StopIteration:
+        raise EvalError("io.read past end of input") from None
+
+
+#: What every generated namespace starts with.
+_RUNTIME = {
+    "_U": object(),  # the value of a free variable ``env`` does not bind
+    "_FUEL": _FUEL,
+    "_ANY": "any",
+    "_ALLOC": "alloc",
+    "_GET": "get",
+    "_PUT": "put",
+    "_settle": _settle,
+    "_not_array": _not_array,
+    "_out_of_bounds": _out_of_bounds,
+    "_bad_let_tuple": _bad_let_tuple,
+    "_non_cell": _non_cell,
+    "_read": _read,
+    "_eval_op": eval_op,
+    "EvalError": EvalError,
+    "CellV": CellV,
+}
+
+
+class CompiledModel:
+    """A model compiled for one word width.
+
+    ``run(ev, env, fx)`` evaluates it for the evaluator ``ev`` (its
+    ``fuel``, and ``_steps``, which the run leaves at what it spent), the
+    bindings ``env`` and the effects ``fx``.
+    """
+
+    __slots__ = ("source", "run")
+
+    def __init__(self, term: t.Term, width: int):
+        self.source, namespace = Generator(width).generate(term)
+        exec(_code(self.source), namespace)
+        self.run = namespace["run"]
+
+
+# -- The caches -----------------------------------------------------------------
+
+_CACHE: Dict[int, Tuple["weakref.ref[t.Term]", Dict[int, CompiledModel]]] = {}
+_CODE: "OrderedDict[str, CodeType]" = OrderedDict()
+_CODE_LOCK = threading.Lock()
 
 
 def _evictor(key: int):
@@ -73,7 +182,22 @@ def _evictor(key: int):
     return evict
 
 
-def compiled(term: t.Term, width: int) -> Code:
+def _code(source: str) -> CodeType:
+    """``source`` compiled, from the LRU or compiled once now."""
+    with _CODE_LOCK:
+        code = _CODE.get(source)
+        if code is not None:
+            _CODE.move_to_end(source)
+            return code
+    code = compile(source, "<model>", "exec")
+    with _CODE_LOCK:
+        _CODE[source] = code
+        if len(_CODE) > CODE_CACHE_SIZE:
+            _CODE.popitem(last=False)
+    return code
+
+
+def compiled(term: t.Term, width: int) -> CompiledModel:
     """``term`` compiled for ``width``, from the cache or compiled once now."""
     key = id(term)
     entry = _CACHE.get(key)
@@ -81,559 +205,657 @@ def compiled(term: t.Term, width: int) -> Code:
         try:
             ref = weakref.ref(term, _evictor(key))
         except TypeError:  # a slotted extension node without __weakref__
-            return Compiler(width)(term)
+            return CompiledModel(term, width)
         entry = (ref, {})
         _CACHE[key] = entry
     code = entry[1].get(width)
     if code is None:
-        code = entry[1][width] = Compiler(width)(term)
+        code = entry[1][width] = CompiledModel(term, width)
     return code
 
 
-# -- The compiler -----------------------------------------------------------------
+# -- The generator ----------------------------------------------------------------
 
 
-def _ticked(work: Code) -> Code:
-    """``work`` behind its node's fuel tick, one call deeper.
+class _Body:
+    """The lines of one generated function, each with the ticks pending
+    when it runs (``None``: settled, see :func:`_settle`)."""
 
-    The nodes a loop body runs through on every iteration (literals,
-    variables, primitives, conditionals, ``let/n`` chains, array and table
-    reads) tick inline instead; the rest are entered once per run or
-    rarely, so the extra call costs nothing measurable.
-    """
-
-    def ticked(ev, env, fx):
-        ev._steps += 1
-        if ev._steps > ev.fuel:
-            raise EvalError(_FUEL)
-        return work(ev, env, fx)
-
-    return ticked
+    def __init__(self):
+        self.lines: List[Tuple[str, Optional[int]]] = []
+        self.indent = 2  # inside ``def`` and ``try``
+        self.blocks = 1  # the ``try``
 
 
-def _bind(inner: dict, is_tuple: bool, names, value) -> None:
-    """One ``let/n`` link's binding, with ``LetTuple``'s arity check."""
-    if not is_tuple:
-        inner[names] = value
-        return
-    if not isinstance(value, tuple) or len(value) != len(names):
-        raise EvalError(f"let-tuple of {len(names)} names got {value!r}")
-    for binder, component in zip(names, value):
-        inner[binder] = component
+class _Branch:
+    """An ``if`` being generated: its test, its arms so far, and the state
+    each arm starts from."""
+
+    __slots__ = ("test", "entry", "untested", "facts", "outer", "arms")
+
+    def __init__(self, test: str, entry: int, untested: bool, facts: Set, outer: List):
+        self.test, self.entry, self.untested = test, entry, untested
+        self.facts, self.outer = facts, outer
+        self.arms: List[Tuple[List, int, bool]] = []
 
 
-class Compiler:
-    """Turns terms into closures for one word width.
+def _is_int_literal(code: str) -> bool:
+    return code.isdigit() or (code.startswith("(-") and code[2:-1].isdigit())
 
-    ``compiler(term)`` is the closure of ``term``: it ticks fuel on entry,
-    then does that node's work.  ``compiler.array(term)`` also checks that
-    the value is a list.
+
+class Generator:
+    """Generates the source of one model for one width.
+
+    ``g(term)`` emits the statements that evaluate ``term`` in the current
+    scope, charges its tick, and returns the Python expression of its
+    value: an identifier or an int literal.  The other public methods are
+    what a node's rule (and an extension's ``compile_node``) builds with.
     """
 
     def __init__(self, width: int):
         self.width = width
+        self.namespace = dict(_RUNTIME)
+        self.consts: Dict[object, str] = {}
+        self.body = _Body()
+        self.helpers: List[List[Tuple[str, Optional[int]]]] = []
+        self.pending = 0  # ticks charged but not yet added to ``f``
+        self.untested = False  # ``f`` grew since it was last tested
         self.depth = 0
+        self.temps = 0
+        self.scope: Dict[str, str] = {}  # bound name -> its expression
+        self.free: Dict[str, str] = {}  # free name -> the local read from env
+        self.facts: Set[Tuple[str, str]] = set()  # checks done on this path
+        self.kinds: Dict[str, str] = {}  # temporaries known to hold a list or an int
+        self.mutable: Set[str] = set()  # locals ``assign`` may change
+        self.aliased: Set[str] = set()  # temporaries a name is bound to
+        self.branches: List[_Branch] = []
 
-    def __call__(self, term: t.Term) -> Code:
+    # -- names and constants --
+
+    def const(self, value: object) -> str:
+        """The namespace name holding ``value``."""
+        key = (type(value), value) if isinstance(value, (str, int)) else id(value)
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = f"k{len(self.consts)}"
+            self.namespace[name] = value
+        return name
+
+    def fresh(self, prefix: str = "t") -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    # -- statements --
+
+    def emit(self, line: str) -> None:
+        self.body.lines.append((" " * self.body.indent + line, self.pending))
+
+    def let(self, code: str, kind: Optional[str] = None) -> str:
+        """A new temporary holding ``code``."""
+        name = self.fresh()
+        self.emit(f"{name} = {code}")
+        if kind is not None:
+            self.kinds[name] = kind
+        return name
+
+    def local(self, code: str) -> str:
+        """A new local holding ``code``, which :meth:`assign` may change."""
+        name = self.fresh("v")
+        self.emit(f"{name} = {code}")
+        self.mutable.add(name)
+        return name
+
+    def assign(self, local: str, code: str) -> None:
+        """``local = code``; ``code`` is read here only (see :meth:`inline`)."""
+        assert local in self.mutable, local
+        self.emit(f"{local} = {self.inline(code)}")
+
+    def inline(self, code: str) -> str:
+        """The expression of ``code`` when the last line just computed the
+        temporary ``code`` (the line is taken back), else ``code``.
+
+        The caller reads ``code`` here only: a temporary no name is bound
+        to is read by no one else, so it can become the target's own
+        right-hand side or an ``if`` test.
+        """
+        lines = self.body.lines
+        prefix = " " * self.body.indent + code + " = "
+        if code.startswith("t") and code not in self.aliased and lines \
+                and lines[-1][0].startswith(prefix) and lines[-1][1] is not None:
+            return lines.pop()[0][len(prefix):]
+        return code
+
+    def name(self, code: str) -> str:
+        """``code`` as an identifier, through a temporary if needed."""
+        if code.isidentifier():
+            return code
+        return self.let(code, "int" if _is_int_literal(code) else None)
+
+    def to_int(self, code: str) -> str:
+        if _is_int_literal(code) or self.kinds.get(code) == "int":
+            return code
+        return self.let(f"int({code})", "int")
+
+    def check(self, keep: int = 0, test: bool = True) -> None:
+        """Add the pending ticks but ``keep`` to ``f``, and stop when the
+        fuel is spent (unless not ``test``: the next check will)."""
+        spent = self.pending - keep
+        if spent > 0:
+            self.emit(f"f += {spent!r}")
+            self.pending = keep
+            self.untested |= not test
+        if test and (spent > 0 or self.untested):
+            self.emit("if f > fuel: raise EvalError(_FUEL)")
+            self.untested = False
+
+    def call(self, code: str) -> str:
+        """A new temporary holding ``code``, a call out of the model."""
+        name = self.fresh()
+        self.settled(f"{name} = {code}")
+        return name
+
+    def settled(self, line: str) -> None:
+        """``line``, run with the steps checked and written back."""
+        self.check()
+        self.emit("ev._steps = f")
+        self.body.lines.append((" " * self.body.indent + line, None))
+
+    # -- checks --
+
+    def _known(self, code: str, fact: str) -> bool:
+        return self.kinds.get(code) == fact or (code, fact) in self.facts
+
+    def _learn(self, code: str, fact: str) -> None:
+        if code not in self.mutable:
+            self.facts.add((code, fact))
+
+    def as_array(self, code: str) -> str:
+        code = self.name(code)
+        if not self._known(code, "list"):
+            self.emit(f"if not isinstance({code}, list): raise _not_array({code})")
+            self._learn(code, "list")
+        return code
+
+    def array(self, term: t.Term) -> str:
+        """``g(term)``, checked to be a list."""
+        return self.as_array(self(term))
+
+    def int(self, term: t.Term) -> str:
+        """``int(g(term))``."""
+        return self.to_int(self(term))
+
+    def index(self, term: t.Term, what: str, length: str) -> str:
+        """``int(g(term))``, bounds-checked against ``length``."""
+        index = self.int(term)
+        self.emit(
+            f"if not 0 <= {index} < {length}: "
+            f"raise _out_of_bounds({self.const(what)}, {index}, {length})"
+        )
+        return index
+
+    # -- scopes and blocks --
+
+    @contextmanager
+    def bind(self, names: Dict[str, str]) -> Iterator[None]:
+        """Bind each source name in ``names`` to its expression."""
+        saved = {name: self.scope.get(name) for name in names}
+        self.scope.update(names)
+        self.aliased.update(names.values())
+        try:
+            yield
+        finally:
+            for name, code in saved.items():
+                if code is None:
+                    del self.scope[name]
+                else:
+                    self.scope[name] = code
+
+    @contextmanager
+    def _loop(self, header: str, var: str) -> Iterator[str]:
+        self.check()  # each iteration starts with nothing pending
+        self.emit(header)
+        body, facts = self.body, self.facts
+        start = len(body.lines)
+        body.indent += 1
+        body.blocks += 1
+        self.facts = set(facts)
+        try:
+            yield var
+            self.check()
+            if len(body.lines) == start:
+                self.emit("pass")
+        finally:
+            body.indent -= 1
+            body.blocks -= 1
+            self.facts = facts
+
+    def range(self, args: str) -> ContextManager[str]:
+        """A loop ``for <int> in range(args)``; yields the loop variable."""
+        var = self.fresh("v")
+        self.kinds[var] = "int"
+        return self._loop(f"for {var} in range({args}):", var)
+
+    def each(self, values: str) -> ContextManager[str]:
+        """A loop over the list ``values``; yields the loop variable."""
+        var = self.fresh("v")
+        return self._loop(f"for {var} in {values}:", var)
+
+    def break_if(self, test: str) -> None:
+        """Leave the innermost loop when ``test`` holds."""
+        self.emit(f"if {self.inline(test)}:")
+        self.body.indent += 1
+        kept = self.pending, self.untested
+        self.check()
+        self.emit("break")
+        self.pending, self.untested = kept
+        self.body.indent -= 1
+
+    def open_if(self, test: str) -> None:
+        """Start ``if test:``; what is emitted until :meth:`open_else` or
+        :meth:`close_if` is its first arm."""
+        test = self.inline(test)
+        self.branches.append(
+            _Branch(test, self.pending, self.untested, self.facts, self.body.lines)
+        )
+        self.body.lines = []
+        self.body.indent += 1
+        self.facts = set(self.facts)
+
+    def open_else(self) -> None:
+        branch = self.branches[-1]
+        branch.arms.append((self.body.lines, self.pending, self.untested))
+        self.body.lines = []
+        self.pending, self.untested = branch.entry, branch.untested
+        self.facts = set(branch.facts)
+
+    def close_if(self) -> None:
+        """End the ``if``; an arm that spent more ticks than the other adds
+        the difference to ``f``, so both leave the same ticks pending."""
+        branch = self.branches.pop()
+        branch.arms.append((self.body.lines, self.pending, self.untested))
+        if len(branch.arms) < 2:
+            branch.arms.append(([], branch.entry, branch.untested))
+        common = min(pending for _, pending, _ in branch.arms)
+        body = self.body
+        body.lines = branch.outer
+        body.indent -= 1
+        untested = False
+        for keyword, (lines, pending, arm_untested) in zip(
+            (f"if {branch.test}:", "else:"), branch.arms
+        ):
+            self.untested = arm_untested
+            if keyword == "else:" and not lines and pending == common:
+                untested |= self.untested
+                continue
+            self.pending = branch.entry
+            self.emit(keyword)
+            start = len(body.lines)
+            body.indent += 1
+            body.lines += lines
+            self.pending = pending
+            self.check(keep=common, test=False)
+            if len(body.lines) == start:
+                self.emit("pass")
+            body.indent -= 1
+            untested |= self.untested
+        self.pending, self.untested, self.facts = common, untested, branch.facts
+
+    # -- nodes --
+
+    def __call__(self, term: t.Term) -> str:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise EvalError(
-                f"term nests deeper than the closure evaluator's limit of {MAX_DEPTH}"
+                f"term nests deeper than the model evaluator's limit of {MAX_DEPTH}"
             )
-        method = _DISPATCH.get(type(term))
-        if method is None:
-            method = next(
-                (m for cls, m in _DISPATCH.items() if isinstance(term, cls)), None
-            )
-        code = self.extension(term) if method is None else method(self, term)
+        helper = None
+        if (
+            (self.body.indent >= MAX_INDENT or self.body.blocks >= MAX_BLOCKS)
+            and not isinstance(term, (t.Lit, t.Var))
+        ):
+            helper = self._enter_helper()
+        self.pending += 1  # the node's tick
+        rule = _DISPATCH.get(type(term))
+        if rule is None:
+            rule = next((r for cls, r in _DISPATCH.items() if isinstance(term, cls)), None)
+        code = self._extension(term) if rule is None else rule(self, term)
+        if helper is not None:
+            code = self._leave_helper(helper, code)
         self.depth -= 1
         return code
 
-    def array(self, term: t.Term) -> Code:
+    def _extension(self, term: t.Term) -> str:
+        hook = getattr(term, "compile_node", None)
+        if hook is not None:
+            return hook(self)
+        self.emit(f"raise EvalError({self.const(f'cannot evaluate {term!r}')})")
+        return "_U"
+
+    # -- helpers --
+
+    def _enter_helper(self):
+        self.check()
+        saved = (self.body, self.facts)
+        self.body = _Body()
+        self.facts = set(self.facts)
+        return saved
+
+    def _leave_helper(self, saved, code: str) -> str:
+        self.check()
+        body = self.body
+        self.body, self.facts = saved
+        name = f"h{len(self.helpers)}"
+        params = sorted(
+            {c for c in self.scope.values() if c.isidentifier() and c not in self.namespace}
+            | set(self.free.values()),
+            key=lambda c: (c[0], int(c[1:])),
+        )
+        args = "".join(f", {p}" for p in params)
+        self.helpers.append(self._function(f"def {name}(ev, fx, fuel{args}):", [], body, code))
+        result = self.fresh()
+        self.settled(f"{result} = {name}(ev, fx, fuel{args})")
+        self.emit("f = ev._steps")
+        return result
+
+    def _function(self, header: str, prologue: List[str], body: _Body, code: str):
+        lines: List[Tuple[str, Optional[int]]] = [(header, None)]
+        lines += [(" " + line, None) for line in prologue + ["f = ev._steps", "try:"]]
+        lines += body.lines
+        lines += [
+            ("  ev._steps = f", 0),
+            (f"  return {code}", 0),
+            (" except Exception as e:", None),
+            ("  _settle(ev, fuel, f, _P[e.__traceback__.tb_lineno])", None),
+            ("  raise", None),
+        ]
+        return lines
+
+    def generate(self, term: t.Term) -> Tuple[str, Dict[str, object]]:
+        """The module source (helpers, then ``run``) and its namespace."""
         code = self(term)
-
-        def array(ev, env, fx):
-            value = code(ev, env, fx)
-            if not isinstance(value, list):
-                raise EvalError(f"expected an array, got {value!r}")
-            return value
-
-        return array
-
-    def index(self, term: t.Term, what: str) -> Callable:
-        """``(ev, env, fx, length) -> int``, bounds-checked against ``length``."""
-        code = self(term)
-
-        def index(ev, env, fx, length):
-            value = int(code(ev, env, fx))
-            if not 0 <= value < length:
-                raise EvalError(f"{what}: index {value} out of bounds (length {length})")
-            return value
-
-        return index
+        self.check()
+        prologue = ["fuel = ev.fuel"] + [
+            f"{local} = env.get({self.const(name)}, _U)" for name, local in self.free.items()
+        ]
+        run = self._function("def run(ev, env, fx):", prologue, self.body, code)
+        lines = [line for helper in self.helpers for line in helper] + run
+        self.namespace["_P"] = (None,) + tuple(pending for _, pending in lines)
+        return "".join(text + "\n" for text, _ in lines), self.namespace
 
     # -- the pure core --
 
-    def lit(self, term: t.Lit) -> Code:
+    def _lit(self, term: t.Lit) -> str:
         value = term.value
+        if type(value) is int:
+            return repr(int(value)) if value >= 0 else f"({int(value)!r})"
         if isinstance(value, tuple):  # array literals: a fresh list per run
+            return self.let(f"list({self.const(value)})", "list")
+        return self.const(value)
 
-            def array_lit(ev, env, fx):
-                ev._steps += 1
-                if ev._steps > ev.fuel:
-                    raise EvalError(_FUEL)
-                return list(value)
+    def _var(self, term: t.Var) -> str:
+        code = self.scope.get(term.name)
+        if code is not None:
+            return code
+        local = self._free(term.name)
+        if not self._known(local, "bound"):
+            message = self.const(f"unbound variable {term.name!r}")
+            self.emit(f"if {local} is _U: raise EvalError({message})")
+            self._learn(local, "bound")
+        return local
 
-            return array_lit
+    def _free(self, name: str) -> str:
+        local = self.free.get(name)
+        if local is None:
+            local = self.free[name] = self.fresh("v")
+        return local
 
-        def lit(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            return value
-
-        return lit
-
-    def var(self, term: t.Var) -> Code:
-        name = term.name
-
-        def var(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-
-        return var
-
-    def prim(self, term: t.Prim) -> Code:
-        args = tuple(self(a) for a in term.args)
+    def _prim(self, term: t.Prim) -> str:
+        args = [self(a) for a in term.args]
         op = REGISTRY.get(term.op)
         if op is None or op.arity != len(args):
             # Stuck: eval_op raises its KeyError or TypeError
             # once the arguments have been evaluated.
-            name, width = term.op, self.width
+            self.emit(f"_eval_op({self.const(term.op)}, {self.width!r}, [{', '.join(args)}])")
+            return "_U"
+        code = render(op.template, args, self.width)
+        return code if code in args else self.let(code)
 
-            def stuck(ev, env, fx):
-                return eval_op(name, width, [a(ev, env, fx) for a in args])
+    def _let(self, term: t.Let) -> str:
+        value = self(term.value)
+        with self.bind({term.name: value}):
+            return self(term.body)
 
-            return _ticked(stuck)
-        impl, width = op.impl, self.width
-        if len(args) == 2:
-            f, g = args
+    def _let_tuple(self, term: t.LetTuple) -> str:
+        value = self.name(self(term.value))
+        count = len(term.names)
+        self.emit(
+            f"if not isinstance({value}, tuple) or len({value}) != {count!r}: "
+            f"raise _bad_let_tuple({count!r}, {value})"
+        )
+        items = [self.fresh("v") for _ in term.names]
+        if items:
+            self.emit(f"{''.join(f'{item}, ' for item in items)}= {value}")
+        with self.bind(dict(zip(term.names, items))):
+            return self(term.body)
 
-            def prim2(ev, env, fx):
-                ev._steps += 1
-                if ev._steps > ev.fuel:
-                    raise EvalError(_FUEL)
-                a = f(ev, env, fx)
-                return impl(width, a, g(ev, env, fx))
+    def _if(self, term: t.If) -> str:
+        test = self(term.cond)
+        result = self.fresh()
+        self.open_if(test)
+        self.emit(f"{result} = {self.inline(self(term.then_))}")
+        self.open_else()
+        self.emit(f"{result} = {self.inline(self(term.else_))}")
+        self.close_if()
+        return result
 
-            return prim2
-        if len(args) == 1:
-            (f,) = args
-
-            def prim1(ev, env, fx):
-                ev._steps += 1
-                if ev._steps > ev.fuel:
-                    raise EvalError(_FUEL)
-                return impl(width, f(ev, env, fx))
-
-            return prim1
-
-        def prim(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            return impl(width, *[a(ev, env, fx) for a in args])
-
-        return prim
-
-    def binding(self, term: t.Term) -> Code:
-        """A chain of ``Let``/``LetTuple`` nodes: one env copy for the chain.
-
-        Each link ticks at its own entry, evaluates its value in the env
-        built so far, then binds.  The copy is private to the chain, so
-        binding in place is invisible outside it.
-        """
-        links: List[Tuple[bool, object, Code]] = []
-        while isinstance(term, (t.Let, t.LetTuple)):
-            if isinstance(term, t.Let):
-                links.append((False, term.name, self(term.value)))
-            else:
-                links.append((True, term.names, self(term.value)))
-            term = term.body
-        body = self(term)
-        (first_is_tuple, first_names, first), rest = links[0], tuple(links[1:])
-
-        def chain(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            value = first(ev, env, fx)
-            inner = dict(env)
-            _bind(inner, first_is_tuple, first_names, value)
-            for is_tuple, names, code in rest:
-                ev._steps += 1
-                if ev._steps > ev.fuel:
-                    raise EvalError(_FUEL)
-                if is_tuple:
-                    _bind(inner, True, names, code(ev, inner, fx))
-                else:
-                    inner[names] = code(ev, inner, fx)
-            return body(ev, inner, fx)
-
-        return chain
-
-    def if_(self, term: t.If) -> Code:
-        cond, then_, else_ = self(term.cond), self(term.then_), self(term.else_)
-
-        def if_(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            if cond(ev, env, fx):
-                return then_(ev, env, fx)
-            return else_(ev, env, fx)
-
-        return if_
-
-    def tuple_(self, term: t.TupleTerm) -> Code:
-        items = tuple(self(a) for a in term.items)
-        return _ticked(lambda ev, env, fx: tuple([item(ev, env, fx) for item in items]))
+    def _tuple(self, term: t.TupleTerm) -> str:
+        items = [self(a) for a in term.items]
+        return self.let("(" + "".join(f"{item}, " for item in items) + ")")
 
     # -- arrays --
 
-    def array_len(self, term: t.ArrayLen) -> Code:
-        arr = self.array(term.arr)
+    def _array_len(self, term: t.ArrayLen) -> str:
+        return self.let(f"len({self.array(term.arr)})", "int")
 
-        def array_len(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            return len(arr(ev, env, fx))
+    def _array_get(self, term: t.ArrayGet) -> str:
+        values = self.array(term.arr)
+        index = self.index(term.index, "get", f"len({values})")
+        return self.let(f"{values}[{index}]")
 
-        return array_len
-
-    def array_get(self, term: t.ArrayGet) -> Code:
-        arr, index = self.array(term.arr), self.index(term.index, "get")
-
-        def array_get(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            values = arr(ev, env, fx)
-            return values[index(ev, env, fx, len(values))]
-
-        return array_get
-
-    def array_put(self, term: t.ArrayPut) -> Code:
-        arr, index = self.array(term.arr), self.index(term.index, "put")
+    def _array_put(self, term: t.ArrayPut) -> str:
+        values = self.array(term.arr)
+        index = self.index(term.index, "put", f"len({values})")
         value = self(term.value)
+        fresh = self.let(f"list({values})", "list")
+        self.emit(f"{fresh}[{index}] = {value}")
+        return fresh
 
-        def array_put(ev, env, fx):
-            values = arr(ev, env, fx)
-            i = index(ev, env, fx, len(values))
-            new = value(ev, env, fx)
-            fresh = list(values)
-            fresh[i] = new
-            return fresh
+    def _array_map(self, term: t.ArrayMap) -> str:
+        values = self.array(term.arr)
+        out = self.let("[]", "list")
+        with self.each(values) as elem, self.bind({term.elem_name: elem}):
+            self.emit(f"{out}.append({self.inline(self(term.body))})")
+        return out
 
-        return _ticked(array_put)
+    def _array_fold(self, term: t.ArrayFold) -> str:
+        values = self.array(term.arr)
+        acc = self.local(self(term.init))
+        with self.each(values) as elem, self.bind({term.acc_name: acc, term.elem_name: elem}):
+            self.assign(acc, self(term.body))
+        return acc
 
-    def array_map(self, term: t.ArrayMap) -> Code:
-        arr, body, elem_name = self.array(term.arr), self(term.body), term.elem_name
-
-        def array_map(ev, env, fx):
-            values = arr(ev, env, fx)
-            inner = dict(env)
-            out = []
-            for elem in values:
-                inner[elem_name] = elem
-                out.append(body(ev, inner, fx))
-            return out
-
-        return _ticked(array_map)
-
-    def array_fold(self, term: t.ArrayFold) -> Code:
-        arr, init, body = self.array(term.arr), self(term.init), self(term.body)
-        acc_name, elem_name = term.acc_name, term.elem_name
-
-        def array_fold(ev, env, fx):
-            values = arr(ev, env, fx)
-            acc = init(ev, env, fx)
-            inner = dict(env)
-            for elem in values:
-                inner[acc_name] = acc
-                inner[elem_name] = elem
-                acc = body(ev, inner, fx)
-            return acc
-
-        return _ticked(array_fold)
-
-    def array_fold_break(self, term: t.ArrayFoldBreak) -> Code:
-        arr, init, body = self.array(term.arr), self(term.init), self(term.body)
-        pred = self(term.break_pred)
-        acc_name, elem_name = term.acc_name, term.elem_name
-
-        def array_fold_break(ev, env, fx):
-            values = arr(ev, env, fx)
-            acc = init(ev, env, fx)
+    def _array_fold_break(self, term: t.ArrayFoldBreak) -> str:
+        values = self.array(term.arr)
+        acc = self.local(self(term.init))
+        with self.each(values) as elem:
             # The predicate sees the accumulator but not the element.
-            pred_env = dict(env)
-            inner = dict(env)
-            for elem in values:
-                pred_env[acc_name] = acc
-                if pred(ev, pred_env, fx):
-                    break
-                inner[acc_name] = acc
-                inner[elem_name] = elem
-                acc = body(ev, inner, fx)
-            return acc
+            with self.bind({term.acc_name: acc}):
+                self.break_if(self(term.break_pred))
+            with self.bind({term.acc_name: acc, term.elem_name: elem}):
+                self.assign(acc, self(term.body))
+        return acc
 
-        return _ticked(array_fold_break)
+    def _ranged_for(self, term: t.RangedFor) -> str:
+        start, stop, init = self(term.lo), self(term.hi), self(term.init)
+        start, stop = self.to_int(start), self.to_int(stop)
+        acc = self.local(init)
+        with self.range(f"{start}, {stop}") as index, \
+                self.bind({term.idx_name: index, term.acc_name: acc}):
+            self.assign(acc, self(term.body))
+        return acc
 
-    def ranged_for(self, term: t.RangedFor) -> Code:
-        lo, hi, init, body = self(term.lo), self(term.hi), self(term.init), self(term.body)
-        idx_name, acc_name = term.idx_name, term.acc_name
+    def _nat_iter(self, term: t.NatIter) -> str:
+        count, init = self(term.count), self(term.init)
+        count = self.to_int(count)
+        acc = self.local(init)
+        with self.range(count), self.bind({term.acc_name: acc}):
+            self.assign(acc, self(term.body))
+        return acc
 
-        def ranged_for(ev, env, fx):
-            start = lo(ev, env, fx)
-            stop = hi(ev, env, fx)
-            acc = init(ev, env, fx)
-            inner = dict(env)
-            for index in range(int(start), int(stop)):
-                inner[idx_name] = index
-                inner[acc_name] = acc
-                acc = body(ev, inner, fx)
-            return acc
+    def _first_n(self, term: t.FirstN) -> str:
+        count = self.int(term.count)
+        return self.let(f"{self.array(term.arr)}[:{count}]", "list")
 
-        return _ticked(ranged_for)
+    def _skip_n(self, term: t.SkipN) -> str:
+        count = self.int(term.count)
+        return self.let(f"{self.array(term.arr)}[{count}:]", "list")
 
-    def nat_iter(self, term: t.NatIter) -> Code:
-        count, init, body = self(term.count), self(term.init), self(term.body)
-        acc_name = term.acc_name
-
-        def nat_iter(ev, env, fx):
-            n = count(ev, env, fx)
-            acc = init(ev, env, fx)
-            inner = dict(env)
-            for _ in range(int(n)):
-                inner[acc_name] = acc
-                acc = body(ev, inner, fx)
-            return acc
-
-        return _ticked(nat_iter)
-
-    def first_n(self, term: t.FirstN) -> Code:
-        count, arr = self(term.count), self.array(term.arr)
-
-        def first_n(ev, env, fx):
-            n = int(count(ev, env, fx))
-            return arr(ev, env, fx)[:n]
-
-        return _ticked(first_n)
-
-    def skip_n(self, term: t.SkipN) -> Code:
-        count, arr = self(term.count), self.array(term.arr)
-
-        def skip_n(ev, env, fx):
-            n = int(count(ev, env, fx))
-            return arr(ev, env, fx)[n:]
-
-        return _ticked(skip_n)
-
-    def append(self, term: t.Append) -> Code:
-        first, second = self.array(term.first), self.array(term.second)
-        return _ticked(lambda ev, env, fx: first(ev, env, fx) + second(ev, env, fx))
+    def _append(self, term: t.Append) -> str:
+        first = self.array(term.first)
+        return self.let(f"{first} + {self.array(term.second)}", "list")
 
     # -- tables and cells --
 
-    def table_get(self, term: t.TableGet) -> Code:
-        data = term.data
-        index = self.index(term.index, "InlineTable.get")
+    def _table_get(self, term: t.TableGet) -> str:
+        data = self.const(term.data)
+        index = self.index(term.index, "InlineTable.get", repr(int(len(term.data))))
+        return self.let(f"{data}[{index}]")
 
-        def table_get(ev, env, fx):
-            ev._steps += 1
-            if ev._steps > ev.fuel:
-                raise EvalError(_FUEL)
-            return data[index(ev, env, fx, len(data))]
+    def _cell(self, term: t.Term, what: str) -> str:
+        cell = self.name(self(term))
+        self.emit(f"if not isinstance({cell}, CellV): raise _non_cell({what}, {cell})")
+        return cell
 
-        return table_get
+    def _cell_get(self, term: t.CellGet) -> str:
+        return self.let(f"{self._cell(term.cell, '_GET')}.value")
 
-    def cell_get(self, term: t.CellGet) -> Code:
-        cell = self(term.cell)
+    def _cell_put(self, term: t.CellPut) -> str:
+        self._cell(term.cell, "_PUT")
+        return self.let(f"CellV({self(term.value)})")
 
-        def cell_get(ev, env, fx):
-            value = cell(ev, env, fx)
-            if not isinstance(value, CellV):
-                raise EvalError(f"get of non-cell value {value!r}")
-            return value.value
+    def _annotation(self, term: t.Term) -> str:
+        return self(term.value)  # Stack and Copy unfold away
 
-        return _ticked(cell_get)
-
-    def cell_put(self, term: t.CellPut) -> Code:
-        cell, value = self(term.cell), self(term.value)
-
-        def cell_put(ev, env, fx):
-            old = cell(ev, env, fx)
-            if not isinstance(old, CellV):
-                raise EvalError(f"put of non-cell value {old!r}")
-            return CellV(value(ev, env, fx))
-
-        return _ticked(cell_put)
-
-    def annotation(self, term: t.Term) -> Code:
-        return _ticked(self(term.value))  # Stack and Copy unfold away
-
-    def call(self, term: t.Call) -> Code:
-        func, args = term.func, tuple(self(a) for a in term.args)
-
-        def call(ev, env, fx):
-            fns = env.get("__functions__")
-            if not isinstance(fns, dict) or func not in fns:
-                raise EvalError(f"no model for external function {func!r}")
-            return fns[func](*[a(ev, env, fx) for a in args])
-
-        return _ticked(call)
+    def _call(self, term: t.Call) -> str:
+        fns = self.name(self.scope.get("__functions__") or self._free("__functions__"))
+        func = self.const(term.func)
+        message = self.const(f"no model for external function {term.func!r}")
+        self.emit(f"if not isinstance({fns}, dict) or {func} not in {fns}: "
+                  f"raise EvalError({message})")
+        args = [self(a) for a in term.args]
+        return self.call(f"{fns}[{func}]({', '.join(args)})")
 
     # -- monads --
 
-    def m_ret(self, term: t.MRet) -> Code:
+    def _m_ret(self, term: t.MRet) -> str:
+        result = self.fresh()
+        self.open_if("fx.error")
+        self.emit(f"{result} = 0")
+        self.open_else()
+        self.emit(f"{result} = {self(term.value)}")
+        self.close_if()
+        return result
+
+    def _m_bind(self, term: t.MBind) -> str:
+        result = self.fresh()
+        self.open_if("fx.error")
+        self.emit(f"{result} = 0")
+        self.open_else()
+        value = self(term.ma)
+        self.open_if("fx.error")
+        self.emit(f"{result} = 0")
+        self.open_else()
+        with self.bind({term.name: value}):
+            self.emit(f"{result} = {self(term.body)}")
+        self.close_if()
+        self.close_if()
+        return result
+
+    def _err_guard(self, term: t.ErrGuard) -> str:
+        self.open_if("not fx.error")
+        self.open_if(f"not ({self.inline(self(term.cond))})")
+        self.check()
+        self.emit("fx.error = True")
+        self.close_if()
+        self.close_if()
+        return "0"
+
+    def _io_read(self, term: t.IORead) -> str:
+        return self.call("_read(fx)")
+
+    def _io_write(self, term: t.IOWrite) -> str:
         value = self(term.value)
+        self.settled(f"fx.io_output.append(int({value}))")
+        return value
 
-        def m_ret(ev, env, fx):
-            if fx.error:
-                return 0
-            return value(ev, env, fx)
-
-        return _ticked(m_ret)
-
-    def m_bind(self, term: t.MBind) -> Code:
-        ma, body, name = self(term.ma), self(term.body), term.name
-
-        def m_bind(ev, env, fx):
-            if fx.error:
-                return 0
-            value = ma(ev, env, fx)
-            if fx.error:
-                return 0
-            inner = dict(env)
-            inner[name] = value
-            return body(ev, inner, fx)
-
-        return _ticked(m_bind)
-
-    def err_guard(self, term: t.ErrGuard) -> Code:
-        cond = self(term.cond)
-
-        def err_guard(ev, env, fx):
-            if not fx.error and not cond(ev, env, fx):
-                fx.error = True
-            return 0
-
-        return _ticked(err_guard)
-
-    def io_read(self, term: t.IORead) -> Code:
-        def io_read(ev, env, fx):
-            try:
-                return next(fx.io_input)
-            except StopIteration:
-                raise EvalError("io.read past end of input") from None
-
-        return _ticked(io_read)
-
-    def io_write(self, term: t.IOWrite) -> Code:
+    def _writer_tell(self, term: t.WriterTell) -> str:
         value = self(term.value)
+        self.settled(f"fx.writer_output.append(int({value}))")
+        return value
 
-        def io_write(ev, env, fx):
-            result = value(ev, env, fx)
-            fx.io_output.append(int(result))
-            return result
+    def _nd_any(self, term: t.NdAny) -> str:
+        return self.call(f"fx.oracle(_ANY, {self.const(term.ty)})")
 
-        return _ticked(io_write)
+    def _nd_alloc_bytes(self, term: t.NdAllocBytes) -> str:
+        name = self.call(f"list(fx.oracle(_ALLOC, {self.const(term.nbytes)}))")
+        self.kinds[name] = "list"
+        return name
 
-    def writer_tell(self, term: t.WriterTell) -> Code:
+    def _st_get(self, term: t.StGet) -> str:
+        return self.let("fx.state")
+
+    def _st_put(self, term: t.StPut) -> str:
         value = self(term.value)
-
-        def writer_tell(ev, env, fx):
-            result = value(ev, env, fx)
-            fx.writer_output.append(int(result))
-            return result
-
-        return _ticked(writer_tell)
-
-    def nd_any(self, term: t.NdAny) -> Code:
-        ty = term.ty
-        return _ticked(lambda ev, env, fx: fx.oracle("any", ty))
-
-    def nd_alloc_bytes(self, term: t.NdAllocBytes) -> Code:
-        nbytes = term.nbytes
-        return _ticked(lambda ev, env, fx: list(fx.oracle("alloc", nbytes)))
-
-    def st_get(self, term: t.StGet) -> Code:
-        return _ticked(lambda ev, env, fx: fx.state)
-
-    def st_put(self, term: t.StPut) -> Code:
-        value = self(term.value)
-
-        def st_put(ev, env, fx):
-            fx.state = value(ev, env, fx)
-            return fx.state
-
-        return _ticked(st_put)
-
-    # -- extension nodes --
-
-    def extension(self, term: t.Term) -> Code:
-        hook = getattr(term, "compile_node", None)
-        if hook is not None:
-            return _ticked(hook(self))
-        message = f"cannot evaluate {term!r}"
-
-        def unknown(ev, env, fx):
-            raise EvalError(message)
-
-        return _ticked(unknown)
+        self.check()
+        self.emit(f"fx.state = {value}")
+        return value
 
 
 # The core heads, in a fixed order; a subclass of a core node that is not
-# listed by its own type compiles as its first match.
-_DISPATCH: Dict[type, Callable[[Compiler, t.Term], Code]] = {
-    t.Lit: Compiler.lit,
-    t.Var: Compiler.var,
-    t.Prim: Compiler.prim,
-    t.Let: Compiler.binding,
-    t.LetTuple: Compiler.binding,
-    t.If: Compiler.if_,
-    t.TupleTerm: Compiler.tuple_,
-    t.ArrayLen: Compiler.array_len,
-    t.ArrayGet: Compiler.array_get,
-    t.ArrayPut: Compiler.array_put,
-    t.ArrayMap: Compiler.array_map,
-    t.ArrayFold: Compiler.array_fold,
-    t.ArrayFoldBreak: Compiler.array_fold_break,
-    t.RangedFor: Compiler.ranged_for,
-    t.NatIter: Compiler.nat_iter,
-    t.FirstN: Compiler.first_n,
-    t.SkipN: Compiler.skip_n,
-    t.Append: Compiler.append,
-    t.TableGet: Compiler.table_get,
-    t.CellGet: Compiler.cell_get,
-    t.CellPut: Compiler.cell_put,
-    t.Stack: Compiler.annotation,
-    t.Copy: Compiler.annotation,
-    t.Call: Compiler.call,
-    t.MRet: Compiler.m_ret,
-    t.MBind: Compiler.m_bind,
-    t.ErrGuard: Compiler.err_guard,
-    t.IORead: Compiler.io_read,
-    t.IOWrite: Compiler.io_write,
-    t.WriterTell: Compiler.writer_tell,
-    t.NdAny: Compiler.nd_any,
-    t.NdAllocBytes: Compiler.nd_alloc_bytes,
-    t.StGet: Compiler.st_get,
-    t.StPut: Compiler.st_put,
+# listed by its own type generates as its first match.
+_DISPATCH = {
+    t.Lit: Generator._lit,
+    t.Var: Generator._var,
+    t.Prim: Generator._prim,
+    t.Let: Generator._let,
+    t.LetTuple: Generator._let_tuple,
+    t.If: Generator._if,
+    t.TupleTerm: Generator._tuple,
+    t.ArrayLen: Generator._array_len,
+    t.ArrayGet: Generator._array_get,
+    t.ArrayPut: Generator._array_put,
+    t.ArrayMap: Generator._array_map,
+    t.ArrayFold: Generator._array_fold,
+    t.ArrayFoldBreak: Generator._array_fold_break,
+    t.RangedFor: Generator._ranged_for,
+    t.NatIter: Generator._nat_iter,
+    t.FirstN: Generator._first_n,
+    t.SkipN: Generator._skip_n,
+    t.Append: Generator._append,
+    t.TableGet: Generator._table_get,
+    t.CellGet: Generator._cell_get,
+    t.CellPut: Generator._cell_put,
+    t.Stack: Generator._annotation,
+    t.Copy: Generator._annotation,
+    t.Call: Generator._call,
+    t.MRet: Generator._m_ret,
+    t.MBind: Generator._m_bind,
+    t.ErrGuard: Generator._err_guard,
+    t.IORead: Generator._io_read,
+    t.IOWrite: Generator._io_write,
+    t.WriterTell: Generator._writer_tell,
+    t.NdAny: Generator._nd_any,
+    t.NdAllocBytes: Generator._nd_alloc_bytes,
+    t.StGet: Generator._st_get,
+    t.StPut: Generator._st_put,
 }

@@ -18,10 +18,10 @@ nondeterminism monad consults an *oracle* -- validation picks the oracle
 that mirrors the compiled code's actual choices, which is the existential
 direction of the nondeterminism lift described in §3.4.1.
 
-:meth:`Evaluator.eval` runs a term compiled into closures by
-:mod:`repro.source.closures`, the one executable meaning of models
-(DESIGN.md §7).  The tree-walker it replaced, one ``isinstance`` case per
-head, is kept as a test oracle in ``tests/source/tree_walker.py``.
+:meth:`Evaluator.eval` runs a term compiled into one generated Python
+function by :mod:`repro.source.closures`, the one executable meaning of
+models (DESIGN.md §7).  The tree-walker it replaced, one ``isinstance``
+case per head, is kept as a test oracle in ``tests/source/tree_walker.py``.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class EffectContext:
 class Evaluator:
     """Evaluates terms at a given target word width.
 
-    :meth:`eval` runs the term compiled into closures
-    (:mod:`repro.source.closures`), charging one unit of ``fuel`` per
-    node entered; ``_steps`` is what the last run spent.
+    :meth:`eval` runs the term compiled into one generated Python
+    function (:mod:`repro.source.closures`), charging one unit of
+    ``fuel`` per node entered; ``_steps`` is what the last run spent.
     """
 
     def __init__(self, width: int = 64, fuel: int = 10_000_000):
@@ -85,8 +85,9 @@ class Evaluator:
         effects: Optional[EffectContext] = None,
     ) -> object:
         self._steps = 0
-        return closures.compiled(term, self.width)(
-            self, dict(env or {}), effects or EffectContext()
+        # The generated code reads ``env`` once and never writes it.
+        return closures.compiled(term, self.width).run(
+            self, env or {}, effects or EffectContext()
         )
 
 
@@ -100,5 +101,5 @@ def eval_term(
     return Evaluator(width=width).eval(term, env, effects)
 
 
-# Imported last: the closure compiler builds on the names above.
+# Imported last: the model evaluator builds on the names above.
 from repro.source import closures  # noqa: E402

@@ -10,6 +10,7 @@ operationally enforces the separation-logic frame.
 
 from __future__ import annotations
 
+import operator
 import random
 import struct
 from dataclasses import dataclass
@@ -213,18 +214,12 @@ def eval_model(
 ) -> ModelResult:
     """Evaluate the model and align its results with the spec's outputs."""
     inputs = list(io_input or ())
-    consumed = {"n": 0}
-
-    def counting_reads():
-        for value in inputs:
-            consumed["n"] += 1
-            yield value
-
-    fx = EffectContext(io_input=counting_reads())
+    reads = iter(inputs)
+    fx = EffectContext(io_input=reads)
     if oracle is not None:
         fx.oracle = oracle
-    env = dict(param_values)
-    result = Evaluator(width=width).eval(model.term, env, fx)
+    # The evaluator reads ``param_values`` and never writes it.
+    result = Evaluator(width=width).eval(model.term, param_values, fx)
     components = list(result) if isinstance(result, tuple) else [result]
     value_outputs = [o for o in spec.outputs if o.kind is not OutKind.ERROR_FLAG]
     if len(components) != len(value_outputs):
@@ -247,7 +242,7 @@ def eval_model(
         outputs=components,
         io_output=fx.io_output,
         writer_output=fx.writer_output,
-        reads_consumed=consumed["n"],
+        reads_consumed=len(inputs) - operator.length_hint(reads),
         error=fx.error,
     )
 

@@ -1,11 +1,10 @@
-"""The closure evaluator's cache lifetime, per-width entries and thread safety."""
+"""The model evaluator's caches, per-width entries and thread safety."""
 
 from __future__ import annotations
 
 import gc
 import sys
 import threading
-import types
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.programs import get_program
 from repro.source import closures
 from repro.source import terms as t
 from repro.source.evaluator import EvalError, Evaluator
-from repro.source.types import ARRAY_WORD, WORD
+from repro.source.types import ARRAY_WORD, BYTE, WORD
 from tests.source.tree_walker import TreeWalker
 
 
@@ -63,26 +62,16 @@ def test_entries_are_per_width():
     assert set(closures._CACHE[id(term)][1]) == {32, 64}
 
 
-def _reachable(obj, seen=None):
-    """Every object reachable through closure cells, tuples and lists."""
-    seen = set() if seen is None else seen
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    yield obj
-    if isinstance(obj, types.FunctionType):
-        for cell in obj.__closure__ or ():
-            yield from _reachable(cell.cell_contents, seen)
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _reachable(item, seen)
-
-
 def test_no_closure_references_a_term():
+    # The compiled model holds its source, its function and the function's
+    # namespace of constants; none of them keeps the model alive.
     model = get_program("crc32").build_model().term
-    reached = list(_reachable(closures.compiled(model, 64)))
-    assert len(reached) > 20
-    assert not [o for o in reached if isinstance(o, t.Term)]
+    code = closures.compiled(model, 64)
+    namespace = code.run.__globals__
+    assert namespace is not vars(closures)
+    assert code.run.__closure__ is None
+    assert len(namespace) > 10
+    assert not [v for v in namespace.values() if isinstance(v, t.Term)]
 
 
 def test_cache_stays_bounded_over_fresh_models():
@@ -94,6 +83,30 @@ def test_cache_stays_bounded_over_fresh_models():
     del term
     gc.collect()
     assert len(closures._CACHE) <= before
+
+
+def test_code_cache_is_a_bounded_lru_keyed_by_source():
+    capacity = closures.CODE_CACHE_SIZE
+    for tag in range(capacity + 40):
+        assert Evaluator().eval(_sum_model(0x10_000 + tag), {"xs": [1]}) == 0x10_001 + tag
+        assert len(closures._CODE) <= capacity
+    assert len(closures._CODE) == capacity
+    newest = closures.compiled(_sum_model(0x10_000 + capacity + 39), 64).source
+    assert next(reversed(closures._CODE)) == newest
+
+
+def test_models_that_differ_only_in_constants_share_code():
+    # Tables and names are namespace constants, so two such models
+    # generate the same source: one code object, two namespaces.
+    def model(name, data):
+        return t.Let(name, t.Var("x"), t.TableGet(data, BYTE, t.Var(name)))
+
+    first = closures.compiled(model("i", (1, 2, 3)), 64)
+    second = closures.compiled(model("j", (7, 8, 9)), 64)
+    assert first.source == second.source
+    assert first.run.__code__ is second.run.__code__
+    assert Evaluator().eval(model("i", (1, 2, 3)), {"x": 1}) == 2
+    assert Evaluator().eval(model("j", (7, 8, 9)), {"x": 1}) == 8
 
 
 # -- Concurrency -------------------------------------------------------------------
@@ -148,7 +161,7 @@ def _mret_nest(depth: int) -> t.Term:
 
 def test_a_term_too_deep_to_compile_is_an_eval_error():
     limit = closures.MAX_DEPTH
-    message = f"term nests deeper than the closure evaluator's limit of {limit}"
+    message = f"term nests deeper than the model evaluator's limit of {limit}"
     for depth in (sys.getrecursionlimit() * 2 // 3, sys.getrecursionlimit() * 3 // 2):
         assert depth > limit
         evaluator = Evaluator()

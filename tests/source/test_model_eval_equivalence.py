@@ -1,7 +1,7 @@
-"""The closure evaluator agrees with the tree-walker oracle.
+"""The model evaluator agrees with the tree-walker oracle.
 
-``Evaluator.eval`` runs functional models compiled into closures
-(:mod:`repro.source.closures`); :class:`TreeWalker`
+``Evaluator.eval`` runs functional models compiled into generated Python
+functions (:mod:`repro.source.closures`); :class:`TreeWalker`
 (``tests/source/tree_walker.py``) walks the term instead, and is the
 reference here.
 Over the Table 2, query and fuzz models, at widths 32 and 64, on boundary
@@ -10,7 +10,7 @@ step count, ``io_output``, ``writer_output``, ``state``, error flag and
 reads consumed, or the same exception type and message; under every fuel
 bound up to the exact requirement plus 2, the same result or the same
 ``EvalError``; and on hand-built stuck terms, the same error.  The last
-tests inject mutants into the compiler and check that this comparator
+tests inject mutants into the generator and check that this comparator
 catches each one.
 """
 
@@ -186,9 +186,8 @@ class PlusOne(t.Term):
 
     value: t.Term
 
-    def compile_node(self, compile):
-        value = compile(self.value)
-        return lambda ev, env, fx: value(ev, env, fx) + 1
+    def compile_node(self, g):
+        return g.let(f"{g(self.value)} + 1")
 
 
 class Reference(TreeWalker):
@@ -315,7 +314,7 @@ def test_bad_arity_never_reached_is_harmless():
 def test_compiling_never_raises():
     for term, _ in STUCK.values():
         for width in WIDTHS:
-            closures.Compiler(width)(term)
+            closures.CompiledModel(term, width)
 
 
 def test_a_head_with_no_hook_is_stuck_when_reached():
@@ -363,49 +362,51 @@ def test_fuel_sweep_every_node_form():
 
 # -- Mutants ------------------------------------------------------------------------
 #
-# Each mutant breaks one rule of the closure compiler.  The comparator over
-# the corpora above must flag every one of them.
+# Each mutant breaks one rule of the generator.  The comparator over the
+# corpora above must flag every one of them.
 
 
-def _fold_skips_first(self, term):
-    arr, init, body = self.array(term.arr), self(term.init), self(term.body)
-
-    def fold(ev, env, fx):
-        ev._steps += 1
-        values, acc = arr(ev, env, fx), init(ev, env, fx)
-        inner = dict(env)
-        for elem in values[1:]:
-            inner[term.acc_name], inner[term.elem_name] = acc, elem
-            acc = body(ev, inner, fx)
-        return acc
-
-    return fold
+def _fold_skips_first(g, term):
+    values = g.array(term.arr)
+    acc = g.local(g(term.init))
+    with g.each(f"{values}[1:]") as elem, \
+            g.bind({term.acc_name: acc, term.elem_name: elem}):
+        g.assign(acc, g(term.body))
+    return acc
 
 
-def _get_unchecked(self, term):
-    arr, index = self.array(term.arr), self(term.index)
-
-    def get(ev, env, fx):
-        ev._steps += 1
-        values = arr(ev, env, fx)
-        return values[int(index(ev, env, fx)) % max(len(values), 1)] if values else 0
-
-    return get
+def _get_unchecked(g, term):
+    values = g.array(term.arr)
+    index = g.int(term.index)
+    return g.let(f"{values}[{index} % len({values})] if {values} else 0")
 
 
-def _lit_without_tick(self, term):
-    value = term.value
-    return lambda ev, env, fx: list(value) if isinstance(value, tuple) else value
+def _lit_without_tick(g, term):
+    g.pending -= 1  # takes back the tick the generator charged
+    return closures.Generator._lit(g, term)
 
 
-def _if_swapped(self, term):
-    cond, then_, else_ = self(term.cond), self(term.then_), self(term.else_)
+def _if_swapped(g, term):
+    test = g(term.cond)
+    result = g.fresh()
+    g.open_if(test)
+    g.emit(f"{result} = {g(term.else_)}")
+    g.open_else()
+    g.emit(f"{result} = {g(term.then_)}")
+    g.close_if()
+    return result
 
-    def if_(ev, env, fx):
-        ev._steps += 1
-        return else_(ev, env, fx) if cond(ev, env, fx) else then_(ev, env, fx)
 
-    return if_
+def _get_check_outside_ticks(g, term):
+    # The ticks charged before the bounds check are summed with those
+    # after it, as if the check could not raise.
+    values = g.array(term.arr)
+    index = g.int(term.index)
+    pending, g.pending = g.pending, 0
+    g.emit(f"if not 0 <= {index} < len({values}): "
+           f"raise _out_of_bounds({g.const('get')}, {index}, len({values}))")
+    g.pending += pending
+    return g.let(f"{values}[{index}]")
 
 
 MUTANTS = {
@@ -413,6 +414,7 @@ MUTANTS = {
     "get-drops-bounds-check": (t.ArrayGet, _get_unchecked),
     "lit-drops-fuel-tick": (t.Lit, _lit_without_tick),
     "if-swaps-branches": (t.If, _if_swapped),
+    "ticks-summed-across-get-check": (t.ArrayGet, _get_check_outside_ticks),
 }
 
 
@@ -438,9 +440,9 @@ def _mutation_corpus():
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_comparator_catches_mutant(mutant):
-    node, compile_fn = MUTANTS[mutant]
+    node, rule = MUTANTS[mutant]
     corpus = _mutation_corpus()
     assert not _caught(corpus)
-    with mock.patch.dict(closures._DISPATCH, {node: compile_fn}), \
+    with mock.patch.dict(closures._DISPATCH, {node: rule}), \
             mock.patch.dict(closures._CACHE, clear=True):
         assert _caught(corpus), f"mutant {mutant} survived"

@@ -1,11 +1,12 @@
-"""The model tree-walker the closure evaluator replaced, kept as an oracle.
+"""The model tree-walker the model evaluator replaced, kept as an oracle.
 
 :meth:`repro.source.evaluator.Evaluator.eval` runs every functional model
-compiled into closures (:mod:`repro.source.closures`).  This module keeps
+compiled into a generated Python function (:mod:`repro.source.closures`).
+This module keeps
 the meaning of source terms in its most direct form: one ``isinstance``
 case per head, recursing over the term, with the query heads'
 (:mod:`repro.query.terms`) cases inline.
-``tests/source/test_model_eval_equivalence.py`` holds the closure
+``tests/source/test_model_eval_equivalence.py`` holds the generated
 evaluator to it on values, effects, fuel and errors, and
 ``benchmarks/bench_exec.py`` times one against the other.  A test that
 builds a head of its own subclasses :class:`TreeWalker` and overrides
