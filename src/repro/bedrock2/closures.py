@@ -2,8 +2,8 @@
 
 This module is the executable semantics of Bedrock2 that every verdict
 rests on (DESIGN.md §7).  For each ``Function`` and word width it
-generates the source of one Python function, compiles it with
-:func:`compile` and loads it with ``exec``.
+generates the source of one Python function, which :mod:`repro.codegen`
+(shared with the model evaluator) compiles, loads and caches.
 In the generated function
 
 - Bedrock2 locals are Python locals holding masked ``int`` s, fuel is a
@@ -39,30 +39,18 @@ contract.  A ``while`` or ``if`` nested deeper than CPython allows in
 one function moves into a helper function that takes and returns every
 local.
 
-No string of the AST is spliced into the source: Bedrock2 names map to
-identifiers the generator makes (``v0``, ``v1``, ...), function and
-action names, messages and inline tables are constants (``k0``, ...) in
-the ``exec`` namespace, and only ints are rendered, with
-``repr(int(...))``.  Reads the sound must-defined pass
+Bedrock2 names map to identifiers the generator makes (``v0``, ``v1``,
+...); function and action names, messages and inline tables are
+namespace constants (``k0``, ...).  Reads the sound must-defined pass
 (:func:`repro.bedrock2.wellformed.bound_at_entry`) does not prove bound
 check for the unset sentinel, which ``SUnset`` stores.
-
-Two caches: compiled functions live in a process-wide cache keyed by
-``Function`` identity and held through a weakref, so one compile serves
-every :class:`Interpreter` built over the same AST and an entry dies with
-its AST; behind it, code objects live in a bounded LRU keyed by the
-generated source, so structurally identical functions (a re-derived
-program, an unchanged pass candidate) are compiled by CPython once.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
-from types import CodeType
 from typing import Dict, List, Sequence, Tuple
 
+from repro import codegen
 from repro.bedrock2 import ast, wellformed
 from repro.bedrock2.memory import MemoryError_
 from repro.bedrock2.semantics import (
@@ -77,15 +65,6 @@ from repro.bedrock2.semantics import (
 from repro.bedrock2.word import Word
 
 _FUEL = "ran out of fuel (nonterminating loop?)"
-
-#: Generated code nests at most this deep (indentation levels, and
-#: ``while``/``try`` blocks) before it moves a statement into a helper
-#: function; CPython allows 100 and 20.
-MAX_INDENT = 48
-MAX_BLOCKS = 12
-
-#: Code objects kept by the source-keyed cache.
-CODE_CACHE_SIZE = 256
 
 
 class _Unset:
@@ -152,76 +131,28 @@ _RUNTIME = {
     "Word": Word,
 }
 
-class CompiledFunction:
-    """A function body compiled for one word width.
+
+def _build(fn: ast.Function, width: int) -> codegen.Compiled:
+    """``fn``'s body compiled for ``width``.
 
     ``run(interp, state, fuel, *args)`` takes the arguments as masked
     ints and returns the results as a tuple of them.
     """
-
-    __slots__ = ("name", "args", "rets", "width", "source", "run")
-
-    def __init__(self, fn: ast.Function, width: int):
-        self.name = fn.name
-        self.args = fn.args
-        self.rets = fn.rets
-        self.width = width
-        self.source, namespace = _Generator(fn, width).generate()
-        exec(_code(self.source), namespace)
-        self.run = namespace["run"]
+    return codegen.Compiled(*_Generator(fn, width).generate(), "<bedrock2>")
 
 
-# -- The caches -----------------------------------------------------------------
-
-_CACHE: Dict[int, Tuple["weakref.ref[ast.Function]", Dict[int, CompiledFunction]]] = {}
-_CODE: "OrderedDict[str, CodeType]" = OrderedDict()
-_CODE_LOCK = threading.Lock()
-
-
-def _evictor(key: int):
-    def evict(ref) -> None:
-        entry = _CACHE.get(key)
-        if entry is not None and entry[0] is ref:
-            del _CACHE[key]
-
-    return evict
-
-
-def _code(source: str) -> CodeType:
-    """``source`` compiled, from the LRU or compiled once now."""
-    with _CODE_LOCK:
-        code = _CODE.get(source)
-        if code is not None:
-            _CODE.move_to_end(source)
-            return code
-    code = compile(source, "<bedrock2>", "exec")
-    with _CODE_LOCK:
-        _CODE[source] = code
-        if len(_CODE) > CODE_CACHE_SIZE:
-            _CODE.popitem(last=False)
-    return code
-
-
-def compiled(fn: ast.Function, width: int) -> CompiledFunction:
+def compiled(fn: ast.Function, width: int) -> codegen.Compiled:
     """``fn`` compiled for ``width``, from the cache or compiled once now."""
-    key = id(fn)
-    entry = _CACHE.get(key)
-    if entry is None or entry[0]() is not fn:
-        entry = (weakref.ref(fn, _evictor(key)), {})
-        _CACHE[key] = entry
-    code = entry[1].get(width)
-    if code is None:
-        code = entry[1][width] = CompiledFunction(fn, width)
-    return code
+    return codegen.compiled(fn, width, _build)
 
 
 def call(
     interp, fn: ast.Function, args: Sequence[Word], state: MachineState, fuel: int
 ) -> List[Word]:
     """Run ``fn`` on ``args`` (checked by :meth:`Interpreter.function`)."""
-    code = compiled(fn, interp.width)
-    width = code.width
-    rets = code.run(interp, state, fuel, *[arg.unsigned for arg in args])
+    width = interp.width
+    run = codegen.compiled(fn, width, _build).run
+    rets = run(interp, state, fuel, *[arg.unsigned for arg in args])
     return [Word(width, ret) for ret in rets]
 
 
@@ -319,44 +250,30 @@ _BINDS = (
 _ACCESS_COUNTS = (("load", "read_count"), ("store", "write_count"))
 
 
-class _Generator:
+class _Generator(codegen.Module):
     """Generates the source of one ``Function`` for one width."""
 
     def __init__(self, fn: ast.Function, width: int):
+        super().__init__(_RUNTIME)
         self.fn = fn
         self.width = width
         self.mask = (1 << width) - 1
         names, roots = _scan(fn)
         self.var = {name: f"v{index}" for index, name in enumerate(names)}
         self.entry, self.exit = wellformed.bound_at_entry(fn, names)
-        self.namespace = dict(_RUNTIME)
-        self.consts: Dict[Tuple[type, object], str] = {}
-        self.helpers: List[str] = []
+        self.helpers: List[List[str]] = []
         self.guarded: set = set()  # locals some read checks, so must start unset
         self.interacts = any(isinstance(s, ast.SInteract) for s in ast.walk_stmts(fn.body))
         # One region cache per address root, named by its suffix.
         self.caches = {root: str(index) for index, root in enumerate(roots)}
-        self.temps = 0
 
-    # -- names and constants --
-
-    def const(self, value) -> str:
-        key = (type(value), value)
-        name = self.consts.get(key)
-        if name is None:
-            name = self.consts[key] = f"k{len(self.consts)}"
-            self.namespace[name] = value
-        return name
-
-    def temp(self, prefix: str = "t") -> str:
-        self.temps += 1
-        return f"{prefix}{self.temps}"
+    # -- temporaries --
 
     def spill(self, code: str, b: _Body) -> str:
         """``code`` as an identifier or literal, through a temporary if needed."""
         if _atomic(code):
             return code
-        name = self.temp()
+        name = self.fresh()
         b.emit(f"{name} = {code}")
         return name
 
@@ -411,7 +328,7 @@ class _Generator:
             p.count("load")
             c = self.caches[_root(e.addr)]
             offset = self.region(addr, size, c, "read_count", p, b)
-            value = self.temp()
+            value = self.fresh()
             if size == 1:
                 b.emit(f"{value} = mbuf{c}[{offset}]")
             else:
@@ -503,7 +420,7 @@ class _Generator:
                 self.check_fuel(p, b)
             return
         if isinstance(s, (ast.SCond, ast.SWhile)) and (
-            b.indent >= MAX_INDENT or b.blocks >= MAX_BLOCKS
+            b.indent >= codegen.MAX_INDENT or b.blocks >= codegen.MAX_BLOCKS
         ):
             self.outline(s, p, b)
             return
@@ -595,7 +512,7 @@ class _Generator:
         nbytes = int(s.nbytes)
         p.count("stackalloc")
         b.binds.update(("mem", "si"))
-        base = self.temp("s")
+        base = self.fresh("s")
         self.memory_op(p, b, f"{base} = mem.allocate_stack({nbytes!r})")
         self.flush_counts(p, b)  # the stack-init policy may raise
         b.emit(f"mem.store_bytes({base}, si({nbytes!r}))")
@@ -621,7 +538,7 @@ class _Generator:
         p.count("call")
         args = self.arguments(s.args, bound, p, b)
         b.binds.add("cf")
-        func, rets, n = self.const(s.func), self.temp(), len(s.lhss)
+        func, rets, n = self.const(s.func), self.fresh(), len(s.lhss)
         words = "".join(f"Word({self.width!r}, {arg}), " for arg in args)
         b.emit(f"{rets} = cf({func}, [{words}], state, f - {p.fuel + 1})")
         self.forget(b)
@@ -636,7 +553,7 @@ class _Generator:
         self.fail(p, b, "ext is None", f"ExecutionError({message})")
         p.count("interact")
         args = self.arguments(s.args, bound, p, b)
-        out = self.temp()
+        out = self.fresh()
         names = self.const(tuple(self.var))
         values = "".join(f"{var}, " for var in self.var.values())
         b.emit(
@@ -658,7 +575,7 @@ class _Generator:
         state = ", ".join(["f", *self.var.values()] + (["xs"] if self.interacts else []))
         index = len(self.helpers)
         name = f"h{index}"
-        self.helpers.append("")  # reserves the name before nested helpers
+        self.helpers.append([])  # reserves the name before nested helpers
         body = _Body()
         inner = _Pending()
         self.stmt(s, inner, body)
@@ -671,7 +588,7 @@ class _Generator:
 
     # -- functions --
 
-    def function(self, header: str, b: _Body, tail: List[str], init: str = "") -> str:
+    def function(self, header: str, b: _Body, tail: List[str], init: str = "") -> List[str]:
         lines = [header]
         lines += [" " + line for name, line in _BINDS if name in b.binds]
         if b.caches:
@@ -693,7 +610,7 @@ class _Generator:
         else:
             lines.append("  pass")
         lines += [" " + line for line in tail]
-        return "\n".join(lines) + "\n"
+        return lines
 
     def generate(self) -> Tuple[str, Dict[str, object]]:
         """The module source (helpers, then ``run``) and its namespace."""
@@ -718,5 +635,4 @@ class _Generator:
         if self.interacts:
             init = (init + "; " if init else "") + "xs = {}"
         header = f"def run(interp, state, f{''.join(', ' + arg for arg in args)}):"
-        source = "".join(self.helpers) + self.function(header, b, tail, init)
-        return source, self.namespace
+        return self.source(*self.helpers, self.function(header, b, tail, init))

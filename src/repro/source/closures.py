@@ -3,8 +3,8 @@
 This module is the executable meaning of source terms that every verdict
 rests on (DESIGN.md §7), as :mod:`repro.bedrock2.closures` is Bedrock2's.
 For each model ``Term`` and word width it generates the source of one
-Python function, compiles it with :func:`compile` and loads it with
-``exec``.  In the generated function
+Python function, which :mod:`repro.codegen` (shared with the Bedrock2
+executor) compiles, loads and caches.  In the generated function
 
 - every node is one statement into a temporary (``t0``, ``t1``, ...), and
   let-, loop- and parameter-bound names are Python locals (``v0``, ...):
@@ -38,20 +38,15 @@ kept as a test oracle, ``tests/source/tree_walker.py``, and
 ``tests/source/test_model_eval_equivalence.py`` holds the two to that
 contract.
 
-No string of a ``Term`` is spliced into the source: names map to
-identifiers the generator makes, operation and function names, messages,
-tables and non-int literals are constants (``k0``, ...) in the ``exec``
-namespace, and only ints are rendered, with ``repr(int(...))``.  A node
-that would open a block deeper than CPython allows in one function moves
-into a helper function (``h0``, ...) that takes the locals in scope and
-returns the node's value.
+Names map to identifiers the generator makes; operation and function
+names, messages, tables and non-int literals are namespace constants
+(``k0``, ...).  A node that would open a block deeper than CPython
+allows in one function moves into a helper function (``h0``, ...) that
+takes the locals in scope and returns the node's value.
 
 The generated ``run(ev, env, fx)`` reads the free variables from ``env``
 once, at entry, and keeps no state between runs, so one compiled model
-serves concurrent runs.  Two caches: compiled models live in a
-process-wide cache keyed by ``Term`` identity and held through a weakref,
-so an entry dies with its model; behind it, code objects live in a
-bounded LRU keyed by the generated source.
+serves concurrent runs.
 
 Extension terms (``Term`` subclasses defined outside ``repro.source``)
 evaluate through one hook, ``compile_node(g)``.  After the node's tick it
@@ -64,13 +59,10 @@ statements, ``g.range``/``g.each`` open loops and ``g.bind`` binds names
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
-from types import CodeType
 from typing import ContextManager, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro import codegen
 from repro.source import terms as t
 from repro.source.evaluator import CellV, EvalError
 from repro.source.ops import REGISTRY, eval_op, render
@@ -81,15 +73,6 @@ _FUEL = "evaluation fuel exhausted"
 #: per level, so a term within the limit stays well inside CPython's
 #: default recursion limit of 1000.
 MAX_DEPTH = 200
-
-#: Generated code nests at most this deep (indentation levels, and
-#: ``for``/``try`` blocks) before a node moves into a helper function;
-#: CPython allows 100 and 20.
-MAX_INDENT = 48
-MAX_BLOCKS = 12
-
-#: Code objects kept by the source-keyed cache.
-CODE_CACHE_SIZE = 256
 
 
 def _settle(ev, fuel: int, steps: int, pending: Optional[int]) -> None:
@@ -150,68 +133,19 @@ _RUNTIME = {
 }
 
 
-class CompiledModel:
-    """A model compiled for one word width.
+def build(term: t.Term, width: int) -> codegen.Compiled:
+    """``term`` compiled for ``width``.
 
     ``run(ev, env, fx)`` evaluates it for the evaluator ``ev`` (its
     ``fuel``, and ``_steps``, which the run leaves at what it spent), the
     bindings ``env`` and the effects ``fx``.
     """
-
-    __slots__ = ("source", "run")
-
-    def __init__(self, term: t.Term, width: int):
-        self.source, namespace = Generator(width).generate(term)
-        exec(_code(self.source), namespace)
-        self.run = namespace["run"]
+    return codegen.Compiled(*Generator(width).generate(term), "<model>")
 
 
-# -- The caches -----------------------------------------------------------------
-
-_CACHE: Dict[int, Tuple["weakref.ref[t.Term]", Dict[int, CompiledModel]]] = {}
-_CODE: "OrderedDict[str, CodeType]" = OrderedDict()
-_CODE_LOCK = threading.Lock()
-
-
-def _evictor(key: int):
-    def evict(ref) -> None:
-        entry = _CACHE.get(key)
-        if entry is not None and entry[0] is ref:
-            del _CACHE[key]
-
-    return evict
-
-
-def _code(source: str) -> CodeType:
-    """``source`` compiled, from the LRU or compiled once now."""
-    with _CODE_LOCK:
-        code = _CODE.get(source)
-        if code is not None:
-            _CODE.move_to_end(source)
-            return code
-    code = compile(source, "<model>", "exec")
-    with _CODE_LOCK:
-        _CODE[source] = code
-        if len(_CODE) > CODE_CACHE_SIZE:
-            _CODE.popitem(last=False)
-    return code
-
-
-def compiled(term: t.Term, width: int) -> CompiledModel:
+def compiled(term: t.Term, width: int) -> codegen.Compiled:
     """``term`` compiled for ``width``, from the cache or compiled once now."""
-    key = id(term)
-    entry = _CACHE.get(key)
-    if entry is None or entry[0]() is not term:
-        try:
-            ref = weakref.ref(term, _evictor(key))
-        except TypeError:  # a slotted extension node without __weakref__
-            return CompiledModel(term, width)
-        entry = (ref, {})
-        _CACHE[key] = entry
-    code = entry[1].get(width)
-    if code is None:
-        code = entry[1][width] = CompiledModel(term, width)
-    return code
+    return codegen.compiled(term, width, build)
 
 
 # -- The generator ----------------------------------------------------------------
@@ -243,7 +177,7 @@ def _is_int_literal(code: str) -> bool:
     return code.isdigit() or (code.startswith("(-") and code[2:-1].isdigit())
 
 
-class Generator:
+class Generator(codegen.Module):
     """Generates the source of one model for one width.
 
     ``g(term)`` emits the statements that evaluate ``term`` in the current
@@ -253,15 +187,13 @@ class Generator:
     """
 
     def __init__(self, width: int):
+        super().__init__(_RUNTIME)
         self.width = width
-        self.namespace = dict(_RUNTIME)
-        self.consts: Dict[object, str] = {}
         self.body = _Body()
         self.helpers: List[List[Tuple[str, Optional[int]]]] = []
         self.pending = 0  # ticks charged but not yet added to ``f``
         self.untested = False  # ``f`` grew since it was last tested
         self.depth = 0
-        self.temps = 0
         self.scope: Dict[str, str] = {}  # bound name -> its expression
         self.free: Dict[str, str] = {}  # free name -> the local read from env
         self.facts: Set[Tuple[str, str]] = set()  # checks done on this path
@@ -269,21 +201,6 @@ class Generator:
         self.mutable: Set[str] = set()  # locals ``assign`` may change
         self.aliased: Set[str] = set()  # temporaries a name is bound to
         self.branches: List[_Branch] = []
-
-    # -- names and constants --
-
-    def const(self, value: object) -> str:
-        """The namespace name holding ``value``."""
-        key = (type(value), value) if isinstance(value, (str, int)) else id(value)
-        name = self.consts.get(key)
-        if name is None:
-            name = self.consts[key] = f"k{len(self.consts)}"
-            self.namespace[name] = value
-        return name
-
-    def fresh(self, prefix: str = "t") -> str:
-        self.temps += 1
-        return f"{prefix}{self.temps}"
 
     # -- statements --
 
@@ -510,7 +427,7 @@ class Generator:
             )
         helper = None
         if (
-            (self.body.indent >= MAX_INDENT or self.body.blocks >= MAX_BLOCKS)
+            (self.body.indent >= codegen.MAX_INDENT or self.body.blocks >= codegen.MAX_BLOCKS)
             and not isinstance(term, (t.Lit, t.Var))
         ):
             helper = self._enter_helper()
@@ -580,7 +497,7 @@ class Generator:
         run = self._function("def run(ev, env, fx):", prologue, self.body, code)
         lines = [line for helper in self.helpers for line in helper] + run
         self.namespace["_P"] = (None,) + tuple(pending for _, pending in lines)
-        return "".join(text + "\n" for text, _ in lines), self.namespace
+        return self.source([text for text, _ in lines])
 
     # -- the pure core --
 

@@ -7,6 +7,7 @@ import types
 
 import pytest
 
+from repro import codegen
 from repro.bedrock2 import ast, closures
 from repro.bedrock2.ast import (
     Function,
@@ -47,10 +48,10 @@ def test_entry_dies_with_its_function():
     fn = _counter(3)
     assert _run(fn) == [3]
     key = id(fn)
-    assert key in closures._CACHE
+    assert key in codegen._CACHE
     del fn
     gc.collect()
-    assert key not in closures._CACHE
+    assert key not in codegen._CACHE
 
 
 def test_one_compile_serves_every_interpreter():
@@ -81,7 +82,7 @@ def _reachable(obj, seen=None):
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from _reachable(item, seen)
-    elif isinstance(obj, closures.CompiledFunction):
+    elif isinstance(obj, codegen.Compiled):
         for name in obj.__slots__:
             yield from _reachable(getattr(obj, name), seen)
 
@@ -101,22 +102,22 @@ def test_generated_namespace_holds_no_ast_node():
 
 def test_cache_stays_bounded_over_fresh_functions():
     gc.collect()
-    before = len(closures._CACHE)
+    before = len(codegen._CACHE)
     for bound in range(1000):
         assert _run(_counter(bound % 7)) == [bound % 7]
     gc.collect()
-    assert len(closures._CACHE) <= before + 1
+    assert len(codegen._CACHE) <= before + 1
 
 
 def test_code_cache_stays_bounded_over_fresh_sources():
     # Each bound is a distinct literal, so each function a distinct source.
-    capacity = closures.CODE_CACHE_SIZE
+    capacity = codegen.CODE_CACHE_SIZE
     for bound in range(capacity + 40):
         assert _run(_counter(1000 + bound)) == [1000 + bound]
-        assert len(closures._CODE) <= capacity
-    assert len(closures._CODE) == capacity
+        assert len(codegen._CODE) <= capacity
+    assert len(codegen._CODE) == capacity
     newest = closures.compiled(_counter(1000 + capacity + 39), 64).source
-    assert next(reversed(closures._CODE)) == newest
+    assert next(reversed(codegen._CODE)) == newest
 
 
 def test_identical_structure_shares_one_code_object():

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro import codegen
 from repro.bedrock2 import ast, closures
 from repro.bedrock2.ast import (
     EInlineTable,
@@ -247,9 +248,11 @@ def test_external_handler_edits_memory_between_accesses(action, where, width, mo
         functions.append(Function("g", (), (), edit))
         edit = SCall((), "g", ())
     elif where == "helper":
-        # The branch nested in the loop moves into a helper function.
-        monkeypatch.setattr(closures, "MAX_INDENT", 3)
-        monkeypatch.setattr(closures, "MAX_BLOCKS", 2)
+        # The branch nested in the loop moves into a helper function; the
+        # limits steer both generators, so nothing cached is reused.
+        monkeypatch.setattr(codegen, "MAX_INDENT", 3)
+        monkeypatch.setattr(codegen, "MAX_BLOCKS", 2)
+        monkeypatch.setattr(codegen, "_CACHE", {})
         edit = seq_of(SSet("i", lit(0)), SWhile(ltu(var("i"), lit(1)), seq_of(
             SCond(var("r"), edit, SSkip()), SSet("i", add(var("i"), lit(1))))))
     body = seq_of(
@@ -493,8 +496,9 @@ def test_random_programs(nesting, monkeypatch):
     # limits in random positions; "tiny" moves every nested loop and
     # branch into a helper function.
     if nesting == "tiny":
-        monkeypatch.setattr(closures, "MAX_INDENT", 3)
-        monkeypatch.setattr(closures, "MAX_BLOCKS", 2)
+        monkeypatch.setattr(codegen, "MAX_INDENT", 3)
+        monkeypatch.setattr(codegen, "MAX_BLOCKS", 2)
+        monkeypatch.setattr(codegen, "_CACHE", {})
     callee = Function("g", ("x",), ("y",),
                       SCond(var("x"), SSet("y", add(var("x"), lit(1))), SSkip()))
     outcomes = set()

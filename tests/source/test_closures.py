@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro import codegen
 from repro.programs import get_program
 from repro.source import closures
 from repro.source import terms as t
@@ -33,10 +34,10 @@ def test_entry_dies_with_a_model_that_is_not_interned():
     assert not term.__dict__.get("_hc_canonical")
     assert Evaluator().eval(term) == 3
     key = id(term)
-    assert key in closures._CACHE
+    assert key in codegen._CACHE
     del term
     gc.collect()
-    assert key not in closures._CACHE
+    assert key not in codegen._CACHE
 
 
 def test_clearing_the_intern_table_releases_interned_models():
@@ -46,10 +47,10 @@ def test_clearing_the_intern_table_releases_interned_models():
     key = id(term)
     del term
     gc.collect()
-    assert key in closures._CACHE  # the intern table still holds the model
+    assert key in codegen._CACHE  # the intern table still holds the model
     t.clear_intern_table()
     gc.collect()
-    assert key not in closures._CACHE
+    assert key not in codegen._CACHE
 
 
 def test_entries_are_per_width():
@@ -59,7 +60,7 @@ def test_entries_are_per_width():
     code32, code64 = closures.compiled(term, 32), closures.compiled(term, 64)
     assert code32 is not code64
     assert closures.compiled(term, 32) is code32
-    assert set(closures._CACHE[id(term)][1]) == {32, 64}
+    assert set(codegen._CACHE[id(term)][1]) == {32, 64}
 
 
 def test_no_closure_references_a_term():
@@ -76,23 +77,23 @@ def test_no_closure_references_a_term():
 
 def test_cache_stays_bounded_over_fresh_models():
     gc.collect()
-    before = len(closures._CACHE)
+    before = len(codegen._CACHE)
     for tag in range(500):
         term = t.Let("a", t.Lit([tag], ARRAY_WORD), t.ArrayLen(t.Var("a")))
         assert Evaluator().eval(term) == 1
     del term
     gc.collect()
-    assert len(closures._CACHE) <= before
+    assert len(codegen._CACHE) <= before
 
 
 def test_code_cache_is_a_bounded_lru_keyed_by_source():
-    capacity = closures.CODE_CACHE_SIZE
+    capacity = codegen.CODE_CACHE_SIZE
     for tag in range(capacity + 40):
         assert Evaluator().eval(_sum_model(0x10_000 + tag), {"xs": [1]}) == 0x10_001 + tag
-        assert len(closures._CODE) <= capacity
-    assert len(closures._CODE) == capacity
+        assert len(codegen._CODE) <= capacity
+    assert len(codegen._CODE) == capacity
     newest = closures.compiled(_sum_model(0x10_000 + capacity + 39), 64).source
-    assert next(reversed(closures._CODE)) == newest
+    assert next(reversed(codegen._CODE)) == newest
 
 
 def test_models_that_differ_only_in_constants_share_code():

@@ -20,6 +20,7 @@ from unittest import mock
 
 import pytest
 
+from repro import codegen
 from repro.programs import all_programs
 from repro.query.programs import all_query_programs
 from repro.query.terms import QAggregate, QJoinAgg, QProjectInto
@@ -280,9 +281,9 @@ def test_one_level_deeper_is_the_eval_error_that_names_the_limit(shape):
 @pytest.fixture
 def every_node_in_a_helper(monkeypatch):
     """Limits so low that each node below the top moves into a helper."""
-    monkeypatch.setattr(closures, "MAX_INDENT", 2)
-    monkeypatch.setattr(closures, "MAX_BLOCKS", 1)
-    with mock.patch.dict(closures._CACHE, clear=True):
+    monkeypatch.setattr(codegen, "MAX_INDENT", 2)
+    monkeypatch.setattr(codegen, "MAX_BLOCKS", 1)
+    with mock.patch.dict(codegen._CACHE, clear=True):
         yield
 
 

@@ -22,6 +22,7 @@ from unittest import mock
 
 import pytest
 
+from repro import codegen
 from repro.programs import all_programs
 from repro.query.programs import all_query_programs
 from repro.query.terms import QAggregate, QJoinAgg, QProjectInto
@@ -314,7 +315,7 @@ def test_bad_arity_never_reached_is_harmless():
 def test_compiling_never_raises():
     for term, _ in STUCK.values():
         for width in WIDTHS:
-            closures.CompiledModel(term, width)
+            closures.build(term, width)
 
 
 def test_a_head_with_no_hook_is_stuck_when_reached():
@@ -444,5 +445,5 @@ def test_comparator_catches_mutant(mutant):
     corpus = _mutation_corpus()
     assert not _caught(corpus)
     with mock.patch.dict(closures._DISPATCH, {node: rule}), \
-            mock.patch.dict(closures._CACHE, clear=True):
+            mock.patch.dict(codegen._CACHE, clear=True):
         assert _caught(corpus), f"mutant {mutant} survived"
