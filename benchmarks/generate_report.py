@@ -412,7 +412,7 @@ def section_case_studies() -> str:
     import inspect
 
     from repro.stdlib import copying, errors
-    from repro.stdlib.loops import CompileArrayFoldBreak
+    from repro.stdlib.loops import CompileArrayFoldBreak, _AccumulatorLoop, _LoopLemma
     from repro.stdlib.stack_alloc import CompileNdAlloc, CompileStackAlloc
 
     def loc(cls):
@@ -435,8 +435,15 @@ def section_case_studies() -> str:
         f"{'stack allocation (nondet)':<28} {loc(CompileNdAlloc):>10}",
         f"{'error-monad guard':<28} {loc(errors.CompileErrGuard):>10}",
         f"{'fold with early exit':<28} {loc(CompileArrayFoldBreak):>10}",
+        f"{'  shared accumulator loop':<28} {loc(_LoopLemma) + loc(_AccumulatorLoop):>10}",
         f"{'copy / out-of-place map':<28} {loc(copying.CompileCopyInto):>10}",
         "```",
+        "",
+        "The early-exit fold declares only what differs from the plain fold",
+        "(its head, its partial term and the exit predicate).  The counted",
+        "accumulator skeleton it runs on, shared with fold, ranged for and",
+        "`Nat.iter` (`_LoopLemma` plus `_AccumulatorLoop`), is the indented",
+        "row below it.",
         "",
         "The multi-target conditional join (the paper's full CAS pair,",
         "§3.4.2) and the derivation-replay check are exercised in",

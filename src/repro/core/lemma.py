@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.goals import BindingGoal, ExprGoal
+from repro.core.goals import BindingGoal, CompilationStalled, ExprGoal, StallReport
+from repro.core.sepstate import Clause, PointerBinding
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bedrock2 import ast
@@ -138,6 +139,28 @@ class BindingLemma:
         self, goal: BindingGoal, engine: "Engine"
     ) -> Tuple["ast.Stmt", "SymState", List["CertNode"]]:
         raise NotImplementedError
+
+
+def owned_clause(
+    goal: BindingGoal, name: str, family: str
+) -> Tuple[PointerBinding, Clause]:
+    """The pointer binding of the local ``name`` and the heap clause it owns.
+
+    Every lemma that reads or writes through a pointer local needs both;
+    a pointer that no separation-logic clause owns stalls here with
+    ``MISSING_CLAUSE``, attributed to the calling lemma's ``family``.
+    """
+    binding = goal.state.binding(name)
+    assert isinstance(binding, PointerBinding)
+    clause = goal.state.heap.get(binding.ptr)
+    if clause is None:
+        raise CompilationStalled(
+            goal.describe(),
+            advice=f"no clause owns {binding.ptr!r}",
+            reason=StallReport.MISSING_CLAUSE,
+            family=family,
+        )
+    return binding, clause
 
 
 class ExprLemma:

@@ -20,7 +20,7 @@ from repro.bedrock2 import ast
 from repro.core.certificate import CertNode
 from repro.core.engine import resolve
 from repro.core.goals import BindingGoal, CompilationStalled, StallReport
-from repro.core.lemma import BindingLemma, HintDb
+from repro.core.lemma import BindingLemma, HintDb, owned_clause
 from repro.core.sepstate import PointerBinding, SymState
 from repro.core.typecheck import infer_type
 from repro.source import terms as t
@@ -60,16 +60,7 @@ class CompileCopyInto(BindingLemma):
         value = goal.value
         assert isinstance(value, t.Copy)
         state = goal.state
-        binding = state.binding(goal.name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="copying",
-            )
+        binding, clause = owned_clause(goal, goal.name, "copying")
         if clause.ty.kind is not TypeKind.ARRAY or clause.ty.elem is None:
             raise CompilationStalled(
                 goal.describe(),

@@ -23,17 +23,18 @@ compiler with a temporary.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bedrock2 import ast
 from repro.core.certificate import CertNode
 from repro.core.engine import resolve
 from repro.core.goals import BindingGoal, CompilationStalled, StallReport
-from repro.core.lemma import BindingLemma, HintDb
+from repro.core.lemma import BindingLemma, HintDb, lemma_family, owned_clause
 from repro.core.sepstate import PointerBinding, SymState
 from repro.core.typecheck import infer_type
 from repro.source import terms as t
 from repro.source.types import NAT, SourceType
+from repro.stdlib.exprs import scaled_index
 
 
 def _has_statement_shape(term: t.Term) -> bool:
@@ -78,19 +79,35 @@ def _guess_ty(state: SymState, value: t.Term) -> SourceType:
 
 
 class _LoopLemma(BindingLemma):
-    """Shared machinery for the counter/guard/increment skeleton."""
+    """The counter/guard/increment skeleton every counted loop shares.
 
-    def _counter_setup(
-        self,
-        engine,
-        state: SymState,
-        lo_term: t.Term,
-        hi_term: t.Term,
-    ):
-        """Emit ``i = lo`` and prepare the ``i < hi`` guard.
+    ``head`` is the source constructor the lemma compiles.
+    ``array_field`` names the field holding the array variable it walks,
+    whose pointer binding the guard requires.  ``None`` means the bounds
+    come from the term itself and the guard is the ``isinstance`` test.
+    """
+
+    head: type
+    array_field: Optional[str] = None
+
+    def matches(self, goal: BindingGoal) -> bool:
+        value = goal.value
+        if not isinstance(value, self.head):
+            return False
+        if self.array_field is None:
+            return True
+        arr = getattr(value, self.array_field)
+        return isinstance(arr, t.Var) and isinstance(
+            goal.state.binding(arr.name), PointerBinding
+        )
+
+    def _counter(self, engine, state: SymState, lo_term: t.Term, hi_term: t.Term):
+        """Emit ``i = lo``, prepare the ``i < hi`` guard and the body state.
 
         Returns (idx_local, ghost, prologue_stmts, guard_expr, nodes,
-        work_state); ``work_state`` carries any hoisted bound locals.
+        work_state, loop_state).  ``work_state`` carries any hoisted
+        bound locals; ``loop_state`` also binds ``idx_local`` to the
+        ghost counter, with ``lo <= ghost < hi`` as facts.
         """
         work = state.copy()
         nodes: List[CertNode] = []
@@ -113,57 +130,194 @@ class _LoopLemma(BindingLemma):
         ghost = SymState.fresh_ghost("i")
         prologue.append(ast.SSet(idx_local, lo_expr))
         guard = ast.EOp("ltu", ast.EVar(idx_local), hi_expr)
-        return idx_local, ghost, prologue, guard, nodes, work
 
-    def _loop_body_state(
-        self,
-        work: SymState,
-        idx_local: str,
-        ghost: str,
-        lo_term: t.Term,
-        hi_term: t.Term,
-    ) -> SymState:
         loop_state = work.copy()
         loop_state.set_ghost_type(ghost, NAT)
         loop_state.bind_scalar(idx_local, t.Var(ghost), NAT)
         loop_state.add_fact(t.Prim("nat.leb", (lo_term, t.Var(ghost))))
         loop_state.add_fact(t.Prim("nat.ltb", (t.Var(ghost), hi_term)))
-        return loop_state
+        return idx_local, ghost, prologue, guard, nodes, work, loop_state
 
-    def _increment(self, idx_local: str) -> ast.Stmt:
-        return ast.SSet(idx_local, ast.EOp("add", ast.EVar(idx_local), ast.ELit(1)))
+    @staticmethod
+    def _loop(guard: ast.Expr, body: ast.Stmt, idx_local: str) -> ast.Stmt:
+        increment = ast.SSet(idx_local, ast.EOp("add", ast.EVar(idx_local), ast.ELit(1)))
+        return ast.SWhile(guard, ast.seq_of(body, increment))
 
-    def _compile_acc_step(
-        self,
-        engine,
-        loop_state: SymState,
-        target: str,
-        body: t.Term,
-        ty: SourceType,
-        spec,
-    ):
-        """Compile one accumulator update ``target = body`` inside the loop."""
-        if _has_statement_shape(body):
-            stmt, after, nodes = engine.compile_value_into(loop_state, target, body, spec)
-            return stmt, nodes
-        resolved = resolve(loop_state, body)
-        resolved_expr = t.Prim("cast.of_nat", (resolved,)) if ty is NAT else resolved
-        expr, node = engine.compile_expr_term(loop_state, resolved_expr, ty)
-        return ast.SSet(target, expr), [node]
-
-    def _cleanup(self, state: SymState, names: List[str]) -> None:
-        for name in names:
-            state.locals.pop(name, None)
-
-    def _drop_body_binders(self, state: SymState, body: t.Term) -> None:
-        """Loop-body ``let`` binders clobber same-named Bedrock2 locals at
-        runtime, so their pre-loop symbolic bindings must not survive."""
+    @staticmethod
+    def _post(work: SymState, idx_local: str, body: t.Term) -> SymState:
+        """The state after the loop: the counter is dead, and loop-body
+        ``let`` binders clobber same-named Bedrock2 locals at runtime, so
+        their pre-loop symbolic bindings must not survive."""
+        post = work.copy()
+        post.locals.pop(idx_local, None)
         for node in t.walk_terms(body):
             for name in node.binders():
-                state.locals.pop(name, None)
+                post.locals.pop(name, None)
+        return post
 
 
-class CompileArrayMapInPlace(_LoopLemma):
+class _StoreLoop(_LoopLemma):
+    """``let/n a := F(a) in k`` ~ ``while (i < len a) { a[i] = e; i++ }``.
+
+    Rebinding the array's own name licenses writing it in place.  The
+    inferred §3.4.2 invariant is ``prefix(firstn i a) ++ skipn i a``: the
+    processed prefix, then the untouched suffix.  A lemma declares the
+    advice for a goal that rebinds another name (``rebind_advice``), its
+    ``prefix`` term and the body with its binder read at counter ``i``
+    (``element``).
+    """
+
+    rebind_advice: str
+
+    def prefix(self, resolved: t.Term, firstn: t.Term) -> t.Term:
+        raise NotImplementedError
+
+    def element(self, resolved: t.Term, arr0: t.Term, ghost: t.Var) -> t.Term:
+        raise NotImplementedError
+
+    def _target(self, goal: BindingGoal, engine):
+        """The target's pointer binding and clause, or a stall."""
+        return owned_clause(goal, goal.name, lemma_family(self))
+
+    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
+        value = goal.value
+        arr_name = getattr(value, self.array_field).name
+        if goal.name != arr_name:
+            raise CompilationStalled(
+                goal.describe(),
+                advice=self.rebind_advice,
+                reason=StallReport.UNSUPPORTED_SHAPE,
+                family=lemma_family(self),
+            )
+        state = goal.state
+        binding, clause = self._target(goal, engine)
+        arr0 = clause.value
+        resolved = resolve(state, value)
+        elem_ty = clause.ty.elem
+        assert elem_ty is not None
+        esz = engine.elem_byte_size(clause.ty)
+
+        lo_term = t.Lit(0, NAT)
+        hi_term = t.ArrayLen(arr0)
+        idx_local, ghost, prologue, guard, nodes, work, loop_state = self._counter(
+            engine, state, lo_term, hi_term
+        )
+        ghost_var = t.Var(ghost)
+        loop_state.set_heap_value(
+            binding.ptr,
+            t.Append(
+                self.prefix(resolved, t.FirstN(ghost_var, arr0)),
+                t.SkipN(ghost_var, arr0),
+            ),
+        )
+        body = self.element(resolved, arr0, ghost_var)
+
+        addr_index_expr, idx_node = engine.compile_expr_term(
+            loop_state, t.Prim("cast.of_nat", (ghost_var,)), None
+        )
+        nodes.append(idx_node)
+        addr = ast.EOp(
+            "add", ast.EVar(arr_name), scaled_index(engine, addr_index_expr, esz)
+        )
+
+        if _has_statement_shape(body):
+            tmp = loop_state.fresh_local("_v")
+            body_stmt, _after, body_nodes = engine.compile_value_into(
+                loop_state, tmp, body, goal.spec
+            )
+            body_code = ast.seq_of(body_stmt, ast.SStore(esz, addr, ast.EVar(tmp)))
+        else:
+            expr, body_node = engine.compile_expr_term(
+                loop_state, resolve(loop_state, body), elem_ty
+            )
+            body_nodes = [body_node]
+            body_code = ast.SStore(esz, addr, expr)
+        nodes.extend(body_nodes)
+
+        stmt = ast.seq_of(*prologue, self._loop(guard, body_code, idx_local))
+        post = self._post(work, idx_local, resolved.body)
+        post.set_heap_value(binding.ptr, resolved)
+        return stmt, post, nodes
+
+
+class _AccumulatorLoop(_LoopLemma):
+    """``let/n x := F(init) in k`` ~ ``x = init; i = lo; while (i < hi) { x = step; i++ }``.
+
+    The inferred invariant: at counter ``i`` the accumulator local holds
+    ``partial``, the same iteration cut off at ``i``.  The loop body is
+    compiled against that state, with the accumulator binder read off the
+    local.  A lemma declares its ``bounds``, its ``partial`` term, its
+    body with the other binders read at counter ``i`` (``step``) and,
+    for an early exit, the predicate on the accumulator that ends the
+    loop (``exit_when``).
+    """
+
+    def bounds(self, resolved: t.Term, arr0: Optional[t.Term]) -> Tuple[t.Term, t.Term]:
+        return t.Lit(0, NAT), t.ArrayLen(arr0)
+
+    def partial(self, resolved: t.Term, ghost: t.Var, arr0: Optional[t.Term]) -> t.Term:
+        raise NotImplementedError
+
+    def step(self, resolved: t.Term, ghost: t.Var, arr0: Optional[t.Term]) -> t.Term:
+        raise NotImplementedError
+
+    def exit_when(self, resolved: t.Term) -> Optional[t.Term]:
+        return None
+
+    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
+        value = goal.value
+        state = goal.state
+        arr0 = None
+        if self.array_field is not None:
+            arr_name = getattr(value, self.array_field).name
+            arr0 = owned_clause(goal, arr_name, lemma_family(self))[1].value
+        resolved = resolve(state, value)
+        acc_ty = infer_type(state, resolved.init)
+
+        target = goal.name
+        init_stmt, state_after_init, nodes = engine.compile_value_into(
+            state, target, value.init, goal.spec
+        )
+
+        lo_term, hi_term = self.bounds(resolved, arr0)
+        idx_local, ghost, prologue, guard, counter_nodes, work, loop_state = self._counter(
+            engine, state_after_init, lo_term, hi_term
+        )
+        nodes = nodes + counter_nodes
+        ghost_var = t.Var(ghost)
+        loop_state.bind_scalar(target, self.partial(resolved, ghost_var, arr0), acc_ty)
+
+        acc = t.Var(target)
+        exit_pred = self.exit_when(resolved)
+        if exit_pred is not None:
+            # The exit predicate, read off the accumulator local.
+            exit_pred = t.subst(exit_pred, resolved.acc_name, acc)
+            pred_expr, pred_node = engine.compile_expr_term(
+                loop_state, resolve(loop_state, exit_pred), None
+            )
+            nodes.append(pred_node)
+            guard = ast.EOp("and", guard, ast.EOp("eq", pred_expr, ast.ELit(0)))
+
+        step = t.subst(self.step(resolved, ghost_var, arr0), resolved.acc_name, acc)
+        if _has_statement_shape(step):
+            step_stmt, _after, step_nodes = engine.compile_value_into(
+                loop_state, target, step, goal.spec
+            )
+        else:
+            step_term = resolve(loop_state, step)
+            if acc_ty is NAT:
+                step_term = t.Prim("cast.of_nat", (step_term,))
+            expr, step_node = engine.compile_expr_term(loop_state, step_term, acc_ty)
+            step_stmt, step_nodes = ast.SSet(target, expr), [step_node]
+        nodes.extend(step_nodes)
+
+        stmt = ast.seq_of(init_stmt, *prologue, self._loop(guard, step_stmt, idx_local))
+        post = self._post(work, idx_local, resolved.body)
+        post.bind_scalar(target, resolved, acc_ty)
+        return stmt, post, nodes
+
+
+class CompileArrayMapInPlace(_StoreLoop):
     """``let/n a := ListArray.map f a in k`` ~ an in-place for loop.
 
     This single lemma performs transformations 2 and 3 of the paper's
@@ -176,102 +330,23 @@ class CompileArrayMapInPlace(_LoopLemma):
     name = "compile_arraymap_inplace"
     shapes = ("ArrayMap",)
     index_heads = shapes
+    head = t.ArrayMap
+    array_field = "arr"
+    rebind_advice = (
+        "in-place map requires rebinding the array's own name; "
+        "use copy(...) for an out-of-place map"
+    )
 
-    def matches(self, goal: BindingGoal) -> bool:
-        value = goal.value
-        return (
-            isinstance(value, t.ArrayMap)
-            and isinstance(value.arr, t.Var)
-            and isinstance(goal.state.binding(value.arr.name), PointerBinding)
-        )
+    def prefix(self, resolved: t.ArrayMap, firstn: t.Term) -> t.Term:
+        return t.ArrayMap(resolved.elem_name, resolved.body, firstn)
 
-    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
-        value = goal.value
-        assert isinstance(value, t.ArrayMap) and isinstance(value.arr, t.Var)
-        arr_name = value.arr.name
-        if goal.name != arr_name:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=(
-                    "in-place map requires rebinding the array's own name; "
-                    "use copy(...) for an out-of-place map"
-                ),
-                reason=StallReport.UNSUPPORTED_SHAPE,
-                family="loops",
-            )
-        state = goal.state
-        binding = state.binding(arr_name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="loops",
-            )
-        arr0 = clause.value
-        resolved_map = resolve(state, value)
-        assert isinstance(resolved_map, t.ArrayMap)
-        body_res = resolved_map.body
-        elem_ty = clause.ty.elem
-        assert elem_ty is not None
-        esz = engine.elem_byte_size(clause.ty)
-
-        lo_term = t.Lit(0, NAT)
-        hi_term = t.ArrayLen(arr0)
-        idx_local, ghost, prologue, guard, nodes, work = self._counter_setup(
-            engine, state, lo_term, hi_term
-        )
-
-        loop_state = self._loop_body_state(work, idx_local, ghost, lo_term, hi_term)
-        # The §3.4.2 invariant: processed prefix ++ untouched suffix.
-        invariant_value = t.Append(
-            t.ArrayMap(value.elem_name, body_res, t.FirstN(t.Var(ghost), arr0)),
-            t.SkipN(t.Var(ghost), arr0),
-        )
-        loop_state.set_heap_value(binding.ptr, invariant_value)
-
+    def element(self, resolved: t.ArrayMap, arr0: t.Term, ghost: t.Var) -> t.Term:
         # The element binder denotes a[i]; inline it so loads appear in
         # the compiled expressions exactly where a human would write s[i].
-        elem_term = t.ArrayGet(arr0, t.Var(ghost))
-        body_inlined = t.subst(body_res, value.elem_name, elem_term)
-
-        addr_index_expr, idx_node = engine.compile_expr_term(
-            loop_state, t.Prim("cast.of_nat", (t.Var(ghost),)), None
-        )
-        nodes.append(idx_node)
-        from repro.stdlib.exprs import scaled_index
-
-        addr = ast.EOp(
-            "add", ast.EVar(arr_name), scaled_index(engine, addr_index_expr, esz)
-        )
-
-        if _has_statement_shape(body_inlined):
-            tmp = loop_state.fresh_local("_v")
-            body_stmt, _after, body_nodes = engine.compile_value_into(
-                loop_state, tmp, body_inlined, goal.spec
-            )
-            store = ast.SStore(esz, addr, ast.EVar(tmp))
-            body_code = ast.seq_of(body_stmt, store)
-        else:
-            body_resolved = resolve(loop_state, body_inlined)
-            expr, body_node = engine.compile_expr_term(loop_state, body_resolved, elem_ty)
-            body_nodes = [body_node]
-            body_code = ast.SStore(esz, addr, expr)
-        nodes.extend(body_nodes)
-
-        loop = ast.SWhile(guard, ast.seq_of(body_code, self._increment(idx_local)))
-        stmt = ast.seq_of(*prologue, loop)
-
-        post = work.copy()
-        post.set_heap_value(binding.ptr, resolved_map)
-        self._cleanup(post, [idx_local])
-        self._drop_body_binders(post, body_res)
-        return stmt, post, nodes
+        return t.subst(resolved.body, resolved.elem_name, t.ArrayGet(arr0, ghost))
 
 
-class CompileArrayFold(_LoopLemma):
+class CompileArrayFold(_AccumulatorLoop):
     """``let/n x := fold_left f a init in k`` ~ accumulate in a local.
 
     Invariant: at iteration ``i`` the accumulator local holds
@@ -281,82 +356,23 @@ class CompileArrayFold(_LoopLemma):
     name = "compile_arrayfold"
     shapes = ("ArrayFold",)
     index_heads = shapes
+    head = t.ArrayFold
+    array_field = "arr"
 
-    def matches(self, goal: BindingGoal) -> bool:
-        value = goal.value
-        return (
-            isinstance(value, t.ArrayFold)
-            and isinstance(value.arr, t.Var)
-            and isinstance(goal.state.binding(value.arr.name), PointerBinding)
+    def partial(self, resolved: t.ArrayFold, ghost: t.Var, arr0: t.Term) -> t.Term:
+        return t.ArrayFold(
+            resolved.acc_name,
+            resolved.elem_name,
+            resolved.body,
+            resolved.init,
+            t.FirstN(ghost, arr0),
         )
 
-    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
-        value = goal.value
-        assert isinstance(value, t.ArrayFold) and isinstance(value.arr, t.Var)
-        state = goal.state
-        arr_name = value.arr.name
-        binding = state.binding(arr_name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="loops",
-            )
-        arr0 = clause.value
-        resolved_fold = resolve(state, value)
-        assert isinstance(resolved_fold, t.ArrayFold)
-        body_res, init_res = resolved_fold.body, resolved_fold.init
-        acc_ty = infer_type(state, init_res)
-        elem_ty = clause.ty.elem
-        assert elem_ty is not None
-
-        target = goal.name
-        init_stmt, state_after_init, init_nodes = engine.compile_value_into(
-            state, target, value.init, goal.spec
-        )
-
-        lo_term = t.Lit(0, NAT)
-        hi_term = t.ArrayLen(arr0)
-        idx_local, ghost, prologue, guard, nodes, work = self._counter_setup(
-            engine, state_after_init, lo_term, hi_term
-        )
-        nodes = init_nodes + nodes
-
-        loop_state = self._loop_body_state(work, idx_local, ghost, lo_term, hi_term)
-        acc_prefix = t.ArrayFold(
-            value.acc_name,
-            value.elem_name,
-            body_res,
-            init_res,
-            t.FirstN(t.Var(ghost), arr0),
-        )
-        loop_state.bind_scalar(target, acc_prefix, acc_ty)
-
-        elem_term = t.ArrayGet(arr0, t.Var(ghost))
-        body_inlined = t.subst(
-            t.subst(body_res, value.elem_name, elem_term),
-            value.acc_name,
-            t.Var(target),
-        )
-        step_stmt, step_nodes = self._compile_acc_step(
-            engine, loop_state, target, body_inlined, acc_ty, goal.spec
-        )
-        nodes.extend(step_nodes)
-
-        loop = ast.SWhile(guard, ast.seq_of(step_stmt, self._increment(idx_local)))
-        stmt = ast.seq_of(init_stmt, *prologue, loop)
-
-        post = work.copy()
-        self._cleanup(post, [idx_local])
-        self._drop_body_binders(post, body_res)
-        post.bind_scalar(target, resolved_fold, acc_ty)
-        return stmt, post, nodes
+    def step(self, resolved: t.ArrayFold, ghost: t.Var, arr0: t.Term) -> t.Term:
+        return t.subst(resolved.body, resolved.elem_name, t.ArrayGet(arr0, ghost))
 
 
-class CompileArrayFoldBreak(_LoopLemma):
+class CompileArrayFoldBreak(CompileArrayFold):
     """``fold_left`` with an early exit ~ ``while (i < len && !pred(acc))``.
 
     The invariant is unchanged from the plain fold: *reaching* the loop
@@ -369,89 +385,23 @@ class CompileArrayFoldBreak(_LoopLemma):
     name = "compile_arrayfold_break"
     shapes = ("ArrayFoldBreak",)
     index_heads = shapes
+    head = t.ArrayFoldBreak
 
-    def matches(self, goal: BindingGoal) -> bool:
-        value = goal.value
-        return (
-            isinstance(value, t.ArrayFoldBreak)
-            and isinstance(value.arr, t.Var)
-            and isinstance(goal.state.binding(value.arr.name), PointerBinding)
+    def partial(self, resolved: t.ArrayFoldBreak, ghost: t.Var, arr0: t.Term) -> t.Term:
+        return t.ArrayFoldBreak(
+            resolved.acc_name,
+            resolved.elem_name,
+            resolved.body,
+            resolved.init,
+            t.FirstN(ghost, arr0),
+            resolved.break_pred,
         )
 
-    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
-        value = goal.value
-        assert isinstance(value, t.ArrayFoldBreak) and isinstance(value.arr, t.Var)
-        state = goal.state
-        arr_name = value.arr.name
-        binding = state.binding(arr_name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="loops",
-            )
-        arr0 = clause.value
-        resolved = resolve(state, value)
-        assert isinstance(resolved, t.ArrayFoldBreak)
-        body_res, init_res, pred_res = resolved.body, resolved.init, resolved.break_pred
-        acc_ty = infer_type(state, init_res)
-
-        target = goal.name
-        init_stmt, state_after_init, init_nodes = engine.compile_value_into(
-            state, target, value.init, goal.spec
-        )
-
-        lo_term = t.Lit(0, NAT)
-        hi_term = t.ArrayLen(arr0)
-        idx_local, ghost, prologue, guard, nodes, work = self._counter_setup(
-            engine, state_after_init, lo_term, hi_term
-        )
-        nodes = init_nodes + nodes
-
-        loop_state = self._loop_body_state(work, idx_local, ghost, lo_term, hi_term)
-        acc_prefix = t.ArrayFoldBreak(
-            value.acc_name,
-            value.elem_name,
-            body_res,
-            init_res,
-            t.FirstN(t.Var(ghost), arr0),
-            pred_res,
-        )
-        loop_state.bind_scalar(target, acc_prefix, acc_ty)
-
-        # The break predicate, read off the accumulator local.
-        pred_inlined = t.subst(pred_res, value.acc_name, t.Var(target))
-        pred_expr, pred_node = engine.compile_expr_term(
-            loop_state, resolve(loop_state, pred_inlined), None
-        )
-        nodes.append(pred_node)
-        guard = ast.EOp("and", guard, ast.EOp("eq", pred_expr, ast.ELit(0)))
-
-        elem_term = t.ArrayGet(arr0, t.Var(ghost))
-        body_inlined = t.subst(
-            t.subst(body_res, value.elem_name, elem_term),
-            value.acc_name,
-            t.Var(target),
-        )
-        step_stmt, step_nodes = self._compile_acc_step(
-            engine, loop_state, target, body_inlined, acc_ty, goal.spec
-        )
-        nodes.extend(step_nodes)
-
-        loop = ast.SWhile(guard, ast.seq_of(step_stmt, self._increment(idx_local)))
-        stmt = ast.seq_of(init_stmt, *prologue, loop)
-
-        post = work.copy()
-        self._cleanup(post, [idx_local])
-        self._drop_body_binders(post, body_res)
-        post.bind_scalar(target, resolved, acc_ty)
-        return stmt, post, nodes
+    def exit_when(self, resolved: t.ArrayFoldBreak) -> t.Term:
+        return resolved.break_pred
 
 
-class CompileRangedFor(_LoopLemma):
+class CompileRangedFor(_AccumulatorLoop):
     """``let/n x := for i in [lo, hi) acc := init { body } in k``.
 
     Invariant: at counter value ``i`` the accumulator holds the partial
@@ -463,105 +413,42 @@ class CompileRangedFor(_LoopLemma):
     shapes = ("RangedFor",)
     index_heads = shapes
     shape_total = True
+    head = t.RangedFor
 
-    def matches(self, goal: BindingGoal) -> bool:
-        return isinstance(goal.value, t.RangedFor)
+    def bounds(self, resolved: t.RangedFor, arr0: None) -> Tuple[t.Term, t.Term]:
+        return resolved.lo, resolved.hi
 
-    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
-        value = goal.value
-        assert isinstance(value, t.RangedFor)
-        state = goal.state
-        resolved = resolve(state, value)
-        assert isinstance(resolved, t.RangedFor)
-        lo_res, hi_res = resolved.lo, resolved.hi
-        body_res, init_res = resolved.body, resolved.init
-        acc_ty = infer_type(state, init_res)
-
-        target = goal.name
-        init_stmt, state_after_init, init_nodes = engine.compile_value_into(
-            state, target, value.init, goal.spec
+    def partial(self, resolved: t.RangedFor, ghost: t.Var, arr0: None) -> t.Term:
+        return t.RangedFor(
+            resolved.lo,
+            ghost,
+            resolved.idx_name,
+            resolved.acc_name,
+            resolved.body,
+            resolved.init,
         )
 
-        idx_local, ghost, prologue, guard, nodes, work = self._counter_setup(
-            engine, state_after_init, lo_res, hi_res
-        )
-        nodes = init_nodes + nodes
-
-        loop_state = self._loop_body_state(work, idx_local, ghost, lo_res, hi_res)
-        acc_partial = t.RangedFor(
-            lo_res, t.Var(ghost), value.idx_name, value.acc_name, body_res, init_res
-        )
-        loop_state.bind_scalar(target, acc_partial, acc_ty)
-
-        body_inlined = t.subst(
-            t.subst(body_res, value.idx_name, t.Var(ghost)),
-            value.acc_name,
-            t.Var(target),
-        )
-        step_stmt, step_nodes = self._compile_acc_step(
-            engine, loop_state, target, body_inlined, acc_ty, goal.spec
-        )
-        nodes.extend(step_nodes)
-
-        loop = ast.SWhile(guard, ast.seq_of(step_stmt, self._increment(idx_local)))
-        stmt = ast.seq_of(init_stmt, *prologue, loop)
-
-        post = work.copy()
-        self._cleanup(post, [idx_local])
-        self._drop_body_binders(post, body_res)
-        post.bind_scalar(target, resolved, acc_ty)
-        return stmt, post, nodes
+    def step(self, resolved: t.RangedFor, ghost: t.Var, arr0: None) -> t.Term:
+        return t.subst(resolved.body, resolved.idx_name, ghost)
 
 
-class CompileNatIter(_LoopLemma):
+class CompileNatIter(_AccumulatorLoop):
     """``let/n x := Nat.iter n f init in k`` -- §3.4.2's cell example."""
 
     name = "compile_natiter"
     shapes = ("NatIter",)
     index_heads = shapes
     shape_total = True
+    head = t.NatIter
 
-    def matches(self, goal: BindingGoal) -> bool:
-        return isinstance(goal.value, t.NatIter)
+    def bounds(self, resolved: t.NatIter, arr0: None) -> Tuple[t.Term, t.Term]:
+        return t.Lit(0, NAT), resolved.count
 
-    def apply(self, goal: BindingGoal, engine) -> Tuple[ast.Stmt, object, List[CertNode]]:
-        value = goal.value
-        assert isinstance(value, t.NatIter)
-        state = goal.state
-        resolved = resolve(state, value)
-        assert isinstance(resolved, t.NatIter)
-        count_res, body_res, init_res = resolved.count, resolved.body, resolved.init
-        acc_ty = infer_type(state, init_res)
+    def partial(self, resolved: t.NatIter, ghost: t.Var, arr0: None) -> t.Term:
+        return t.NatIter(ghost, resolved.acc_name, resolved.body, resolved.init)
 
-        target = goal.name
-        init_stmt, state_after_init, init_nodes = engine.compile_value_into(
-            state, target, value.init, goal.spec
-        )
-
-        lo_term = t.Lit(0, NAT)
-        idx_local, ghost, prologue, guard, nodes, work = self._counter_setup(
-            engine, state_after_init, lo_term, count_res
-        )
-        nodes = init_nodes + nodes
-
-        loop_state = self._loop_body_state(work, idx_local, ghost, lo_term, count_res)
-        acc_partial = t.NatIter(t.Var(ghost), value.acc_name, body_res, init_res)
-        loop_state.bind_scalar(target, acc_partial, acc_ty)
-
-        body_inlined = t.subst(body_res, value.acc_name, t.Var(target))
-        step_stmt, step_nodes = self._compile_acc_step(
-            engine, loop_state, target, body_inlined, acc_ty, goal.spec
-        )
-        nodes.extend(step_nodes)
-
-        loop = ast.SWhile(guard, ast.seq_of(step_stmt, self._increment(idx_local)))
-        stmt = ast.seq_of(init_stmt, *prologue, loop)
-
-        post = work.copy()
-        self._cleanup(post, [idx_local])
-        self._drop_body_binders(post, body_res)
-        post.bind_scalar(target, resolved, acc_ty)
-        return stmt, post, nodes
+    def step(self, resolved: t.NatIter, ghost: t.Var, arr0: None) -> t.Term:
+        return resolved.body
 
 
 def register(db: HintDb) -> HintDb:

@@ -20,7 +20,7 @@ from repro.bedrock2 import ast
 from repro.core.certificate import CertNode
 from repro.core.engine import resolve
 from repro.core.goals import BindingGoal, CompilationStalled, StallReport
-from repro.core.lemma import BindingLemma, HintDb
+from repro.core.lemma import BindingLemma, HintDb, owned_clause
 from repro.core.sepstate import PointerBinding
 from repro.core.typecheck import infer_type
 from repro.source import terms as t
@@ -64,16 +64,7 @@ class CompileArrayPut(BindingLemma):
                 family="mutation",
             )
         state = goal.state
-        binding = state.binding(arr_name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no separation-logic clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="mutation",
-            )
+        binding, clause = owned_clause(goal, arr_name, "mutation")
         index = resolve(state, value.index)
         new_elem = resolve(state, value.value)
         engine.discharge(
@@ -128,16 +119,7 @@ class CompileCellPut(BindingLemma):
                 family="mutation",
             )
         state = goal.state
-        binding = state.binding(cell_name)
-        assert isinstance(binding, PointerBinding)
-        clause = state.heap.get(binding.ptr)
-        if clause is None:
-            raise CompilationStalled(
-                goal.describe(),
-                advice=f"no separation-logic clause owns {binding.ptr!r}",
-                reason=StallReport.MISSING_CLAUSE,
-                family="mutation",
-            )
+        binding, clause = owned_clause(goal, cell_name, "mutation")
         content = resolve(state, value.value)
         content_ty = infer_type(state, content)
         value_expr, value_node = engine.compile_expr_term(state, content, content_ty)

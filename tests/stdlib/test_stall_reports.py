@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.goals import CompilationStalled, StallReport
 from repro.core.spec import FnSpec, array_out, len_arg, ptr_arg, scalar_out
+from repro.query import terms as qt
 from repro.source import listarray, monads
 from repro.source import terms as t
 from repro.source.annotations import stack
@@ -38,14 +39,21 @@ def inplace_spec(fname):
 
 class TestStallTaxonomy:
     def test_loops_map_must_rebind_array_name(self):
+        # A store loop (map in place, projection into an array) writes
+        # the array it walks, so it must rebind that array's own name.
         s = sym("s", ARRAY_BYTE)
-        body = let_n("d", listarray.map_(lambda b: b ^ 1, s), sym("d", ARRAY_BYTE))
-        exc = compile_stalled(
-            "badmap", [("s", ARRAY_BYTE)], body.term, inplace_spec("badmap")
-        )
-        assert exc.report.reason == StallReport.UNSUPPORTED_SHAPE
-        assert exc.report.family == "loops"
-        assert "rebinding" in str(exc)
+        project = qt.QProjectInto("k", t.Var("s"), t.ArrayGet(t.Var("s"), t.Var("k")))
+        for family, value, advice in (
+            ("loops", listarray.map_(lambda b: b ^ 1, s).term, "rebinding"),
+            ("queries", project, "rebind"),
+        ):
+            body = t.Let("d", value, t.Var("d"))
+            exc = compile_stalled(
+                "badmap", [("s", ARRAY_BYTE)], body, inplace_spec("badmap")
+            )
+            assert exc.report.reason == StallReport.UNSUPPORTED_SHAPE
+            assert exc.report.family == family
+            assert advice in str(exc)
 
     def test_copying_source_shape_not_supported(self):
         # copy() of a non-array value stalls in the copying lemma.
