@@ -51,6 +51,12 @@ from repro.opt.rewrite import (
 )
 
 
+def _kills(s: ast.Stmt) -> Tuple[str, ...]:
+    """The locals a statement leaves without their old value: those it
+    defines, and an unset's name."""
+    return (s.name,) if isinstance(s, ast.SUnset) else ast.defined_names(s)
+
+
 def count_var_reads(node, name: str) -> int:
     """Occurrences of ``EVar(name)`` in all expressions under ``node``."""
     return sum(
@@ -245,14 +251,6 @@ class CopyPropagation(Pass):
                 env[s.lhs] = rhs.name
             out.append(ast.SSet(s.lhs, rhs))
             return env
-        if isinstance(s, ast.SUnset):
-            out.append(s)
-            return self._kill(env, [s.name])
-        if isinstance(s, ast.SStore):
-            out.append(
-                ast.SStore(s.size, subst_vars(s.addr, env), subst_vars(s.value, env))
-            )
-            return env
         if isinstance(s, ast.SCond):
             cond = subst_vars(s.cond, env)
             then_, env_t = self._block(s.then_, dict(env))
@@ -270,20 +268,11 @@ class CopyPropagation(Pass):
             body, env = self._block(s.body, env)
             out.append(ast.SStackalloc(s.lhs, s.nbytes, body))
             return self._kill(env, [s.lhs])
-        if isinstance(s, ast.SCall):
-            out.append(
-                ast.SCall(s.lhss, s.func, tuple(subst_vars(a, env) for a in s.args))
-            )
-            return self._kill(env, s.lhss)
-        if isinstance(s, ast.SInteract):
-            out.append(
-                ast.SInteract(
-                    s.lhss, s.action, tuple(subst_vars(a, env) for a in s.args)
-                )
-            )
-            return self._kill(env, s.lhss)
-        out.append(s)
-        return env
+        # Straight-line statements: substitute into their expressions.
+        exprs = [subst_vars(e, env) for e in ast.node_exprs(s)]
+        out.append(ast.rebuild(s, exprs, ()))
+        kills = _kills(s)
+        return self._kill(env, kills) if kills else env
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +335,6 @@ class LoadCSE(Pass):
             if isinstance(rhs, ast.ELoad) and s.lhs not in ast.expr_vars(rhs):
                 avail[rhs] = s.lhs
             return
-        if isinstance(s, ast.SStore):
-            out.append(ast.SStore(s.size, self._rw(s.addr, avail), self._rw(s.value, avail)))
-            avail.clear()
-            return
         if isinstance(s, ast.SCond):
             cond = self._rw(s.cond, avail)
             cond = self._hoist(cond, s, avail, names, out)
@@ -361,29 +346,21 @@ class LoadCSE(Pass):
             avail.update(merged)
             out.append(ast.SCond(cond, then_, else_))
             return
-        if isinstance(s, ast.SWhile):
-            body = self._block(s.body, {}, names)
-            out.append(ast.SWhile(s.cond, body))
+        if isinstance(s, (ast.SWhile, ast.SStackalloc)):
+            # A loop body or stack frame starts from an empty table, and
+            # nothing available inside survives it.
+            blocks = [self._block(b, {}, names) for b in ast.child_blocks(s)]
+            out.append(ast.with_blocks(s, blocks))
             avail.clear()
             return
-        if isinstance(s, ast.SStackalloc):
-            body = self._block(s.body, {}, names)
-            out.append(ast.SStackalloc(s.lhs, s.nbytes, body))
+        # Straight-line statements: a store, call or interaction may write
+        # memory and clears the table; otherwise the killed names go.
+        exprs = [self._rw(e, avail) for e in ast.node_exprs(s)]
+        out.append(ast.rebuild(s, exprs, ()))
+        if isinstance(s, (ast.SStore, ast.SCall, ast.SInteract)):
             avail.clear()
-            return
-        if isinstance(s, ast.SUnset):
-            self._kill_var(avail, s.name)
-            out.append(s)
-            return
-        if isinstance(s, (ast.SCall, ast.SInteract)):
-            args = tuple(self._rw(a, avail) for a in s.args)
-            if isinstance(s, ast.SCall):
-                out.append(ast.SCall(s.lhss, s.func, args))
-            else:
-                out.append(ast.SInteract(s.lhss, s.action, args))
-            avail.clear()
-            return
-        out.append(s)
+        for name in _kills(s):
+            self._kill_var(avail, name)
 
     def _hoist(
         self,
@@ -866,16 +843,8 @@ class DeadCodeElimination(Pass):
             second, mid = self._stmt(s.second, live)
             first, live_in = self._stmt(s.first, mid)
             return ast.seq_of(first, second), live_in
-        if isinstance(s, ast.SSet):
-            if s.lhs not in live:
-                return ast.SSkip(), live
-            return s, (live - {s.lhs}) | ast.expr_vars(s.rhs)
-        if isinstance(s, ast.SUnset):
-            if s.name not in live:
-                return ast.SSkip(), live
-            return s, set(live)
-        if isinstance(s, ast.SStore):
-            return s, live | ast.expr_vars(s.addr) | ast.expr_vars(s.value)
+        if isinstance(s, (ast.SSet, ast.SUnset)) and live.isdisjoint(_kills(s)):
+            return ast.SSkip(), live
         if isinstance(s, ast.SCond):
             then_, live_t = self._stmt(s.then_, live)
             else_, live_e = self._stmt(s.else_, live)
@@ -901,12 +870,11 @@ class DeadCodeElimination(Pass):
         if isinstance(s, ast.SStackalloc):
             body, body_in = self._stmt(s.body, live)
             return ast.SStackalloc(s.lhs, s.nbytes, body), body_in - {s.lhs}
-        if isinstance(s, (ast.SCall, ast.SInteract)):
-            live_in = live - set(s.lhss)
-            for arg in s.args:
-                live_in |= ast.expr_vars(arg)
-            return s, live_in
-        return s, live
+        # Straight-line statements: what they define dies, what they read lives.
+        live_in = live - set(ast.defined_names(s))
+        for expr in ast.node_exprs(s):
+            live_in |= ast.expr_vars(expr)
+        return s, live_in
 
 
 def default_pipeline() -> List[Pass]:
