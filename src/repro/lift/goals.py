@@ -6,64 +6,40 @@ Like the forward engine (§3.1), the backward search never guesses -- it
 either recognizes a statement shape through a registered inverse pattern
 or stops and reports the exact Bedrock2 fragment it could not invert.
 
-:class:`LiftStallReport` mirrors :class:`repro.core.goals.StallReport`
-field-for-field so the same tooling (fuzz campaigns, fault campaigns,
-the CLI's JSON output) can consume both without a second parser.  The
-slug taxonomy is the forward taxonomy plus ``no-inverse-pattern``, the
-lift-specific stall the auditor's liftability column predicts
-(:mod:`repro.analysis.hintdb`).
+:class:`LiftStallReport` is a :class:`repro.core.goals.StallReport`
+with the lift slugs added, so the same tooling (fuzz campaigns, fault
+campaigns, the CLI's JSON output) consumes both without a second
+parser.  The slug taxonomy is the forward taxonomy plus
+``no-inverse-pattern``, the lift-specific stall the auditor's
+liftability column predicts (:mod:`repro.analysis.hintdb`).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.goals import StallReport
 
-@dataclass
-class LiftStallReport:
-    """A machine-readable lift stall, mirroring ``StallReport``.
+
+class LiftStallReport(StallReport):
+    """A machine-readable lift stall: a ``StallReport`` with the lift slugs.
 
     ``goal`` renders the Bedrock2 fragment under consideration (the
     backward analogue of the §3.3 judgment: here the *code* is known and
-    the model is the unknown); ``head`` names the Bedrock2 node class so
-    stalls can be bucketed against the inverse-pattern registry the same
-    way forward stalls bucket against ``index_heads``.
+    the model is the unknown); ``head`` names the Bedrock2 node class
+    (``"SCall"``, ``"SWhile"``, ...) so stalls can be bucketed against the
+    inverse-pattern registry the same way forward stalls bucket against
+    ``index_heads``; ``family`` names the lifter component that raised
+    (``"lift.engine"``, ...).  The fields, ``to_dict`` and ``to_json``
+    are the forward report's.
     """
 
-    # Taxonomy slugs (superset of the forward taxonomy where meaningful):
+    # Lift-specific taxonomy slugs, next to the forward ones it shares:
     NO_INVERSE_PATTERN = "no-inverse-pattern"
-    UNSUPPORTED_SHAPE = "unsupported-shape"
     LOOP_SHAPE = "unrecognized-loop-shape"
     UNBOUND_LOCAL = "unbound-local"
     MEMORY_SHAPE = "unrecognized-memory-shape"
-    SPEC_MISMATCH = "spec-mismatch"
-    RESOURCE_EXHAUSTED = "resource-exhausted"
     VALIDATION_FAILED = "validation-failed"
-    INTERNAL = "internal-error"
-
-    reason: str = UNSUPPORTED_SHAPE
-    goal: str = ""
-    family: str = ""  # which lifter component raised: "lift.engine", ...
-    databases: Tuple[str, ...] = ()
-    hint: str = ""
-    nearest_misses: Tuple[str, ...] = field(default_factory=tuple)
-    head: str = ""  # Bedrock2 node class name ("SCall", "SWhile", ...)
-
-    def to_dict(self) -> dict:
-        return {
-            "reason": self.reason,
-            "goal": self.goal,
-            "family": self.family,
-            "databases": list(self.databases),
-            "hint": self.hint,
-            "nearest_misses": list(self.nearest_misses),
-            "head": self.head,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class LiftError(Exception):

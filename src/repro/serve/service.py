@@ -161,17 +161,24 @@ class CompileService:
                 response.setdefault("op", op)
         finally:
             self._in_flight = False
-        if tracer.enabled:
-            tracer.event(
-                "serve_request",
-                op=str(op),
-                ok=bool(response.get("ok")),
-                program=str(request.get("program", "")),
-                detail=str(response.get("error", "")),
-            )
-            tracer.inc("serve.requests")
-            tracer.inc(f"serve.{'ok' if response.get('ok') else 'error'}")
+        self._trace_request(tracer, request, response)
         return response
+
+    @staticmethod
+    def _trace_request(tracer, request: dict, response: dict) -> None:
+        """The ``serve_request`` event and the request counters."""
+        if not tracer.enabled:
+            return
+        ok = bool(response.get("ok"))
+        tracer.event(
+            "serve_request",
+            op=str(request.get("op")),
+            ok=ok,
+            program=str(request.get("program", "")),
+            detail=str(response.get("error", "")),
+        )
+        tracer.inc("serve.requests")
+        tracer.inc(f"serve.{'ok' if ok else 'error'}")
 
     # -- Ops -------------------------------------------------------------------
 

@@ -685,17 +685,7 @@ class SupervisedService(CompileService):
                 "supervisor": self.supervisor.stats(),
             }
         response = self.supervisor.submit(request)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "serve_request",
-                op=str(op),
-                ok=bool(response.get("ok")),
-                program=str(request.get("program", "")),
-                detail=str(response.get("error", "")),
-            )
-            tracer.inc("serve.requests")
-            tracer.inc(f"serve.{'ok' if response.get('ok') else 'error'}")
+        self._trace_request(current_tracer(), request, response)
         return response
 
     def drain_summary(self) -> str:
