@@ -12,7 +12,10 @@ In the generated function
 - each ``EOp`` is inlined from its template in
   :data:`~repro.bedrock2.semantics.OP_TEMPLATES`, the templates
   :data:`~repro.bedrock2.semantics.RAW_OPS` is built from;
-- loads and stores read and write a region's ``bytearray`` in place.
+- loads and stores read and write a region's ``bytearray`` in place,
+  through precompiled ``struct`` codecs for 2, 4 and 8 bytes (``_u2``
+  ... ``unpack_from``, ``_p2`` ... ``pack_into``; inline-table reads use
+  the same ``_u`` codecs), each after its region or table check.
   Accesses whose addresses are based on the same local (the first one
   reached through additions) share a cache of the last region
   ``Memory.region`` gave them, locals ``mb0``/``me0``/``mbuf0``, ...;
@@ -27,7 +30,15 @@ The big-step rules of Box 2 are kept in order: the fuel check at each
 statement entry and one unit of fuel per executed statement (``SCall``
 passes ``fuel - 1`` to the callee and charges the caller one unit), the
 ``Memory`` region checks, inline-table bounds, and the unbound-local,
-arity and missing-return errors.  Fuel and count updates of
+arity and missing-return errors.  One exception to where fuel is
+checked: a fuel-static loop (its body holds no loop, call, external
+action or stack frame, and no branch of it moves into a helper) is
+emitted twice.  ``while f >= K:``, with ``K`` the most fuel one
+iteration can spend, runs whole iterations with no fuel check, since
+none could fail, and counts them in one trip counter ``n<i>`` in place
+of the per-field counts every path of an iteration makes (branch arms
+keep their own); its ``else`` is the loop with every check, which runs
+the iterations left once the fuel is short.  Fuel and count updates of
 straight-line code are summed and written out where they can next be
 observed (before a call out, at a loop head, at the end of a branch),
 and every code path that raises writes them out first, so the counts an
@@ -48,7 +59,8 @@ check for the unset sentinel, which ``SUnset`` stores.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import struct
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import codegen
 from repro.bedrock2 import ast, wellformed
@@ -116,11 +128,15 @@ def _interact(external, state, width, action, args, names, values, extras, count
     return values, left, [ret.unsigned for ret in rets]
 
 
+#: The little-endian codec of each wide access size.
+_CODECS = {size: struct.Struct(code) for size, code in ((2, "<H"), (4, "<I"), (8, "<Q"))}
+
 #: What every generated namespace starts with.
 _RUNTIME = {
     "_U": _UNSET,
     "_FUEL": _FUEL,
-    "_fb": int.from_bytes,
+    **{f"_u{size}": codec.unpack_from for size, codec in _CODECS.items()},
+    **{f"_p{size}": codec.pack_into for size, codec in _CODECS.items()},
     "_unbound": _unbound,
     "_table_overrun": _table_overrun,
     "_bad_rets": _bad_rets,
@@ -192,6 +208,25 @@ def _scan(fn: ast.Function) -> Tuple[List[str], List[object]]:
     return list(names), list(roots)
 
 
+def _static_cost(s: ast.Stmt) -> Optional[Tuple[int, int]]:
+    """The most fuel one run of ``s`` spends and how deep its branches
+    nest, or ``None`` when ``s`` holds a loop, a call, an external action
+    or a stack frame."""
+    fuel = depth = 0
+    for leaf in ast.flatten(s):
+        if isinstance(leaf, ast.SCond):
+            arms = (_static_cost(leaf.then_), _static_cost(leaf.else_))
+            if None in arms:
+                return None
+            fuel += 1 + max(arm[0] for arm in arms)
+            depth = max(depth, 1 + max(arm[1] for arm in arms))
+        elif isinstance(leaf, (ast.SSet, ast.SUnset, ast.SStore)):
+            fuel += 1
+        else:
+            return None
+    return fuel, depth
+
+
 def _atomic(code: str) -> bool:
     return code.isidentifier() or code.isdigit()
 
@@ -222,6 +257,12 @@ class _Pending:
         return _Pending(self.fuel - other.fuel, {k: n for k, n in counts.items() if n})
 
 
+class _Check(str):
+    """A line checking the fuel, which a fast loop leaves out."""
+
+    __slots__ = ()
+
+
 class _Body:
     """The lines of one generated Python function."""
 
@@ -230,6 +271,7 @@ class _Body:
         self.indent = 2  # inside ``def`` and ``try``
         self.blocks = 1  # the ``try``
         self.counters: set = set()
+        self.trips: List[Tuple[str, Dict[str, int]]] = []  # fast loops' trip counters
         self.binds: set = set()  # runtime objects the prologue fetches
         self.caches: set = set()  # region caches the body uses
 
@@ -301,6 +343,7 @@ class _Generator(codegen.Module):
 
     def check_fuel(self, p: _Pending, b: _Body) -> None:
         self.fail(p, b, f"f <= {p.fuel}", "OutOfFuel(_FUEL)")
+        b.lines[-1] = _Check(b.lines[-1])
 
     # -- expressions --
 
@@ -332,7 +375,7 @@ class _Generator(codegen.Module):
             if size == 1:
                 b.emit(f"{value} = mbuf{c}[{offset}]")
             else:
-                b.emit(f"{value} = _fb(mbuf{c}[{offset}:{offset} + {size!r}], 'little')")
+                b.emit(f"{value} = _u{size}(mbuf{c}, {offset})[0]")
             return value if 8 * size <= self.width else f"({value} & {self.mask!r})"
         if isinstance(e, ast.EInlineTable):
             index = self.spill(self.expr(e.index, bound, p, b), b)
@@ -344,7 +387,7 @@ class _Generator(codegen.Module):
             )
             if size == 1:
                 return f"{table}[{index}]"
-            value = f"_fb({table}[{index}:{index} + {size!r}], 'little')"
+            value = f"_u{size}({table}, {index})[0]"
             return value if 8 * size <= self.width else f"({value} & {self.mask!r})"
         raise TypeError(f"unknown expression node {e!r}")
 
@@ -397,10 +440,7 @@ class _Generator(codegen.Module):
         self.memory_op(p, b, f"mb{c}, me{c}, mbuf{c} = mem.region({addr}, {size!r})",
                        f"mem.{counter} -= 1; ")
         b.indent -= 1
-        if size == 1:
-            return f"{addr} - mb{c}"
-        b.emit(f"o = {addr} - mb{c}")
-        return "o"
+        return f"{addr} - mb{c}"
 
     # -- statements --
 
@@ -456,8 +496,7 @@ class _Generator(codegen.Module):
             if size == 1:
                 b.emit(f"mbuf{c}[{offset}] = {value}")
             else:
-                b.emit(f"mbuf{c}[{offset}:{offset} + {size!r}] = ({value})"
-                       f".to_bytes({size!r}, 'little')")
+                b.emit(f"_p{size}(mbuf{c}, {offset}, {value})")
             p.fuel += 1
         elif isinstance(s, ast.SCond):
             self.cond(s, bound, p, b, followed)
@@ -492,9 +531,29 @@ class _Generator(codegen.Module):
         p.fuel, p.counts = common.fuel, common.counts
 
     def loop(self, s: ast.SWhile, p: _Pending, b: _Body) -> None:
+        """Emit ``s``; a fuel-static one as a fast loop before a precise one.
+
+        The body of a fuel-static loop holds no loop, call, external
+        action or stack frame, and no branch of it moves into a helper.
+        While ``f`` covers the most fuel one iteration can spend, no fuel
+        check in the iteration can fail: the fast loop is the precise
+        loop's iteration without them, and the counts every path of an
+        iteration makes become one trip counter, added into the counts
+        in the ``finally``.  Its ``else``, reached once ``f`` runs short,
+        is the precise loop, which runs the rest.
+        """
         # The head checks the fuel on every iteration, the first one
         # included, so the fuel is written out before the loop.
         self.settle(p, b)
+        cost = _static_cost(s.body)
+        # The precise loop sits in the fast one's ``else``, a level deeper:
+        # a branch that would move into a helper there, as deep as its
+        # branches nest, keeps the loop precise only.
+        fast = cost is not None and not (cost[1] and (
+            b.indent + 1 + cost[1] >= codegen.MAX_INDENT or b.blocks + 1 >= codegen.MAX_BLOCKS
+        ))
+        b.indent += fast
+        start = len(b.lines)
         b.emit("while True:")
         b.indent += 1
         b.blocks += 1
@@ -504,9 +563,20 @@ class _Generator(codegen.Module):
         p.fuel += 1
         b.emit(f"if not {test}: {self.counts_code(p, b)}f -= {p.fuel}; break")
         self.stmt(s.body, p, b, followed=True)
+        iteration, trip = b.lines[start + 1:], p.copy()
         self.settle(p, b)
-        b.indent -= 1
+        b.indent -= 1 + fast
         b.blocks -= 1
+        if fast:
+            trips, pad = self.fresh("n"), " " * b.indent
+            b.trips.append((trips, trip.counts))
+            b.lines[start:start] = [
+                f"{pad}while f >= {cost[0] + 1!r}:",
+                *(line[1:] for line in iteration if not isinstance(line, _Check)),
+                f"{pad} {trips} += 1",
+                f"{pad} f -= {trip.fuel!r}",
+                f"{pad}else:",
+            ]
 
     def stackalloc(self, s: ast.SStackalloc, p: _Pending, b: _Body) -> None:
         nbytes = int(s.nbytes)
@@ -597,10 +667,16 @@ class _Generator(codegen.Module):
             lines.append(" " + init)
         counters = sorted(b.counters)
         if counters:
-            lines.append(" " + " = ".join(f"c_{c}" for c in counters) + " = 0")
+            zero = [f"c_{c}" for c in counters] + [trips for trips, _ in b.trips]
+            lines.append(" " + " = ".join(zero) + " = 0")
         lines.append(" try:")
         lines += b.lines or ["  pass"]
         lines.append(" finally:")
+        for c in counters:
+            terms = [trips if counts[c] == 1 else f"{counts[c]!r} * {trips}"
+                     for trips, counts in b.trips if c in counts]
+            if terms:
+                lines.append(f"  c_{c} += {' + '.join(terms)}")
         if counters:
             lines.append("  cn = interp.counts")
             lines += [f"  cn.{c} += c_{c}" for c in counters]

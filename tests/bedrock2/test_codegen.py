@@ -10,6 +10,7 @@ handlers that edit the frame, and names that are not Python identifiers.
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
@@ -41,7 +42,7 @@ from repro.bedrock2.ast import (
 )
 from repro.bedrock2.semantics import OutOfFuel
 from repro.bedrock2.word import Word
-from tests.bedrock2.test_exec_equivalence import _memory, run_both, single
+from tests.bedrock2.test_exec_equivalence import _echo, _memory, run_both, single
 from tests.bedrock2.tree_walker import TreeWalker
 
 
@@ -309,6 +310,117 @@ def test_two_regions_alternating_in_one_loop(width):
         outcome = run_both(program, "f", args, width=width, make_memory=_adjacent)
         assert outcome[0] == "ok"
         assert outcome[-3:-1] == (16 * 3, 16 * 2)  # memory reads, writes
+
+
+# -- Fast loops ------------------------------------------------------------------------
+#
+# A loop whose body holds no loop, call, external action or stack frame,
+# and none of whose branches moves into a helper, runs as ``while f >= K``
+# (whole iterations, no fuel checks) with an ``else`` holding the checked
+# ``while True`` loop; any other loop is only the checked one.
+
+
+def _loop(*body):
+    return seq_of(SSet("r", lit(0)), SSet("i", lit(0)), SWhile(
+        ltu(var("i"), lit(5)), seq_of(*body, SSet("i", add(var("i"), lit(1))))))
+
+
+_BRANCH = SCond(band(var("i"), lit(1)), SSet("r", add(var("r"), var("i"))),
+                store(2, lit(0x1000), var("r")))
+
+#: name -> (body, lowered limits, fast loops, checked loops)
+LOOP_FORMS = {
+    "straight": (_loop(SSet("r", add(var("r"), load(1, add(lit(0x1000), var("i")))))),
+                 False, 1, 1),
+    "branch": (_loop(_BRANCH), False, 1, 1),
+    "branch-outlined": (_loop(_BRANCH), True, 0, 1),
+    "straight-lowered": (_loop(store(8, lit(0x1008), var("i"))), True, 1, 1),
+    "call": (_loop(SCall(("r",), "g", (var("r"),))), False, 0, 1),
+    "interact": (_loop(SInteract(("r",), "io", (var("r"),))), False, 0, 1),
+    "stackalloc": (_loop(SStackalloc("p", 8, store(8, var("p"), var("i")))), False, 0, 1),
+    # the outer loop holds a loop; the inner one runs fast
+    "nested": (_loop(SSet("j", lit(0)), SWhile(ltu(var("j"), var("i")), seq_of(
+        SSet("r", add(var("r"), var("j"))), SSet("j", add(var("j"), lit(1)))))), False, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_FORMS))
+def test_only_fuel_static_loops_run_fast(case, monkeypatch):
+    body, lowered, fast, checked = LOOP_FORMS[case]
+    if lowered:
+        monkeypatch.setattr(codegen, "MAX_INDENT", 3)
+        monkeypatch.setattr(codegen, "MAX_BLOCKS", 2)
+        monkeypatch.setattr(codegen, "_CACHE", {})
+    callee = Function("g", ("x",), ("y",), SSet("y", add(var("x"), lit(1))))
+    program = Program((Function("f", (), ("r",), body), callee))
+    source = _source(program, "f")
+    assert source.count("while f >= ") == len(re.findall(r"else:\n *while True:", source)) == fast
+    assert source.count("while True:") == checked
+    assert ("def h0(" in source) == (case == "branch-outlined")
+    exact = _exact_fuel(program, "f", [], external=_echo)
+    for fuel in range(exact + 2):
+        run_both(program, "f", [], external=_echo, fuel=fuel)
+
+
+# -- Wide accesses ---------------------------------------------------------------------
+#
+# Loads, stores and inline-table reads of 2, 4 and 8 bytes go through
+# ``struct`` codecs; the region and table checks come first, loads wider
+# than the word are masked, and stores narrower than it store masked values.
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_wide_loads_and_stores(width):
+    mask = (1 << width) - 1
+    body = seq_of(
+        store(2, lit(0x1000), add(var("x"), lit(0x10000))),
+        store(4, lit(0x1002), EOp("mul", var("x"), lit(0x10001))),
+        store(8, lit(0x1008), var("x")),
+        SSet("r", add(load(8, lit(0x1000)), load(2, lit(0x1001)))),
+        SSet("r", add(var("r"), load(4, lit(0x100c)))),
+    )
+    program = single(body, args=("x",))
+    source = _source(program, "f", width)
+    assert "_fb(" not in source and ".to_bytes(" not in source
+    lines = [line.strip() for line in source.splitlines()]
+    for size in (2, 4, 8):
+        assert any(line.startswith(f"_p{size}(mbuf0, ") for line in lines)
+        assert any(f"= _u{size}(mbuf0, " in line for line in lines)
+    # A 2-byte store masks its value at both widths, a 4-byte one at 64 bits.
+    assert any(line.startswith("_p2(") and line.endswith(" & 65535)") for line in lines)
+    assert any(line.startswith("_p4(") and line.endswith(" & 4294967295)")
+               for line in lines) == (width == 64)
+    # An 8-byte load is masked to a 32-bit word.
+    (wide,) = [line.split(" = ")[0] for line in lines if "= _u8(" in line]
+    assert (f"({wide} & 4294967295)" in source) == (width == 32)
+    x = 0x89ABCDEF01234567 & mask
+    memory = bytearray(16)
+    memory[0:2] = ((x + 0x10000) & 0xFFFF).to_bytes(2, "little")
+    memory[2:6] = ((x * 0x10001) & 0xFFFFFFFF).to_bytes(4, "little")
+    memory[8:16] = x.to_bytes(8, "little")
+    r = int.from_bytes(memory[0:8], "little") & mask
+    r = (r + int.from_bytes(memory[1:3], "little")) & mask
+    r = (r + int.from_bytes(memory[12:16], "little")) & mask
+    outcome = run_both(program, "f", [x], width=width)
+    assert outcome[:2] == ("ok", [r])
+    assert outcome[4] == {0x1000 + k: byte for k, byte in enumerate(memory)}
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_table_reads_at_the_last_valid_offset(size, width):
+    data = bytes(range(0xA0, 0xAB))  # 11 bytes
+    last = len(data) - size
+    program = single(SSet("r", EInlineTable(size, data, var("x"))), args=("x",))
+    assert f"_u{size}(k" in _source(program, "f", width)
+    outcome = run_both(program, "f", [last], width=width)
+    value = int.from_bytes(data[last:], "little") & ((1 << width) - 1)
+    assert outcome[:2] == ("ok", [value])
+    outcome = run_both(program, "f", [last + 1], width=width)
+    assert outcome[:3] == (
+        "error", "ExecutionError",
+        f"inline-table read of {size} byte(s) at offset {last + 1} exceeds table length 11",
+    )
 
 
 # -- Unbound locals ---------------------------------------------------------------------

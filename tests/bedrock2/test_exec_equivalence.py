@@ -5,7 +5,8 @@ executor (:mod:`repro.bedrock2.closures`); :class:`TreeWalker`
 (``tests/bedrock2/tree_walker.py``) walks the AST instead, and is the
 reference here.  Over the Table 2, query and fuzz corpora, at widths 32
 and 64, both must produce the same rets, out-memory, trace, op counts and
-memory read/write counts; on hand-built failing programs, the same
+memory read/write counts (the counts also when a run fails); on
+hand-built failing programs, the same
 exception type and message; and under every fuel bound up to the exact
 requirement plus 2, the same ``OutOfFuel`` or the same result.
 """
@@ -20,6 +21,7 @@ import pytest
 from repro.bedrock2 import ast
 from repro.bedrock2.ast import (
     EInlineTable,
+    EOp,
     Function,
     Program,
     SCall,
@@ -40,7 +42,7 @@ from repro.bedrock2.ast import (
     var,
 )
 from repro.bedrock2.memory import Memory
-from repro.bedrock2.semantics import Interpreter, OutOfFuel
+from repro.bedrock2.semantics import Interpreter
 from repro.bedrock2.word import Word
 from repro.core.goals import CompileError
 from repro.programs import all_programs
@@ -90,12 +92,19 @@ def observe(fn, spec, params, width, interpreter_cls, seed, fuel=Interpreter.DEF
     def stack_init(nbytes):
         return bytes(rng.randrange(256) for _ in range(nbytes))
 
+    interps = []
+
+    class Recording(interpreter_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            interps.append(self)
+
     RecordingMemory.made.clear()
     with mock.patch.object(runners, "Memory", RecordingMemory):
         try:
             result = run_function(
                 fn, spec, params, width=width, io_input=iter(io_input),
-                stack_init=stack_init, fuel=fuel, interpreter_cls=interpreter_cls,
+                stack_init=stack_init, fuel=fuel, interpreter_cls=Recording,
             )
         except Exception as error:  # noqa: BLE001 - compared, not swallowed
             outcome = ("error", type(error).__name__, str(error))
@@ -106,17 +115,19 @@ def observe(fn, spec, params, width, interpreter_cls, seed, fuel=Interpreter.DEF
                 result.counts.as_dict(),
             )
     (memory,) = RecordingMemory.made
+    (interp,) = interps
     return outcome + (
-        memory.read_count, memory.write_count, memory.snapshot(),
+        interp.counts.as_dict(), memory.read_count, memory.write_count, memory.snapshot(),
         memory.regions, memory._stack_top,
     )
 
 
-def assert_same(fn, spec, params, width, seed):
+def assert_same(fn, spec, params, width, seed, fuel=Interpreter.DEFAULT_FUEL):
     params = _narrow(params, width)
-    reference = observe(fn, spec, params, width, TreeWalker, seed)
-    fast = observe(fn, spec, params, width, Interpreter, seed)
+    reference = observe(fn, spec, params, width, TreeWalker, seed, fuel)
+    fast = observe(fn, spec, params, width, Interpreter, seed, fuel)
     assert fast == reference
+    return fast
 
 
 def _generic_gen(model):
@@ -301,24 +312,124 @@ def test_every_statement_form(width):
 
 
 # -- Fuel ------------------------------------------------------------------------
+#
+# A loop whose body holds no loop, call, external action or stack frame
+# runs whole iterations without fuel checks while the fuel covers the
+# costliest iteration, then finishes in a loop that checks before every
+# statement.  Each subject below runs on every fuel from 0 up to the
+# least it does not run out on, plus 2, so every way of running out --
+# in the checked loop, between the two loops, after any number of
+# unchecked iterations -- meets the tree-walker.
 
 
-def _exact_fuel(program, name, args, width=64):
+def _sweep(run):
+    """``run(fuel)``, which compares both executors, on every fuel from 0
+    to the least that does not run out, plus 2; returns that least fuel
+    and the outcome there, which more fuel must not change."""
     fuel = 0
     while True:
-        try:
-            TreeWalker(program, width=width).run(name, [Word(width, a) for a in args],
-                                                 _memory(width), fuel)
-        except OutOfFuel:
-            fuel += 1
-            continue
-        return fuel
+        outcome = run(fuel)
+        if outcome[:2] != ("error", "OutOfFuel"):
+            break
+        fuel += 1
+    assert run(fuel + 1) == run(fuel + 2) == outcome
+    return fuel, outcome
+
+
+def _filled(width):
+    """``_memory`` with the buffer holding 5, 4, 3, 2, 1, 0, 0, ..."""
+    memory = _memory(width)
+    memory.store_bytes(0x1000, bytes([5, 4, 3, 2, 1]))
+    return memory
+
+
+def _counted(body, trips=lit(6)):
+    """``r = 0; i = 0; while i < trips: body; i = i + 1``."""
+    return seq_of(SSet("r", lit(0)), SSet("i", lit(0)),
+                  SWhile(ltu(var("i"), trips), seq_of(body, SSet("i", add(var("i"), lit(1))))))
+
+
+def _echo(action, args, state):
+    return [Word(args[0].width, args[0].unsigned + 1)]
+
+
+#: name -> (program, function, args, memory, external, what the run ends in)
+FUEL_SUBJECTS = {
+    # Branch arms that cost 3 or 4 units (through a nested branch)
+    # against 1, and 0 against 1.
+    "uneven-arms": (single(_counted(seq_of(
+        SCond(band(var("i"), lit(1)),
+              seq_of(SSet("r", add(var("r"), var("i"))),
+                     SCond(band(var("i"), lit(2)),
+                           seq_of(SSet("r", add(var("r"), lit(7))),
+                                  SSet("r", EOp("mul", var("r"), lit(3)))),
+                           seq_of(SSet("r", add(var("r"), lit(1))), SSkip()))),
+              SSet("r", add(var("r"), lit(2)))),
+        SCond(ltu(var("r"), lit(9)), SSkip(), SSet("r", add(var("r"), lit(3)))),
+    ))), "f", [], _memory, None, "ok"),
+    # The test loads a byte, then two bytes, from memory.
+    "loaded-test": (single(seq_of(
+        SSet("r", lit(0)), SSet("i", lit(0)),
+        SWhile(load(1, add(lit(0x1000), var("i"))),
+               seq_of(SSet("r", add(var("r"), load(1, add(lit(0x1000), var("i"))))),
+                      SSet("i", add(var("i"), lit(1))))),
+        SSet("i", lit(0)),
+        SWhile(ltu(lit(1), load(2, add(lit(0x1000), var("i")))),
+               SSet("i", add(var("i"), lit(1)))),
+        SSet("r", add(var("r"), var("i"))),
+    )), "f", [], _filled, None, "ok"),
+    # A precise outer loop (its body holds a loop) around a fast inner one
+    # that loads and stores 2, 4 and 8 bytes.
+    "nested": (single(_counted(seq_of(
+        SSet("j", lit(0)),
+        SWhile(ltu(var("j"), var("i")), seq_of(
+            store(4, add(lit(0x1000), var("j")), add(load(8, lit(0x1008)), var("j"))),
+            SSet("r", add(var("r"), load(2, add(lit(0x1004), var("j"))))),
+            SSet("j", add(var("j"), lit(1))),
+        )),
+    ), lit(4))), "f", [], _filled, None, "ok"),
+    # Mid-iteration failures after unchecked iterations: a 4-byte load
+    # past the buffer's end at i = 7, an 8-byte store past it at i = 3,
+    # a 4-byte read past the 10-byte table's end at i = 7.
+    "load-fault": (single(_counted(seq_of(
+        SSet("r", add(var("r"), lit(1))),
+        SSet("r", add(var("r"), load(4, add(lit(0x1000), EOp("mul", var("i"), lit(2)))))),
+    ), lit(10))), "f", [], _filled, None, "ExecutionError"),
+    "store-fault": (single(_counted(seq_of(
+        SSet("r", add(var("r"), lit(1))),
+        store(8, add(lit(0x1000), EOp("mul", var("i"), lit(4))), var("r")),
+    ), lit(10))), "f", [], _memory, None, "ExecutionError"),
+    "table-overrun": (single(_counted(seq_of(
+        SSet("r", add(var("r"), lit(1))),
+        SSet("r", add(var("r"), EInlineTable(4, bytes(range(1, 11)), var("i")))),
+    ), lit(10))), "f", [], _memory, None, "ExecutionError"),
+    # Bodies that keep every fuel check: a call, an external action, a frame.
+    "call": (Program((Function("f", (), ("r",), _counted(
+        SCall(("r",), "double", (add(var("r"), lit(1)),)))), DOUBLE)),
+        "f", [], _memory, None, "ok"),
+    "interact": (single(_counted(seq_of(
+        SInteract(("r",), "bump", (var("r"),)), SSet("r", add(var("r"), lit(1)))))),
+        "f", [], _memory, _echo, "ok"),
+    "stackalloc": (single(_counted(SStackalloc("p", 8, seq_of(
+        store(8, var("p"), var("i")), SSet("r", add(var("r"), load(4, var("p")))))))),
+        "f", [], _memory, None, "ok"),
+}
 
 
 def _fnv1a_program():
     (program,) = [p for p in all_programs() if p.name == "fnv1a"]
     fn = program.compile(opt_level=1).bedrock_fn
     return Program((fn,)), fn.name
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("subject", sorted(FUEL_SUBJECTS))
+def test_fuel_sweep_hand_built(subject, width):
+    program, name, args, memory, external, ends = FUEL_SUBJECTS[subject]
+    exact, outcome = _sweep(lambda fuel: run_both(
+        program, name, args, width=width, external=external, fuel=fuel, make_memory=memory))
+    assert exact > 0
+    assert (outcome[1] if outcome[0] == "error" else "ok") == ends
 
 
 @pytest.mark.parametrize("subject", ["kitchen", "fnv1a"])
@@ -328,11 +439,36 @@ def test_fuel_sweep(subject):
     else:
         program, name = _fnv1a_program()
         args = [0x1000, 3]  # three bytes of the pre-allocated 16-byte buffer
-    exact = _exact_fuel(program, name, args)
+    exact, outcome = _sweep(lambda fuel: run_both(program, name, args, fuel=fuel))
     assert exact > 0
-    kinds = set()
-    for fuel in range(exact + 3):
-        outcome = run_both(program, name, args, fuel=fuel)
-        kinds.add(outcome[1] if outcome[0] == "error" else "ok")
-        assert (outcome[0] == "ok") == (fuel >= exact)
-    assert kinds == {"OutOfFuel", "ok"}
+    assert outcome[0] == "ok"
+
+
+def _short_input(program, rng):
+    """An input of a few bytes or rows, for a sweep over every fuel."""
+    if program in all_query_programs():
+        while True:
+            tables, out_len = program.gen_tables(rng)
+            if all(0 < len(col) <= 3 for table in tables.values() for col in table.values()):
+                return program.inputs_from_tables(tables, out_len)
+    if program.calling_style in ("hash", "inplace"):
+        return {"s": list(program.gen_input(rng, 5))}
+    return (program.validation_input_gen() or _generic_gen(program.build_model()))(rng)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize(
+    "program", all_programs() + all_query_programs(), ids=lambda p: p.name
+)
+def test_fuel_sweep_corpus(program, width):
+    compiled = program.compile(opt_level=1)
+    params = _short_input(program, random.Random(f"fuel-{program.name}-{width}"))
+    exact, outcome = _sweep(
+        lambda fuel: assert_same(compiled.bedrock_fn, compiled.spec, params, width, 0, fuel)
+    )
+    assert exact > 0
+    # The query programs read 8-byte words, which a 32-bit layout stores
+    # in 4 bytes each: there they fault before the table's end.
+    query = program in all_query_programs()
+    assert outcome[1 if query and width == 32 else 0] == (
+        "ExecutionError" if query and width == 32 else "ok")
