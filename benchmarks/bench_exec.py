@@ -15,7 +15,11 @@ time at the reference host speed: its ms divided by a
 executor costs: the µs to emit its source, the µs ``compile()`` takes on
 it and its size in bytes, best of the repeats (reported, not gated).
 ``--fresh`` reports the same three over the 150 seeded fuzz functions
-(``generate_case(Random(7000 + i), i)``) instead of the tables.
+(``generate_case(Random(7000 + i), i)``) instead of the tables.  For the
+programs called once per 4-byte window (the scalar and window calling
+styles, m3s and utf8), E18 also reports the µs per ``Interpreter.run``
+call and the share of it spent inside the generated ``run``, timed on
+its own on the same arguments (reported, not gated).
 
 E19: ``Evaluator.eval`` runs functional models compiled into generated
 Python functions (:mod:`repro.source.closures`, one per model and width;
@@ -50,7 +54,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.bedrock2 import ast as b2
 from repro.bedrock2 import closures
 from repro.bedrock2.memory import Memory
-from repro.bedrock2.semantics import Interpreter
+from repro.bedrock2.semantics import Interpreter, MachineState
 from repro.bedrock2.word import Word
 from repro.core.goals import CompileError
 from repro.programs import all_programs
@@ -101,6 +105,38 @@ def _driver(program, fn: b2.Function, spec, data: bytes) -> Callable[[type], Tup
     return run_windows
 
 
+def _windows(style: str, data: bytes, base: int) -> List[Tuple[int, ...]]:
+    """The argument ints of each per-window call, as ``_driver`` makes them."""
+    if style == "scalar":
+        return [(int.from_bytes(data[offset : offset + 4], "little"),)
+                for offset in range(0, len(data) - 3, 4)]
+    return [(base, len(data), offset) for offset in range(0, len(data) - 3, 4)]
+
+
+def call_cost(program, fn: b2.Function, data: bytes, repeats: int = REPEATS) -> Dict:
+    """µs per ``Interpreter.run`` call of a per-window program, and the
+    share of it the generated ``run`` takes on the same arguments (best
+    of ``repeats`` each, alternated)."""
+    style = program.calling_style
+    run = _driver(program, fn, None, data)
+    memory = Memory()
+    calls = _windows(style, data, memory.place_bytes(data) if style == "window" else 0)
+    interp = Interpreter(b2.Program((fn,)))
+    state = MachineState(memory)
+    generated = closures.compiled(fn, 64).run
+    fuel = Interpreter.DEFAULT_FUEL
+    call_us = run_us = math.inf
+    for _ in range(repeats):
+        call_us = min(call_us, _timed(run, Interpreter)[0] * 1000 / len(calls))
+        start = time.perf_counter()
+        for args in calls:
+            generated(interp, state, fuel, *args)
+        run_us = min(run_us, (time.perf_counter() - start) * 1e6 / len(calls))
+    return {"program": program.name, "style": style, "calls": len(calls),
+            "call_us": round(call_us, 2), "run_us": round(run_us, 2),
+            "run_share": round(run_us / call_us, 3)}
+
+
 def _timed(run: Callable[[type], Tuple], cls: type) -> Tuple[float, Tuple]:
     start = time.perf_counter()
     outcome = run(cls)
@@ -141,6 +177,7 @@ def measure_fresh(count: int = 150, repeats: int = REPEATS) -> Dict:
 
 def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> Dict:
     rows: List[Dict] = []
+    calls: List[Dict] = []
     host = HostSpeed()
     for program in all_programs():
         compiled = program.compile(opt_level=1)
@@ -165,6 +202,8 @@ def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> 
             "identical": tree_out == fast_out,
             **code_cost(compiled.bedrock_fn, repeats),
         })
+        if program.calling_style in ("scalar", "window"):
+            calls.append(call_cost(program, compiled.bedrock_fn, data, repeats))
     geomean = math.exp(sum(math.log(r["tree_ms"] / r["executor_ms"]) for r in rows) / len(rows))
     return {
         "experiment": "E18",
@@ -172,6 +211,7 @@ def measure(size: int = DEFAULT_SIZE, repeats: int = REPEATS, seed: int = 0) -> 
         "size": size,
         "repeats": repeats,
         "rows": rows,
+        "calls": calls,
         "geomean_speedup": round(geomean, 2),
         "executor_ref_ms": round(sum(r["executor_ref_ms"] for r in rows), 2),
         "identical": all(r["identical"] for r in rows),
@@ -248,6 +288,13 @@ def render(report: Dict) -> str:
         f"geomean speedup {report['geomean_speedup']:.2f}x (floor {report['floor']:.1f}x); "
         f"executor at the reference host speed {report['executor_ref_ms']:.1f} ms in all"
     )
+    lines.append(f"per-window calls: {'program':<8} {'style':<8} {'calls':>6} "
+                 f"{'us/call':>8} {'run us':>7} {'in run':>7}")
+    for r in report["calls"]:
+        lines.append(
+            f"{'':<18}{r['program']:<8} {r['style']:<8} {r['calls']:>6} {r['call_us']:>8.2f} "
+            f"{r['run_us']:>7.2f} {r['run_share']:>6.0%}"
+        )
     return "\n".join(lines)
 
 

@@ -70,6 +70,11 @@ class Memory:
     executor forgets its cached region wherever a ``free`` can have run.
     """
 
+    __slots__ = (
+        "width", "_bases", "_ends", "_buffers", "_regions", "_seqs", "_seq",
+        "_next_base", "_stack_top", "write_count", "read_count",
+    )
+
     def __init__(self, width: int = 64):
         self.width = width
         self._bases: List[int] = []

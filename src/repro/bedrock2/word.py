@@ -19,6 +19,9 @@ BitWidth = int
 
 _VALID_WIDTHS = (8, 16, 32, 64)
 
+#: Each supported width's mask.
+_MASKS = {width: (1 << width) - 1 for width in _VALID_WIDTHS}
+
 IntLike = Union[int, "Word"]
 
 
@@ -34,12 +37,14 @@ class Word:
     __slots__ = ("width", "unsigned")
 
     def __init__(self, width: BitWidth, value: IntLike):
-        if width not in _VALID_WIDTHS:
+        mask = _MASKS.get(width) if width.__class__ is int else None
+        if mask is None:
             raise ValueError(f"unsupported word width: {width}")
         if isinstance(value, Word):
             value = value.unsigned
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "unsigned", value & ((1 << width) - 1))
+        # The slot descriptors write past ``__setattr__``, which refuses.
+        _set_width(self, width)
+        _set_unsigned(self, value & mask)
 
     # Words are conceptually immutable.
     def __setattr__(self, name: str, value: object) -> None:
@@ -194,6 +199,10 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.width}, {hex(self.unsigned)})"
+
+
+_set_width = Word.width.__set__
+_set_unsigned = Word.unsigned.__set__
 
 
 def word8(value: IntLike) -> Word:

@@ -39,7 +39,8 @@ _EXPORTS = {
             "explain",
             "schema",
         ),
-        "repro.query.reify": ("ReifiedQuery", "reify"),
+        # Not ``reify``: that name is the submodule, whatever was imported first.
+        "repro.query.reify": ("ReifiedQuery",),
         "repro.query.terms": ("QUERY_TERM_HEADS", "QAggregate", "QJoinAgg", "QProjectInto"),
     }.items()
     for name in names

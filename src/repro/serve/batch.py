@@ -13,9 +13,10 @@ process boundary -- fuzz cases are regenerated from ``(seed, index)``
 exactly as ``repro fuzz`` would draw them.
 
 All workers may share one :class:`~repro.serve.cache.CompilationCache`
-directory: stores are atomic (``os.replace``), so concurrent writers
-never publish a torn entry, and a batch re-run over a warm cache is
-pure re-validation.  Stalls keep their structured taxonomy slugs from
+directory, each pool worker through one handle it keeps across its
+jobs: stores are atomic (``os.replace``), so concurrent writers never
+publish a torn entry, and a batch re-run over a warm cache is pure
+re-validation.  Stalls keep their structured taxonomy slugs from
 :class:`~repro.core.goals.StallReport`, so the aggregate report shows
 *why* the rejected fraction of a corpus was rejected.
 """
@@ -23,10 +24,11 @@ pure re-validation.  Stalls keep their structured taxonomy slugs from
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.goals import CompileError, ResourceExhausted
 from repro.resilience.budget import BudgetSpec
@@ -302,8 +304,6 @@ def _run_job(
         # ``job.name`` is a marker-file path recording the first death;
         # the literal name ``"-"`` dies every time (the deterministic
         # killer the worker-lost reporting path is tested against).
-        import os
-
         if not os.environ.get("REPRO_BATCH_TEST_OPS"):
             result["outcome"] = "crash"
             result["detail"] = "worker-exit job without REPRO_BATCH_TEST_OPS"
@@ -317,13 +317,14 @@ def _run_job(
         result["detail"] = "survived retry"
         return result
     start = time.perf_counter()
-    own_cache = None
+    before = None
     try:
         model, spec, input_gen = _job_inputs(job)
         binding_db, expr_db = default_databases()
         engine = Engine(binding_db, expr_db, width=64, budget=budget.make())
         if cache is None and cache_dir is not None:
-            cache = own_cache = CompilationCache(cache_dir)
+            cache = _worker_cache(cache_dir)
+            before = cache.stats.to_dict()
         if cache is not None:
             compiled, cache_outcome = cache.compile(
                 model, spec, engine=engine,
@@ -345,10 +346,40 @@ def _run_job(
         result["outcome"] = "crash"
         result["detail"] = repr(exc)
     result["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
-    if own_cache is not None:
-        # Worker-local handle: ship its counters home for the merge.
-        result["cache_stats"] = own_cache.stats.to_dict()
+    if before is not None:
+        # Worker-local handle: ship this job's counts home for the merge.
+        result["cache_stats"] = _stats_delta(before, cache.stats.to_dict())
     return result
+
+
+#: A pool worker's cache handles, one per cache directory, keyed by the
+#: process id too: a process forked from one that holds handles must
+#: open its own.
+_WORKER_CACHES: Dict[Tuple[int, str], CompilationCache] = {}
+
+
+def _worker_cache(cache_dir: str) -> CompilationCache:
+    """This process's handle on ``cache_dir``, opened on its first job, so
+    its checked-entry table and program inputs outlive a job."""
+    key = (os.getpid(), cache_dir)
+    cache = _WORKER_CACHES.get(key)
+    if cache is None:
+        cache = _WORKER_CACHES[key] = CompilationCache(cache_dir)
+    return cache
+
+
+def _stats_delta(before: dict, after: dict) -> dict:
+    """What a handle's ``CacheStats.to_dict()`` counted from ``before``
+    to ``after``."""
+    delta = {name: after[name] - before[name] for name in after
+             if name != "invalidation_reasons"}
+    old = before["invalidation_reasons"]
+    delta["invalidation_reasons"] = {
+        reason: count - old.get(reason, 0)
+        for reason, count in after["invalidation_reasons"].items()
+        if count != old.get(reason, 0)
+    }
+    return delta
 
 
 # -- The batch driver --------------------------------------------------------------

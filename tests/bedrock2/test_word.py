@@ -21,13 +21,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Word(12, 0)
 
+    @pytest.mark.parametrize("width", [0, 7, 128, -8, 8.0, True, None, "32", [32]])
+    def test_every_unsupported_width_is_rejected(self, width):
+        with pytest.raises(ValueError, match="unsupported word width"):
+            Word(width, 0)
+
     def test_from_word(self):
         assert Word(8, Word(32, 0x1FF)).unsigned == 0xFF
 
+    def test_from_word_copies(self):
+        source = Word(64, 0x1FF)
+        copy = Word(64, source)
+        assert copy == source and copy is not source
+        assert (copy.width, copy.unsigned) == (64, 0x1FF)
+
     def test_immutable(self):
         w = Word(32, 1)
-        with pytest.raises(AttributeError):
-            w.unsigned = 2
+        for name, value in (("unsigned", 2), ("width", 64), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(w, name, value)
+        assert (w.width, w.unsigned) == (32, 1)
+        assert not hasattr(w, "__dict__")
 
 
 class TestViews:
@@ -104,6 +118,12 @@ class TestComparisons:
 
     def test_hashable(self):
         assert len({Word(32, 1), Word(32, 1), Word(32, 2)}) == 2
+
+    def test_hash_and_equality_follow_width_and_value(self):
+        assert hash(Word(32, 5)) == hash((32, 5))
+        assert Word(32, 5) != Word(64, 5)
+        assert Word(32, 5) == Word(32, 5 + (1 << 32))
+        assert Word(32, 5) != "5"
 
     def test_truthy(self):
         assert truthy(32, True).unsigned == 1

@@ -1,6 +1,13 @@
 """Reification shape selection and its rejection surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.query import ir
 from repro.query.reify import reify
@@ -136,3 +143,35 @@ def test_byte_columns_widen_through_cast():
     )
     reified = reify(plan, "q")
     assert "cast.b2w" in repr(reified.model.term)
+
+
+#: Each import order, and what must hold after it in a fresh interpreter.
+IMPORT_ORDERS = {
+    "submodule-first": """
+import types
+import repro.query.reify
+from repro.query import reify
+assert isinstance(reify, types.ModuleType), reify
+""",
+    "package-first": """
+import types
+from repro.query import reify
+import repro.query.reify as module
+assert isinstance(reify, types.ModuleType), reify
+assert module is reify and callable(module.reify)
+""",
+}
+
+
+@pytest.mark.parametrize("order", sorted(IMPORT_ORDERS))
+def test_repro_query_reify_is_the_submodule_in_either_import_order(order):
+    code = IMPORT_ORDERS[order] + """
+import repro.query
+assert "reify" not in repro.query.__all__
+assert repro.query.ReifiedQuery is repro.query.reify.ReifiedQuery
+"""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -34,7 +34,7 @@ from repro.query import ir
 from repro.query.programs import all_query_programs
 from repro.resilience.generator import _gen_query_plan
 
-# The module, not the function ``repro.query`` re-exports under its name.
+# The module; its function of the same name is ``reify_module.reify``.
 reify_module = importlib.import_module("repro.query.reify")
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "reify.json"

@@ -115,6 +115,44 @@ def test_pool_workers_inherit_the_databases(tmp_path, monkeypatch):
     assert log.read_text().split() == [str(os.getpid())]
 
 
+def test_jobs_1_and_2_merge_the_same_cache_stats(tmp_path):
+    """Pool workers keep one cache handle across jobs and ship each job's
+    counts, so the merged stats are those of the in-process batch."""
+    jobs = expand_manifest({"programs": ["crc32", "m3s"], "fuzz": {"seed": 4, "count": 10}})
+    stats = {}
+    for jobs_n in (1, 2):
+        cache_dir = str(tmp_path / f"j{jobs_n}")
+        stats[jobs_n] = [run_batch(jobs, jobs_n=jobs_n, cache_dir=cache_dir).cache_stats
+                         for _pass in ("cold", "warm")]
+    assert stats[1] == stats[2]
+    cold, warm = stats[2]
+    assert cold["stores"] == warm["hits"] > 0
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the logging patch reaches pool workers only when forked",
+)
+def test_pool_workers_open_one_cache_handle_each(tmp_path, monkeypatch):
+    from repro.serve import cache as cache_module
+
+    log = tmp_path / "opens"
+    init = cache_module.CompilationCache.__init__
+
+    def logged_init(self, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module.CompilationCache, "__init__", logged_init)
+    report = run_batch(fuzz_manifest(seed=6, count=24), jobs_n=2,
+                       cache_dir=str(tmp_path / "cache"))
+    assert len(report.results) == 24 and not report.crashes
+    opens = log.read_text().split()
+    assert os.getpid() not in map(int, opens)
+    assert len(opens) == len(set(opens)) <= 2
+
+
 def test_warm_batch_is_all_hits(tmp_path):
     jobs = registry_manifest()
     cold = run_batch(jobs, jobs_n=1, cache_dir=str(tmp_path))
