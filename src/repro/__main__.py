@@ -3,7 +3,7 @@
 Commands:
 
 - ``list``                      -- the benchmark suite (Table 2);
-- ``compile <program>``         -- derive a suite program; print its C;
+- ``compile <program>``         -- derive a program; print its C;
 - ``cert <program>``            -- print the derivation certificate;
 - ``validate <program>``        -- certificate + differential validation;
 - ``riscv <program>``           -- compile through the RISC-V backend and
@@ -27,8 +27,9 @@ Commands:
 - ``cache <verify|gc|repair>``  -- offline cache maintenance sweeps
   (re-check entries, sweep writer debris, recompile quarantined keys);
 - ``query <action>``            -- the relational-algebra frontend
-  (``repro.query``): list/explain/compile/validate/run the registered
-  query programs (see ``docs/query.md``);
+  (``repro.query``): list/explain/run the registered query programs;
+  ``query compile``/``validate`` are ``compile``/``validate`` (see
+  ``docs/query.md``);
 - ``lift <action> <program>``   -- the round-trip lifter (``repro.lift``):
   ``lift`` synthesizes and prints the functional model recovered from a
   compiled program's Bedrock2 code (``--file`` lifts a serialized legacy
@@ -41,6 +42,10 @@ Commands:
   nonzero on any error- or warning-severity diagnostic (see
   ``docs/analysis.md``).
 
+Every command that takes a program name (``compile``, ``cert``,
+``validate``, ``riscv``, ``profile``, ``lift``, ``lint --program``)
+takes a suite or a query program: both resolve through
+:func:`repro.programs.get_program`.
 ``compile``, ``validate``, ``riscv``, and ``bench`` accept ``-O0`` (the
 default) or ``-O1`` to run the translation-validated optimizer
 (``repro.opt``) on the derived code first.  ``compile``, ``validate``,
@@ -103,12 +108,14 @@ def cmd_list(_args) -> int:
 
 
 def _program(name: str):
+    """The suite or query program ``name``; exit 2 with the lookup's
+    message when there is none."""
     from repro.programs import get_program
 
     try:
         return get_program(name)
-    except KeyError:
-        print(f"unknown program {name!r}; try `python -m repro list`", file=sys.stderr)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -419,21 +426,8 @@ def cmd_cache(args) -> int:
     return 0 if report.clean else 1
 
 
-def _query_program(name: str):
-    from repro.query.programs import QUERY_PROGRAMS, get_query_program
-
-    try:
-        return get_query_program(name)
-    except KeyError:
-        known = ", ".join(sorted(QUERY_PROGRAMS))
-        print(
-            f"unknown query program {name!r}; have: {known}", file=sys.stderr
-        )
-        raise SystemExit(2) from None
-
-
 def cmd_query(args) -> int:
-    from repro.query.programs import all_query_programs
+    from repro.query.programs import QueryProgram, all_query_programs
 
     if args.action == "list":
         for program in all_query_programs():
@@ -444,32 +438,23 @@ def cmd_query(args) -> int:
     if not args.program:
         print(f"query {args.action} needs a program name", file=sys.stderr)
         return 2
-    program = _query_program(args.program)
+    if args.action == "compile":
+        return cmd_compile(args)
+    if args.action == "validate":
+        return cmd_validate(args)
+    program = _program(args.program)
+    if not isinstance(program, QueryProgram):
+        print(
+            f"query {args.action}: {args.program!r} is not a query program; "
+            "see `python -m repro query list`",
+            file=sys.stderr,
+        )
+        return 2
     if args.action == "explain":
         print(program.explain())
         return 0
 
     with _maybe_trace(args, f"query:{args.action}:{args.program}", detail="debug"):
-        if args.action == "compile":
-            compiled = program.compile(opt_level=args.opt_level)
-            print(compiled.c_source())
-            _print_opt_summary(compiled)
-            return 0
-        if args.action == "validate":
-            from repro.validation.checker import validate
-
-            compiled = program.compile(opt_level=args.opt_level)
-            report = validate(
-                compiled,
-                trials=args.trials,
-                rng=random.Random(args.seed),
-                input_gen=program.validation_input_gen(),
-            )
-            print(
-                f"{compiled.name}: certificate ok; {report.trials} "
-                f"differential trials, 0 failures"
-            )
-            return 0
         # run: one seeded random database through the reference evaluator
         # and the compiled code; print both answers.
         from repro.validation.runners import run_function
@@ -500,9 +485,9 @@ def cmd_query(args) -> int:
 def _lift_target(args):
     """Resolve a lift target to ``(fn, spec, validation_input_gen)``.
 
-    Three sources, in the order a user reaches for them: a serialized
-    legacy bundle (``--file``), a suite program, a query program.  The
-    compiled sources honour ``-O`` so one can lift optimizer output.
+    Two sources: a serialized legacy bundle (``--file``) or a suite or
+    query program.  A compiled program honours ``-O`` so one can lift
+    optimizer output.
     """
     if getattr(args, "file", None):
         from repro.lift.legacy import load_bundle
@@ -512,23 +497,7 @@ def _lift_target(args):
     if not args.program:
         print("lift needs a program name or --file BUNDLE", file=sys.stderr)
         raise SystemExit(2)
-    from repro.programs import all_programs, get_program
-    from repro.query.programs import QUERY_PROGRAMS, get_query_program
-
-    try:
-        program = get_program(args.program)
-    except KeyError:
-        try:
-            program = get_query_program(args.program)
-        except KeyError:
-            known = ", ".join(
-                [p.name for p in all_programs()] + sorted(QUERY_PROGRAMS)
-            )
-            print(
-                f"unknown program {args.program!r}; have: {known}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2) from None
+    program = _program(args.program)
     compiled = program.compile(opt_level=args.opt_level)
     return compiled.bedrock_fn, compiled.spec, program.validation_input_gen()
 
@@ -822,7 +791,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--program", action="append", metavar="NAME", default=[],
-        help="lint only this suite program's compiled code; repeatable",
+        help="lint only this program's compiled code; repeatable",
     )
     p.add_argument(
         "-O", dest="opt_levels", action="append", type=int, choices=(0, 1),

@@ -157,12 +157,4 @@ def _selected_programs(program_names: Optional[Sequence[str]]) -> List[object]:
 
     if program_names is None:
         return list(all_programs())
-    selected = []
-    for name in program_names:
-        try:
-            selected.append(get_program(name))
-        except KeyError:
-            raise KeyError(
-                f"unknown program {name!r}; see `python -m repro list`"
-            ) from None
-    return selected
+    return [get_program(name) for name in program_names]

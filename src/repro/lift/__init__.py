@@ -30,7 +30,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "repro.lift.engine": ("LiftResult", "clear_lift_memo", "lift_function", "lift_key"),
+        "repro.lift.engine": ("LiftResult", "clear_lift_memo", "lift_function"),
         "repro.lift.goals": (
             "LiftError",
             "LiftStallReport",
@@ -57,6 +57,7 @@ _EXPORTS = {
             "models_equivalent",
             "recompile_certificate",
         ),
+        "repro.serve.fingerprint": ("lift_key",),
     }.items()
     for name in names
 }

@@ -1205,19 +1205,6 @@ class _FunctionLifter:
 _LIFT_MEMO: Dict[str, LiftResult] = {}
 
 
-def lift_key(fn: ast.Function, spec: FnSpec, width: int = 64) -> str:
-    """The content address of one lift request.
-
-    Delegates to :func:`repro.serve.fingerprint.lift_key`, which digests
-    the exact Bedrock2 syntax, the ABI spec, the inverse-pattern roster,
-    and the word width -- the full input set of the deterministic
-    backward search.
-    """
-    from repro.serve.fingerprint import lift_key as serve_lift_key
-
-    return serve_lift_key(fn, spec, width)
-
-
 def lift_function(
     fn: ast.Function,
     spec: FnSpec,
@@ -1231,9 +1218,10 @@ def lift_function(
     Returns a :class:`LiftResult` whose ``model`` is ``None`` (with a
     populated ``stall``) when the backward search stalls; raises only on
     internal errors.  Results are memoized per process under
-    :func:`lift_key` -- the same determinism argument that makes forward
-    derivations cacheable applies backwards.
+    :func:`repro.serve.fingerprint.lift_key` -- the same determinism
+    argument that makes forward derivations cacheable applies backwards.
     """
+    from repro.serve.fingerprint import lift_key
     from repro.stdlib import load_extensions
 
     load_extensions()  # registers the inverse patterns

@@ -40,11 +40,14 @@ from repro.core.spec import CompiledFunction, FnSpec, Model
 from repro.lift.engine import LiftResult
 from repro.lift.goals import LiftValidationFailed
 from repro.obs.trace import current_tracer
-from repro.validation.differential import differential_check
+from repro.validation.differential import IO_WORDS, MAX_ARRAY_LEN, differential_check
 from repro.validation.runners import eval_model, make_inputs
 
 RECOMPILE = "recompile"
 EXTENSIONAL = "extensional"
+
+#: ``models_equivalent`` draws its random array lengths from this range.
+EQUIVALENCE_MAX_ARRAY_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,6 @@ def boundary_input_gen(
     model: Model,
     spec: Optional[FnSpec] = None,
     *,
-    max_array_len: int = 48,
     width: int = 64,
 ) -> Callable[[random.Random], Dict[str, object]]:
     """An input generator that schedules the loop-boundary lengths first.
@@ -127,11 +129,11 @@ def boundary_input_gen(
             if params is not None:
                 return params
         for _ in range(64):
-            params = draw(rng, rng.randrange(max_array_len))
+            params = draw(rng, rng.randrange(MAX_ARRAY_LEN))
             if params is not None:
                 return params
         # no fact-respecting input found; fall back unfiltered
-        return make_inputs(model, rng, array_len=rng.randrange(max_array_len))
+        return make_inputs(model, rng, array_len=rng.randrange(MAX_ARRAY_LEN))
 
     return gen
 
@@ -229,7 +231,6 @@ def models_equivalent(
     trials: int = 16,
     rng: Optional[random.Random] = None,
     width: int = 64,
-    max_array_len: int = 32,
 ) -> Optional[str]:
     """Extensional comparison of two models under one spec.
 
@@ -247,7 +248,7 @@ def models_equivalent(
         elif trial == 1:
             array_len = 1
         else:
-            array_len = rng.randrange(max_array_len)
+            array_len = rng.randrange(EQUIVALENCE_MAX_ARRAY_LEN)
         params = None
         for _ in range(32):
             candidate = make_inputs(original, rng, array_len=array_len)
@@ -256,7 +257,7 @@ def models_equivalent(
                 break
         if params is None:
             continue  # no fact-respecting input at this length
-        io_input = [rng.getrandbits(32) for _ in range(8)]
+        io_input = [rng.getrandbits(32) for _ in range(IO_WORDS)]
         results = []
         for model in (original, lifted):
             try:

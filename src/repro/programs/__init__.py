@@ -17,7 +17,9 @@ Each module provides the annotated functional model, its ``FnSpec`` ABI,
 a plain-Python reference implementation (the high-level specification),
 and a *handwritten* Bedrock2 implementation standing in for the paper's
 handwritten C baselines.  :data:`PROGRAMS` is the registry the test,
-validation and benchmark harnesses iterate over.
+validation and benchmark harnesses iterate over; :func:`get_program`
+resolves a name in it or, failing that, in the query registry
+(``repro.query.programs``), and is the only name lookup the commands use.
 """
 
 from repro.programs.registry import (

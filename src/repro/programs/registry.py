@@ -1,5 +1,10 @@
 """The program registry shared by tests, validation, and benchmarks.
 
+:func:`get_program` is the one program namespace: it resolves a Table 2
+name and a query name (``repro.query.programs``) alike, so every
+command, serve op, batch job and cache repair takes both.
+:func:`all_programs` lists only the Table 2 suite.
+
 A :class:`BenchProgram` bundles everything the harnesses need about one
 suite entry: how to build its model and spec, how to generate inputs, how
 to call the compiled/handwritten Bedrock2 functions, and which compiler
@@ -121,9 +126,29 @@ def register_program(program: BenchProgram) -> BenchProgram:
     return program
 
 
-def get_program(name: str) -> BenchProgram:
+def get_program(name: str) -> MemoizedCompile:
+    """The program called ``name``: the one lookup from a name to a program.
+
+    Every command, serve op, batch job and cache repair resolves names
+    here.  The Table 2 suite is searched first, then the query registry
+    (imported lazily: ``repro.query.programs`` imports this module).
+    An unknown name -- or a non-string one, as a JSON request or a
+    corrupt cache entry may carry -- raises one :class:`KeyError` whose
+    message points at both listings.
+    """
     _load_all()
-    return PROGRAMS[name]
+    if isinstance(name, str):
+        program = PROGRAMS.get(name)
+        if program is None:
+            from repro.query.programs import QUERY_PROGRAMS
+
+            program = QUERY_PROGRAMS.get(name)
+        if program is not None:
+            return program
+    raise KeyError(
+        f"unknown program {name!r}; see `python -m repro list` "
+        "or `python -m repro query list`"
+    )
 
 
 _LOADED = False

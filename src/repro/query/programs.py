@@ -7,7 +7,10 @@ the benchmark registry's ``build_model``/``build_spec``/
 optimizer's per-pass differential checks, and ``validate`` all work on
 query programs unchanged.  Query programs live in their *own* registry
 -- the Table 2 suite (``repro.programs``) keeps its fixed membership,
-which CI asserts on -- and surface through ``python -m repro query``.
+which CI asserts on -- but share its namespace: ``repro.programs.get_program``
+resolves a query name too, so every command, serve op, batch manifest
+and ``cache repair`` takes one.  ``python -m repro query`` adds the
+query-only actions (``list``, ``explain``, ``run``).
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ def register_query_program(program: QueryProgram) -> QueryProgram:
         raise ValueError(f"duplicate query program {program.name!r}")
     QUERY_PROGRAMS[program.name] = program
     return program
-
-
-def get_query_program(name: str) -> QueryProgram:
-    return QUERY_PROGRAMS[name]
 
 
 def all_query_programs() -> List[QueryProgram]:

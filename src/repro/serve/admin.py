@@ -174,7 +174,8 @@ def repair_cache(root: str) -> SweepReport:
     """Quarantine every corrupt entry, then recompile from the registry.
 
     The quarantined bytes carry their own ``program`` / ``opt_level``
-    claim; when that program still exists in the registry, a fresh
+    claim; when :func:`~repro.programs.registry.get_program` still
+    resolves that program (suite or query), a fresh
     derivation republishes the address (the new entry's key is computed
     from the request, so a lying ``program`` field simply leaves the
     old address empty -- a MISS, never a wrong serve).
@@ -205,10 +206,8 @@ def repair_cache(root: str) -> SweepReport:
         opt_level = claim.get("opt_level", 0)
         try:
             program = get_program(program_name)
-        except KeyError:
-            report.unrepairable.append(
-                {"key": key, "reason": f"unknown program {program_name!r}"}
-            )
+        except KeyError as exc:
+            report.unrepairable.append({"key": key, "reason": exc.args[0]})
             continue
         try:
             compiled, _outcome = compile_program_cached(

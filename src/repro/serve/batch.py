@@ -43,7 +43,7 @@ DEFAULT_DEADLINE = 20.0  # seconds per job, measured from job start
 class BatchJob:
     """One unit of batch work; frozen and picklable by construction.
 
-    ``kind`` is ``"program"`` (``name`` is a registry entry) or
+    ``kind`` is ``"program"`` (``name`` is a suite or query program) or
     ``"fuzz"`` (the worker regenerates the case from ``seed`` and
     ``index``, which also picks the generator family rotation).
     """
@@ -186,7 +186,7 @@ def expand_manifest(data) -> List[BatchJob]:
     Accepted shapes:
 
     - ``"registry"`` -- all registry programs at ``-O0``;
-    - ``["crc32", "fnv1a", ...]`` -- named registry programs;
+    - ``["crc32", "q_filter_sum", ...]`` -- named suite or query programs;
     - ``{"programs": [...], "opt_level": N}`` -- ditto with a level;
     - ``{"fuzz": {"seed": S, "count": N}, "opt_level": N}`` -- a corpus;
     - ``{"jobs": [{"kind": ..., "name": ...}, ...]}`` -- explicit jobs.
@@ -332,9 +332,9 @@ def _run_job(
             )
             result["cache"] = cache_outcome
         else:
-            compiled = engine.compile_function(model, spec)
-            if job.opt_level > 0:
-                compiled = compiled.optimize(job.opt_level, input_gen=input_gen)
+            compiled = engine.compile_function(model, spec).optimize(
+                job.opt_level, input_gen=input_gen
+            )
         result["statements"] = compiled.statement_count()
     except ResourceExhausted as exc:
         result["outcome"] = f"exhausted:{exc.resource}"

@@ -595,9 +595,9 @@ class CompilationCache:
             from repro.stdlib import default_engine
 
             engine = default_engine()
-        compiled = engine.compile_function(model, spec)
-        if opt_level > 0:
-            compiled = compiled.optimize(opt_level, input_gen=input_gen)
+        compiled = engine.compile_function(model, spec).optimize(
+            opt_level, input_gen=input_gen
+        )
         self.store(key, compiled, opt_level=opt_level)
         return compiled, outcome
 
@@ -605,9 +605,10 @@ class CompilationCache:
 def compile_program_cached(
     cache: CompilationCache, program, opt_level: int = 0, engine=None
 ) -> Tuple[CompiledFunction, str]:
-    """Compile a registry :class:`~repro.programs.registry.BenchProgram`
-    through ``cache`` (with the default engine unless ``engine`` is
-    given); returns (bundle, outcome).
+    """Compile a suite or query program (see
+    :func:`~repro.programs.registry.get_program`) through ``cache`` (with
+    the default engine unless ``engine`` is given); returns (bundle,
+    outcome).
 
     A hit builds no engine: the handle's ``program_inputs`` hold the key,
     and the default engine is built only for a derivation.

@@ -208,33 +208,23 @@ class CompileService:
         from repro.programs.registry import get_program
         from repro.serve.cache import compile_program_cached
 
-        name = request.get("program")
-        try:
-            program = get_program(name)
-        except KeyError:
-            raise ValueError(f"unknown program {name!r}") from None
+        program = get_program(request.get("program"))
         opt_level = int(request.get("opt_level", 0))
         budget = self._request_budget(request)
+        engine = None
         if budget is not None:
             from repro.stdlib import default_engine
 
             engine = default_engine()
             engine.budget = budget
-            if self.cache is not None:
-                return compile_program_cached(
-                    self.cache, program, opt_level=opt_level, engine=engine
-                )
-            compiled = engine.compile_function(
-                program.build_model(), program.build_spec()
-            )
-            if opt_level > 0:
-                compiled = compiled.optimize(
-                    opt_level, input_gen=program.validation_input_gen()
-                )
-            return compiled, "off"
         if self.cache is not None:
-            return compile_program_cached(self.cache, program, opt_level=opt_level)
-        return program.compile(opt_level=opt_level), "off"
+            return compile_program_cached(
+                self.cache, program, opt_level=opt_level, engine=engine
+            )
+        if engine is None:
+            return program.compile(opt_level=opt_level), "off"
+        compiled = engine.compile_function(program.build_model(), program.build_spec())
+        return compiled.optimize(opt_level, input_gen=program.validation_input_gen()), "off"
 
     def _op_compile(self, request: dict) -> dict:
         import time

@@ -452,14 +452,11 @@ class Supervisor:
 
     def _degraded_response(self, request: dict) -> Optional[dict]:
         """The parent-side interpreter fallback; ``None`` if impossible."""
-        program_name = str(request.get("program", ""))
-        resolver = self._resolver
-        if resolver is None:
-            from repro.programs.registry import get_program
+        from repro.programs.registry import get_program
 
-            resolver = get_program
+        program_name = str(request.get("program", ""))
         try:
-            program = resolver(program_name)
+            program = (self._resolver or get_program)(program_name)
         except KeyError:
             return None
         from repro.resilience.budget import Budget

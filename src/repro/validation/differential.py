@@ -21,6 +21,11 @@ from repro.obs.trace import current_tracer
 from repro.source.evaluator import CellV
 from repro.validation.runners import eval_model, make_inputs, run_function
 
+#: Generic inputs draw array lengths from ``range(MAX_ARRAY_LEN)``.
+MAX_ARRAY_LEN = 48
+#: Words of ``read`` input each trial feeds the target and the model.
+IO_WORDS = 8
+
 
 @dataclass
 class DifferentialFailure:
@@ -60,8 +65,6 @@ def differential_check(
     trials: int = 50,
     rng: Optional[random.Random] = None,
     input_gen: Optional[Callable[[random.Random], Dict[str, object]]] = None,
-    max_array_len: int = 48,
-    io_words: int = 8,
     width: int = 64,
 ) -> ValidationReport:
     """Run the target vs the model on random inputs; collect divergences."""
@@ -74,9 +77,9 @@ def differential_check(
         params = (
             input_gen(rng)
             if input_gen is not None
-            else make_inputs(model, rng, array_len=rng.randrange(max_array_len))
+            else make_inputs(model, rng, array_len=rng.randrange(MAX_ARRAY_LEN))
         )
-        io_input = [rng.getrandbits(32) for _ in range(io_words)]
+        io_input = [rng.getrandbits(32) for _ in range(IO_WORDS)]
 
         # Record the bytes injected into stack allocations so the model's
         # nondeterminism oracle can replay them (existential direction).

@@ -12,7 +12,7 @@ from repro.analysis.hintdb import CoverageMatrix, all_term_heads, audit_hintdb
 from repro.core.engine import Engine
 from repro.core.goals import CompilationStalled
 from repro.obs.trace import Tracer, use_tracer
-from repro.query.programs import get_query_program
+from repro.programs import get_program
 from repro.query.terms import QUERY_TERM_HEADS
 from repro.stdlib import default_databases
 
@@ -69,7 +69,7 @@ def test_stripped_database_predicts_query_stalls():
 def test_predicted_stall_matches_observed_counter(program, head):
     """The static RA201 prediction and the runtime stall counter agree."""
     binding_db, expr_db = _stripped_databases()
-    prog = get_query_program(program)
+    prog = get_program(program)
     tracer = Tracer(name=f"stall:{program}")
     with use_tracer(tracer):
         engine = Engine(binding_db, expr_db)

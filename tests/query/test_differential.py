@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from repro.query.programs import all_query_programs, get_query_program
+from repro.programs import get_program
+from repro.query.programs import all_query_programs
 from repro.validation.checker import validate
 from repro.validation.runners import run_function
 
@@ -31,7 +32,7 @@ def test_corpus_covers_every_lowering_shape():
 @pytest.mark.parametrize("name", PROGRAMS)
 @pytest.mark.parametrize("opt_level", [0, 1])
 def test_query_program_validates(name, opt_level):
-    program = get_query_program(name)
+    program = get_program(name)
     compiled = program.compile(opt_level=opt_level)
     validate(
         compiled,
@@ -46,7 +47,7 @@ def test_query_program_validates(name, opt_level):
 @pytest.mark.parametrize("name", PROGRAMS)
 @pytest.mark.parametrize("opt_level", [0, 1])
 def test_query_program_matches_reference_evaluator(name, opt_level):
-    program = get_query_program(name)
+    program = get_program(name)
     compiled = program.compile(opt_level=opt_level)
     reified = program.reified()
     rng = random.Random(1000 + opt_level)

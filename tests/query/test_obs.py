@@ -3,12 +3,12 @@ events, ``query.lowered.*`` counters, and the automatic
 ``lemma.family.queries`` hit accounting."""
 
 from repro.obs.trace import Tracer, use_tracer, validate_events
-from repro.query.programs import get_query_program
+from repro.programs import get_program
 from repro.stdlib import default_engine
 
 
 def _compile_traced(name):
-    program = get_query_program(name)
+    program = get_program(name)
     tracer = Tracer(name=f"test:{name}", detail="debug")
     with use_tracer(tracer):
         engine = default_engine()

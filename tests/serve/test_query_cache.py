@@ -6,7 +6,8 @@ and cached query programs survive the untrusted-load revalidation."""
 import json
 
 from repro.core.engine import Engine
-from repro.query.programs import all_query_programs, get_query_program
+from repro.programs import get_program
+from repro.query.programs import all_query_programs
 from repro.serve.cache import (
     HIT,
     INVALIDATED,
@@ -37,7 +38,7 @@ def test_compile_key_tracks_query_lemma_db():
     their artifacts."""
     full = Engine(*default_databases())
     stripped = _stripped_engine()
-    program = get_query_program("q_filter_sum")
+    program = get_program("q_filter_sum")
     model, spec = program.build_model(), program.build_spec()
     assert compile_key(model, spec, full) != compile_key(model, spec, stripped)
     # The same engine is stable with itself.
@@ -49,8 +50,6 @@ def test_compile_key_tracks_query_lemma_db():
 def test_non_query_programs_keep_their_keys():
     """Stripping the query family must NOT move programs that never use
     it -- invalidation should be exactly the affected keys."""
-    from repro.programs import get_program
-
     program = get_program("crc32")
     model, spec = program.build_model(), program.build_spec()
     full = Engine(*default_databases())
@@ -74,7 +73,7 @@ def test_query_corpus_hits_after_one_pass(tmp_path):
 
 def test_warm_query_hit_is_byte_identical(tmp_path):
     cache = CompilationCache(str(tmp_path))
-    program = get_query_program("q_equi_join")
+    program = get_program("q_equi_join")
     cold, outcome = compile_program_cached(cache, program, opt_level=1)
     assert outcome == MISS
     warm, outcome = compile_program_cached(cache, program, opt_level=1)
@@ -88,7 +87,7 @@ def test_tampered_query_entry_revalidates_and_recompiles(tmp_path):
     """Cached query programs are untrusted on load: corrupt the stored
     statement and the checkers must reject it and recompile cleanly."""
     cache = CompilationCache(str(tmp_path))
-    program = get_query_program("q_filter_sum")
+    program = get_program("q_filter_sum")
     compile_program_cached(cache, program)
     key = cache.key_for(program.build_model(), program.build_spec())
     path = cache._path(key)
