@@ -544,11 +544,12 @@ def section_observability() -> str:
         for _ in range(2):
             for program in programs:
                 compiled = program.compile(fresh=True)
-                kwargs = {}
-                input_gen = program.validation_input_gen()
-                if input_gen is not None:
-                    kwargs["input_gen"] = input_gen
-                validate(compiled, trials=10, rng=_random.Random(0), **kwargs)
+                validate(
+                    compiled,
+                    trials=10,
+                    rng=_random.Random(0),
+                    input_gen=program.validation_input_gen(),
+                )
 
     def run_compile_only() -> None:
         for _ in range(2):

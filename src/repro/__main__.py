@@ -198,12 +198,11 @@ def cmd_validate(args) -> int:
             )
         else:
             program, compiled = _compiled(args)
-        kwargs = {}
-        input_gen = program.validation_input_gen()
-        if input_gen is not None:
-            kwargs["input_gen"] = input_gen
         report = validate(
-            compiled, trials=args.trials, rng=random.Random(args.seed), **kwargs
+            compiled,
+            trials=args.trials,
+            rng=random.Random(args.seed),
+            input_gen=program.validation_input_gen(),
         )
     suffix = ""
     if compiled.opt_report is not None:

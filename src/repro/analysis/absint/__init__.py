@@ -5,11 +5,10 @@ consumers:
 
 - :mod:`repro.analysis.absint.domain` -- the ``Range`` lattice (interval
   with optional open upper bound, times a congruence class) and sound
-  transfer functions for the source and Bedrock2 operator sets;
-- :mod:`repro.analysis.absint.terms` -- source-side analyses: the
-  fact-derived range map behind ``range_solver`` (see
-  :mod:`repro.core.solver`) and the whole-model binding ranges behind
-  the soundness property suite;
+  transfer functions for the Bedrock2 operators;
+- :mod:`repro.analysis.absint.terms` -- the one source-side analysis:
+  the fact-derived range map behind ``range_solver`` (see
+  :mod:`repro.core.solver`);
 - :mod:`repro.analysis.absint.bedrock` -- a CFG fixpoint with widening
   at loop heads over compiled Bedrock2 functions, behind the ``RB3xx``
   range lints and the ``RangeGuardElimination`` optimizer pass.
@@ -40,8 +39,6 @@ from repro.analysis.absint.bedrock import (
 )
 from repro.analysis.absint.domain import Range
 from repro.analysis.absint.terms import (
-    ModelRanges,
-    analyze_model,
     discharge_bounds,
     fact_ranges,
     state_ranges,
@@ -49,10 +46,8 @@ from repro.analysis.absint.terms import (
 
 __all__ = [
     "AbsintResult",
-    "ModelRanges",
     "Range",
     "analyze_function",
-    "analyze_model",
     "bedrock",
     "discharge_bounds",
     "domain",

@@ -11,9 +11,8 @@ Nonnegativity is the natural choice for this compiler: source-side
 words are analyzed through their unsigned representative, exactly the
 view :class:`repro.bedrock2.word.Word` exposes.
 
-Every transfer function takes an optional ``width``: ``None`` means
-mathematical integers (source ``nat`` arithmetic), an ``int`` means the
-result wraps modulo ``2**width`` (machine words and bytes).  Wrapping is
+Every transfer function takes the word ``width``: the result wraps
+modulo ``2**width``, as machine words and bytes do.  Wrapping is
 handled by :func:`wrap`, which keeps full congruence information when
 the unwrapped interval lies within a single ``2**width`` block (the
 reduction is then subtraction of a constant) and otherwise falls back to
@@ -111,10 +110,8 @@ def const(value: int) -> Range:
     return Range(max(value, 0), max(value, 0), 1, 0)
 
 
-def top(width: Optional[int]) -> Range:
-    """Everything representable: a full word, or all of nat."""
-    if width is None:
-        return Range(0, None, 1, 0)
+def top(width: int) -> Range:
+    """Everything representable: a full word."""
     return Range(0, (1 << width) - 1, 1, 0)
 
 
@@ -170,10 +167,8 @@ def meet_interval(r: Range, lo: Optional[int] = None, hi: Optional[int] = None) 
     return make(new_lo, new_hi, r.mod, r.rem)
 
 
-def wrap(r: Range, width: Optional[int]) -> Range:
+def wrap(r: Range, width: int) -> Range:
     """Reduce a mathematical-integer range modulo ``2**width``."""
-    if width is None:
-        return r
     size = 1 << width
     if r.hi is not None and 0 <= r.lo and r.hi < size:
         return r
@@ -191,7 +186,7 @@ def wrap(r: Range, width: Optional[int]) -> Range:
 # -- Arithmetic transfer functions -----------------------------------------
 
 
-def add(a: Range, b: Range, width: Optional[int]) -> Range:
+def add(a: Range, b: Range, width: int) -> Range:
     lo = a.lo + b.lo
     hi = None if a.hi is None or b.hi is None else a.hi + b.hi
     m1, r1 = _cong(a)
@@ -202,8 +197,8 @@ def add(a: Range, b: Range, width: Optional[int]) -> Range:
     return wrap(make(lo, hi, mod, (r1 + r2) % mod if mod > 1 else 0), width)
 
 
-def sub(a: Range, b: Range, width: Optional[int]) -> Range:
-    """Word subtraction (wrapping) or nat subtraction (truncating at 0)."""
+def sub(a: Range, b: Range, width: int) -> Range:
+    """Word subtraction (wrapping)."""
     lo = None if b.hi is None else a.lo - b.hi
     hi = None if a.hi is None else a.hi - b.lo
     m1, r1 = _cong(a)
@@ -212,12 +207,6 @@ def sub(a: Range, b: Range, width: Optional[int]) -> Range:
     if mod == 0:
         mod = 1
     rem = (r1 - r2) % mod if mod > 1 else 0
-    if width is None:
-        # nat.sub truncates at zero; congruence does not survive truncation
-        # unless the subtraction is provably exact (lo >= 0).
-        if lo is not None and lo >= 0:
-            return make(lo, hi, mod, rem)
-        return make(0, hi if hi is not None and hi >= 0 else hi, 1, 0)
     size = 1 << width
     if lo is None:
         return wrap(make(0, size - 1, gcd(mod, size), rem % gcd(mod, size)), width)
@@ -231,7 +220,7 @@ def sub(a: Range, b: Range, width: Optional[int]) -> Range:
     return make(0, size - 1, g, rem % g if g > 1 else 0)
 
 
-def mul(a: Range, b: Range, width: Optional[int]) -> Range:
+def mul(a: Range, b: Range, width: int) -> Range:
     lo = a.lo * b.lo
     hi = None
     if a.hi is not None and b.hi is not None:
@@ -250,13 +239,10 @@ def _pow2_bound(hi: int) -> int:
     return (1 << hi.bit_length()) - 1
 
 
-def and_(a: Range, b: Range, width: Optional[int]) -> Range:
+def and_(a: Range, b: Range, width: int) -> Range:
     if a.is_const and b.is_const:
         return const(a.lo & b.lo)
-    his = [h for h in (a.hi, b.hi) if h is not None]
-    if width is not None:
-        his.append((1 << width) - 1)
-    hi = min(his) if his else None
+    hi = min(h for h in (a.hi, b.hi, (1 << width) - 1) if h is not None)
     mod, rem = 1, 0
     for x, mask in ((a, b), (b, a)):
         if mask.is_const and mask.lo >= 0 and (mask.lo + 1) & mask.lo == 0:
@@ -267,15 +253,14 @@ def and_(a: Range, b: Range, width: Optional[int]) -> Range:
     return make(0, hi, mod, rem)
 
 
-def or_(a: Range, b: Range, width: Optional[int]) -> Range:
+def or_(a: Range, b: Range, width: int) -> Range:
     if a.is_const and b.is_const:
         return const(a.lo | b.lo)
     lo = max(a.lo, b.lo)  # OR only sets bits
     hi = None
     if a.hi is not None and b.hi is not None:
         hi = min(_pow2_bound(max(a.hi, b.hi)), a.hi + b.hi)
-    if width is not None:
-        hi = (1 << width) - 1 if hi is None else min(hi, (1 << width) - 1)
+    hi = (1 << width) - 1 if hi is None else min(hi, (1 << width) - 1)
     mod, rem = 1, 0
     if (a.mod % 2 == 0 and a.rem % 2 == 1) or (b.mod % 2 == 0 and b.rem % 2 == 1):
         mod, rem = 2, 1  # an odd operand forces bit 0
@@ -284,34 +269,33 @@ def or_(a: Range, b: Range, width: Optional[int]) -> Range:
     return make(lo, hi, mod, rem)
 
 
-def xor(a: Range, b: Range, width: Optional[int]) -> Range:
+def xor(a: Range, b: Range, width: int) -> Range:
     if a.is_const and b.is_const:
         return const(a.lo ^ b.lo)
     hi = None
     if a.hi is not None and b.hi is not None:
         hi = _pow2_bound(max(a.hi, b.hi))
-    if width is not None:
-        hi = (1 << width) - 1 if hi is None else min(hi, (1 << width) - 1)
+    hi = (1 << width) - 1 if hi is None else min(hi, (1 << width) - 1)
     mod, rem = 1, 0
     if a.mod % 2 == 0 and b.mod % 2 == 0:
         mod, rem = 2, (a.rem + b.rem) % 2  # parity of xor = parity of sum
     return make(0, hi, mod, rem)
 
 
-def shl(a: Range, b: Range, width: Optional[int]) -> Range:
+def shl(a: Range, b: Range, width: int) -> Range:
     if b.is_const:
-        amount = b.lo if width is None else b.lo % width
+        amount = b.lo % width
         return mul(a, const(1 << amount), width)
-    if b.hi is not None and (width is None or b.hi < width):
+    if b.hi is not None and b.hi < width:
         lo = a.lo << b.lo
         hi = None if a.hi is None else a.hi << b.hi
         return wrap(make(lo, hi, 1, 0), width)
     return top(width)
 
 
-def shr(a: Range, b: Range, width: Optional[int]) -> Range:
+def shr(a: Range, b: Range, width: int) -> Range:
     if b.is_const:
-        amount = b.lo if width is None else b.lo % width
+        amount = b.lo % width
         lo = a.lo >> amount
         hi = None if a.hi is None else a.hi >> amount
         return make(lo, hi, 1, 0)
@@ -319,13 +303,13 @@ def shr(a: Range, b: Range, width: Optional[int]) -> Range:
     return make(0, a.hi, 1, 0)
 
 
-def sar(a: Range, b: Range, width: Optional[int]) -> Range:
-    if width is not None and a.hi is not None and a.hi < (1 << (width - 1)):
+def sar(a: Range, b: Range, width: int) -> Range:
+    if a.hi is not None and a.hi < (1 << (width - 1)):
         return shr(a, b, width)  # sign bit provably clear
     return top(width)
 
 
-def divu(a: Range, b: Range, width: Optional[int]) -> Range:
+def divu(a: Range, b: Range, width: int) -> Range:
     if not b.excludes_zero():
         # RISC-V: division by zero yields the all-ones word.
         return top(width)
@@ -334,7 +318,7 @@ def divu(a: Range, b: Range, width: Optional[int]) -> Range:
     return make(lo, hi, 1, 0)
 
 
-def remu(a: Range, b: Range, width: Optional[int]) -> Range:
+def remu(a: Range, b: Range, width: int) -> Range:
     if b.is_const and b.lo > 0:
         if a.hi is not None and a.hi < b.lo:
             return a  # provably the identity: congruence survives intact

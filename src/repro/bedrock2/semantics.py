@@ -46,7 +46,8 @@ OP_TESTS: Dict[str, str] = {
 #: operands ``{a}`` and ``{b}`` (names or parenthesized expressions); the
 #: value is masked too.  ``{mask}``, ``{sign}`` and ``{width}`` are the
 #: width's constants.  Shift amounts are taken mod the width and division
-#: by zero follows RISC-V, exactly as the :class:`Word` methods do.
+#: by zero follows RISC-V; ``tests/bedrock2/test_word.py`` checks every
+#: operator at every width against a Python-int reference model.
 OP_TEMPLATES: Dict[str, str] = {
     "add": "({a} + {b}) & {mask}",
     "sub": "({a} - {b}) & {mask}",

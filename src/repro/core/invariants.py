@@ -1,4 +1,4 @@
-"""Predicate inference for conditionals and loops (§3.4.2).
+"""Predicate inference for conditionals (§3.4.2).
 
 The paper's heuristic, reproduced literally:
 
@@ -19,9 +19,10 @@ literally ``if c then v_then else v_else``, which keeps later syntactic
 matching working (the compiler looks for ``cell ?p (if t then ... else
 ...)``, "not a disjunction").
 
-For loops, the template is instantiated at a *symbolic iteration*: a
-fresh ghost counter ``i`` with closed-form partial-execution terms such
-as ``map f (firstn i l) ++ skipn i l``.
+Loops do not come through here: each loop lemma in
+:mod:`repro.stdlib.loops` builds its own invariant at a *symbolic
+iteration*, a fresh ghost counter ``i`` with a closed-form
+partial-execution term such as ``map f (firstn i l) ++ skipn i l``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.core.sepstate import PointerBinding, PtrSym, ScalarBinding, SymState
 from repro.source import terms as t
-from repro.source.types import NAT, SourceType
+from repro.source.types import SourceType
 
 
 @dataclass(frozen=True)
@@ -121,37 +122,3 @@ def merge_conditional(
         then_v, else_v = then_values[name], else_values[name]
         merged[name] = then_v if then_v == else_v else t.If(cond, then_v, else_v)
     return template.instantiate(merged, scalar_types)
-
-
-@dataclass
-class LoopInvariant:
-    """A loop's inferred invariant: the template plus symbolic-iteration data.
-
-    ``counter`` is the ghost iteration variable; ``at_iteration`` maps each
-    target to its closed-form value after ``counter`` iterations (§3.4.2:
-    "we create a closed-form term parameterized by the (symbolic)
-    iteration number").
-    """
-
-    template: PredicateTemplate
-    counter: str
-    at_iteration: Dict[str, t.Term]
-    counter_ty: SourceType = NAT
-
-    def state_at_symbolic_iteration(
-        self, scalar_types: Optional[Dict[str, SourceType]] = None
-    ) -> SymState:
-        return self.template.instantiate(self.at_iteration, scalar_types)
-
-
-def infer_loop_invariant(
-    state: SymState,
-    target_names: List[str],
-    at_iteration: Dict[str, t.Term],
-    counter: str,
-) -> LoopInvariant:
-    """Build the invariant for a loop whose targets' partial-execution
-    closed forms are given by ``at_iteration`` (e.g. the map lemma passes
-    ``map f (firstn i l) ++ skipn i l`` for the array target)."""
-    template = infer_template(state, target_names)
-    return LoopInvariant(template=template, counter=counter, at_iteration=at_iteration)

@@ -126,39 +126,18 @@ def interpret_free(term: t.Term, handlers: dict) -> t.Term:
     """Rewrite free-monad operations into concrete effect terms.
 
     ``handlers`` maps operation names to functions from argument terms to
-    a replacement term.  Unhandled operations are left in place (and will
-    stall compilation with an informative message, per Rupicola's design).
+    a replacement term.  The rewrite is bottom-up over every head, so an
+    operation's arguments are handled before it, and an operation inside
+    a loop body or any other subterm is handled too.  Unhandled operations
+    are left in place (and will stall compilation with an informative
+    message, per Rupicola's design).
     """
-    if isinstance(term, t.Call) and term.func.startswith("free."):
-        op_name = term.func[len("free.") :]
-        args = tuple(interpret_free(a, handlers) for a in term.args)
-        if op_name in handlers:
-            return handlers[op_name](*args)
-        return t.Call(term.func, args)
-    if isinstance(term, t.Let):
-        return t.Let(
-            term.name,
-            interpret_free(term.value, handlers),
-            interpret_free(term.body, handlers),
-        )
-    if isinstance(term, t.MBind):
-        return t.MBind(
-            term.name,
-            interpret_free(term.ma, handlers),
-            interpret_free(term.body, handlers),
-        )
-    if isinstance(term, t.MRet):
-        return t.MRet(interpret_free(term.value, handlers))
-    if isinstance(term, t.Prim):
-        return t.Prim(term.op, tuple(interpret_free(a, handlers) for a in term.args))
-    if isinstance(term, t.If):
-        return t.If(
-            interpret_free(term.cond, handlers),
-            interpret_free(term.then_, handlers),
-            interpret_free(term.else_, handlers),
-        )
-    if isinstance(term, t.IOWrite):
-        return t.IOWrite(interpret_free(term.value, handlers))
-    if isinstance(term, t.WriterTell):
-        return t.WriterTell(interpret_free(term.value, handlers))
-    return term
+
+    def handle(node: t.Term) -> t.Term:
+        if isinstance(node, t.Call) and node.func.startswith("free."):
+            handler = handlers.get(node.func[len("free.") :])
+            if handler is not None:
+                return handler(*node.args)
+        return node
+
+    return t.map_term(term, handle)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, FrozenSet, Iterable, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.bedrock2 import ast
 from repro.core.certificate import Certificate, CertNode
@@ -200,10 +200,12 @@ def validate(
     databases: Optional[Iterable[HintDb]] = None,
     replay: bool = False,
     width: int = 64,
-    **kwargs,
+    input_gen: Optional[Callable[[random.Random], Dict[str, object]]] = None,
 ):
     """Full validation: certificate structure + differential semantics.
 
+    ``input_gen`` draws the differential trials' inputs; ``None`` draws
+    generic ones (see :func:`~repro.validation.differential.differential_check`).
     With ``replay=True``, additionally re-derives the function and
     requires bit-identical output (determinism replay).  A failed check
     raises the exception that check raised.
@@ -230,5 +232,5 @@ def validate(
         if rejection is not None:
             raise rejection.error
         return differential_check(
-            compiled, trials=trials, rng=rng, width=width, **kwargs
+            compiled, trials=trials, rng=rng, input_gen=input_gen, width=width
         ).raise_on_failure()

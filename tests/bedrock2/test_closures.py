@@ -191,23 +191,9 @@ def test_apply_op_is_the_raw_table(width):
     assert set(RAW_OPS[width]) == ast.EOp.OPS
 
 
-def test_apply_op_matches_the_word_methods():
-    w = 64
-    for a in (0, 5, 1 << 63, (1 << 64) - 1):
-        for b in (0, 3, 64, 65, (1 << 64) - 1):
-            x, y = Word(w, a), Word(w, b)
-            assert apply_op("add", x, y) == x + y
-            assert apply_op("sub", x, y) == x - y
-            assert apply_op("mul", x, y) == x * y
-            assert apply_op("divu", x, y) == x.udiv(y)
-            assert apply_op("remu", x, y) == x.umod(y)
-            assert apply_op("sru", x, y) == x.shr(y)
-            assert apply_op("slu", x, y) == x.shl(y)
-            assert apply_op("srs", x, y) == x.sar(y)
-            assert apply_op("lts", x, y).unsigned == int(x.lts(y))
-            assert apply_op("ltu", x, y).unsigned == int(x.ltu(y))
-    with pytest.raises(ExecutionError):
-        apply_op("rotl", Word(w, 1), Word(w, 1))
+def test_apply_op_rejects_an_unknown_operator():
+    with pytest.raises(ExecutionError, match="unknown operator 'rotl'"):
+        apply_op("rotl", Word(64, 1), Word(64, 1))
 
 
 # -- Stack reuse -----------------------------------------------------------------------

@@ -1,10 +1,63 @@
-"""Unit and property tests for fixed-width machine words."""
+"""Tests for machine words and the one semantics of their operators.
+
+:class:`Word` is a boxed value: construction, immutability and equality
+are tested here.  The operators live only in ``RAW_OPS``; they are
+tested through :func:`apply_op` against plain Python-int reference
+models, at every supported width.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bedrock2.word import Word, truthy, word8, word32, word64
+from repro.bedrock2.semantics import OP_TEMPLATES, apply_op
+from repro.bedrock2.word import Word
+
+WIDTHS = (8, 16, 32, 64)
+
+
+def _signed(value, width):
+    return value - (1 << width) if value >> (width - 1) else value
+
+
+#: Each operator on unsigned ``width``-bit ints, as integer arithmetic.
+REFERENCE = {
+    "add": lambda a, b, w: (a + b) % 2**w,
+    "sub": lambda a, b, w: (a - b) % 2**w,
+    "mul": lambda a, b, w: (a * b) % 2**w,
+    "mulhuu": lambda a, b, w: (a * b) // 2**w,
+    "divu": lambda a, b, w: a // b if b else 2**w - 1,
+    "remu": lambda a, b, w: a % b if b else a,
+    "and": lambda a, b, w: a & b,
+    "or": lambda a, b, w: a | b,
+    "xor": lambda a, b, w: a ^ b,
+    "slu": lambda a, b, w: (a << (b % w)) % 2**w,
+    "sru": lambda a, b, w: a >> (b % w),
+    "srs": lambda a, b, w: (_signed(a, w) >> (b % w)) % 2**w,
+    "ltu": lambda a, b, w: int(a < b),
+    "lts": lambda a, b, w: int(_signed(a, w) < _signed(b, w)),
+    "eq": lambda a, b, w: int(a == b),
+}
+
+
+def op(name, width, a, b):
+    """``apply_op`` on two ``width``-bit words, as an unsigned int."""
+    result = apply_op(name, Word(width, a), Word(width, b))
+    assert result.width == width
+    return result.unsigned
+
+
+@st.composite
+def operands(draw):
+    """A width and two unsigned operands of that width."""
+    width = draw(st.sampled_from(WIDTHS))
+    word = st.integers(min_value=0, max_value=2**width - 1)
+    return width, draw(word), draw(word)
+
+
+def _matches_reference(names, width, a, b):
+    for name in names:
+        assert op(name, width, a, b) == REFERENCE[name](a, b, width), (name, width, a, b)
 
 
 class TestConstruction:
@@ -44,73 +97,46 @@ class TestConstruction:
         assert not hasattr(w, "__dict__")
 
 
-class TestViews:
-    def test_signed_positive(self):
-        assert Word(8, 127).signed == 127
-
-    def test_signed_negative(self):
-        assert Word(8, 128).signed == -128
-        assert Word(8, 255).signed == -1
-
-    def test_bytes_roundtrip(self):
-        w = Word(32, 0x12345678)
-        assert w.to_bytes_le() == bytes([0x78, 0x56, 0x34, 0x12])
-        assert Word.from_bytes_le(32, w.to_bytes_le()) == w
-
-    def test_byte_accessor(self):
-        w = Word(32, 0x12345678)
-        assert [w.byte(i) for i in range(4)] == [0x78, 0x56, 0x34, 0x12]
-
-
 class TestArithmetic:
     def test_add_wraps(self):
-        assert (Word(8, 200) + Word(8, 100)).unsigned == (300 % 256)
+        assert op("add", 8, 200, 100) == 300 % 256
 
     def test_sub_wraps(self):
-        assert (Word(32, 0) - Word(32, 1)).unsigned == 0xFFFFFFFF
-
-    def test_mixed_int_operands(self):
-        assert (Word(32, 5) + 3).unsigned == 8
-        assert (3 + Word(32, 5)).unsigned == 8
-        assert (10 - Word(32, 3)).unsigned == 7
+        assert op("sub", 32, 0, 1) == 0xFFFFFFFF
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Word(32, 1) + Word(64, 1)
-
-    def test_neg_invert(self):
-        assert (-Word(8, 1)).unsigned == 0xFF
-        assert (~Word(8, 0)).unsigned == 0xFF
+        with pytest.raises(ValueError, match="width mismatch"):
+            apply_op("add", Word(32, 1), Word(64, 1))
 
     def test_division_by_zero_riscv_semantics(self):
-        assert Word(32, 7).udiv(Word(32, 0)).unsigned == 0xFFFFFFFF
-        assert Word(32, 7).umod(Word(32, 0)).unsigned == 7
+        assert op("divu", 32, 7, 0) == 0xFFFFFFFF
+        assert op("remu", 32, 7, 0) == 7
 
     def test_division(self):
-        assert Word(32, 7).udiv(2).unsigned == 3
-        assert Word(32, 7).umod(2).unsigned == 1
+        assert op("divu", 32, 7, 2) == 3
+        assert op("remu", 32, 7, 2) == 1
 
 
 class TestShifts:
     def test_shl_mod_width(self):
-        assert Word(32, 1).shl(33).unsigned == 2
+        assert op("slu", 32, 1, 33) == 2
 
     def test_shr_logical(self):
-        assert Word(8, 0x80).shr(1).unsigned == 0x40
+        assert op("sru", 8, 0x80, 1) == 0x40
 
     def test_sar_sign_extends(self):
-        assert Word(8, 0x80).sar(1).unsigned == 0xC0
-        assert Word(8, 0x40).sar(1).unsigned == 0x20
+        assert op("srs", 8, 0x80, 1) == 0xC0
+        assert op("srs", 8, 0x40, 1) == 0x20
 
 
 class TestComparisons:
     def test_ltu(self):
-        assert Word(8, 1).ltu(Word(8, 255))
-        assert not Word(8, 255).ltu(Word(8, 1))
+        assert op("ltu", 8, 1, 255) == 1
+        assert op("ltu", 8, 255, 1) == 0
 
     def test_lts(self):
-        assert Word(8, 255).lts(Word(8, 1))  # -1 < 1
-        assert not Word(8, 1).lts(Word(8, 255))
+        assert op("lts", 8, 255, 1) == 1  # -1 < 1
+        assert op("lts", 8, 1, 255) == 0
 
     def test_eq_with_int(self):
         assert Word(8, 0xFF) == -1
@@ -125,76 +151,76 @@ class TestComparisons:
         assert Word(32, 5) == Word(32, 5 + (1 << 32))
         assert Word(32, 5) != "5"
 
-    def test_truthy(self):
-        assert truthy(32, True).unsigned == 1
-        assert truthy(32, False).unsigned == 0
-
 
 class TestConversions:
     def test_zero_extend(self):
-        assert Word(8, 0xFF).zero_extend(32).unsigned == 0xFF
-
-    def test_sign_extend(self):
-        assert Word(8, 0xFF).sign_extend(32).unsigned == 0xFFFFFFFF
-
-    def test_truncate(self):
-        assert Word(32, 0x1FF).truncate(8).unsigned == 0xFF
+        # Re-boxing at a wider width keeps the unsigned value.
+        assert Word(32, Word(8, 0xFF)).unsigned == 0xFF
 
     def test_int_protocols(self):
         assert int(Word(32, 42)) == 42
         assert bool(Word(32, 0)) is False
         assert bool(Word(32, 1)) is True
 
-    def test_helpers(self):
-        assert word8(1).width == 8
-        assert word32(1).width == 32
-        assert word64(1).width == 64
+
+# -- Property tests: every operator is integer arithmetic mod 2^width ---------
 
 
-# -- Property tests: Word arithmetic is Z arithmetic mod 2^width --------------
-
-words32 = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-@given(words32, words32)
-def test_add_models_modular_arithmetic(a, b):
-    assert (Word(32, a) + Word(32, b)).unsigned == (a + b) % 2**32
+def test_every_operator_has_a_reference_model():
+    assert set(REFERENCE) == set(OP_TEMPLATES)
 
 
-@given(words32, words32)
-def test_sub_models_modular_arithmetic(a, b):
-    assert (Word(32, a) - Word(32, b)).unsigned == (a - b) % 2**32
+@given(operands())
+def test_add_models_modular_arithmetic(args):
+    _matches_reference(["add"], *args)
 
 
-@given(words32, words32)
-def test_mul_models_modular_arithmetic(a, b):
-    assert (Word(32, a) * Word(32, b)).unsigned == (a * b) % 2**32
+@given(operands())
+def test_sub_models_modular_arithmetic(args):
+    _matches_reference(["sub"], *args)
 
 
-@given(words32)
-def test_signed_roundtrip(a):
-    w = Word(32, a)
-    assert Word(32, w.signed).unsigned == a
+@given(operands())
+def test_mul_models_modular_arithmetic(args):
+    _matches_reference(["mul"], *args)
 
 
-@given(words32, words32)
-def test_ltu_models_nat_comparison(a, b):
-    assert Word(32, a).ltu(Word(32, b)) == (a < b)
+@given(operands())
+def test_mulhuu_models_the_high_product(args):
+    _matches_reference(["mulhuu"], *args)
 
 
-@given(words32, words32)
-def test_lts_models_int_comparison(a, b):
-    sa = a - 2**32 if a >= 2**31 else a
-    sb = b - 2**32 if b >= 2**31 else b
-    assert Word(32, a).lts(Word(32, b)) == (sa < sb)
+@given(operands())
+def test_division_models_riscv_division(args):
+    width, a, _ = args
+    _matches_reference(["divu", "remu"], *args)
+    _matches_reference(["divu", "remu"], width, a, 0)
 
 
-@given(words32, st.integers(min_value=0, max_value=63))
-def test_shifts_model_python_shifts(a, amount):
-    assert Word(32, a).shl(amount).unsigned == (a << (amount % 32)) % 2**32
-    assert Word(32, a).shr(amount).unsigned == a >> (amount % 32)
+@given(operands())
+def test_bitwise_ops_model_python_bitwise(args):
+    _matches_reference(["and", "or", "xor"], *args)
 
 
-@given(words32)
-def test_bytes_roundtrip_property(a):
-    assert Word.from_bytes_le(32, Word(32, a).to_bytes_le()).unsigned == a
+@given(operands())
+def test_ltu_models_nat_comparison(args):
+    _matches_reference(["ltu"], *args)
+
+
+@given(operands())
+def test_lts_models_int_comparison(args):
+    _matches_reference(["lts"], *args)
+
+
+@given(operands())
+def test_eq_models_equality(args):
+    width, a, _ = args
+    _matches_reference(["eq"], *args)
+    _matches_reference(["eq"], width, a, a)
+
+
+@given(operands(), st.integers(min_value=0, max_value=127))
+def test_shifts_model_python_shifts(args, amount):
+    width, a, _ = args
+    _matches_reference(["slu", "sru", "srs"], *args)
+    _matches_reference(["slu", "sru", "srs"], width, a, amount)

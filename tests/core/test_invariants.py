@@ -2,7 +2,6 @@
 
 from repro.core.invariants import (
     classify_target,
-    infer_loop_invariant,
     infer_template,
     merge_conditional,
 )
@@ -98,28 +97,3 @@ class TestConditionalMerge:
         )
         value = merged.value_of("r")
         assert isinstance(value, t.If)
-
-
-class TestLoopInvariant:
-    def test_symbolic_iteration_state(self):
-        """§3.4.2's Nat.iter example: cell content at iteration i is
-        ``iter i incr c``."""
-        state, ptr = cas_state()
-        iter_term = t.NatIter(t.Var("i"), "acc", t.Var("acc"), t.Var("c0"))
-        invariant = infer_loop_invariant(state, ["c"], {"c": iter_term}, "i")
-        loop_state = invariant.state_at_symbolic_iteration()
-        assert loop_state.heap[ptr].value == iter_term
-        assert invariant.counter == "i"
-
-    def test_map_prefix_shape(self):
-        state = SymState()
-        ptr = PtrSym("p_s")
-        state.bind_pointer("s", ptr, ARRAY_BYTE)
-        state.add_clause(Clause(ptr, ARRAY_BYTE, t.Var("s0")))
-        shape = t.Append(
-            t.ArrayMap("b", t.Var("b"), t.FirstN(t.Var("i"), t.Var("s0"))),
-            t.SkipN(t.Var("i"), t.Var("s0")),
-        )
-        invariant = infer_loop_invariant(state, ["s"], {"s": shape}, "i")
-        loop_state = invariant.state_at_symbolic_iteration()
-        assert loop_state.heap[ptr].value == shape

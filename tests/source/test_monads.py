@@ -4,7 +4,8 @@ import pytest
 
 from repro.source import monads
 from repro.source import terms as t
-from repro.source.builder import let_n, sym, word_lit
+from repro.source import listarray
+from repro.source.builder import let_n, ranged_for, sym, word_lit
 from repro.source.evaluator import EffectContext, eval_term
 from repro.source.types import BYTE, WORD, array_of
 
@@ -82,6 +83,20 @@ class TestFreeMonad:
         result = monads.interpret_free(program.term, {})
         assert isinstance(result, t.Call)
         assert result.func == "free.mystery"
+
+    @pytest.mark.parametrize("loop", ["ranged_for", "fold"])
+    def test_interpret_free_rewrites_ops_inside_loop_bodies(self, loop):
+        emit = lambda acc: monads.free_op("emit", acc)
+        if loop == "ranged_for":
+            program = ranged_for(0, 3, lambda i, acc: emit(acc), word_lit(0))
+        else:
+            program = listarray.fold(
+                lambda acc, b: emit(acc), word_lit(0), sym("s", array_of(BYTE))
+            )
+        bump = lambda v: t.Prim("word.add", (v, t.Lit(1, WORD)))
+        handled = monads.interpret_free(program.term, {"emit": bump})
+        assert not [n for n in t.walk_terms(handled) if isinstance(n, t.Call)]
+        assert handled.body == bump(program.term.body.args[0])
 
     def test_unhandled_free_op_stalls_compilation(self):
         """An uninterpreted free operation stalls compilation with the
